@@ -45,6 +45,8 @@ class PotentialSpec:
             raise DomainError("leading coefficient u must be positive")
         if self.v < 0.0:
             raise DomainError("subleading coefficient v must be nonnegative")
+        if not all(math.isfinite(x) for x in (self.u, self.v, self.lam)):
+            raise DomainError("coefficients u, v and lambda must be finite")
 
     # --- evaluation -------------------------------------------------------
 
@@ -73,8 +75,12 @@ class PotentialSpec:
         parts = text.split()
         if len(parts) != 5:
             raise DomainError("potential spec must be 'N M u v lambda'")
-        return PotentialSpec(int(parts[0]), int(parts[1]),
-                             float(parts[2]), float(parts[3]), float(parts[4]))
+        try:
+            N, M = int(parts[0]), int(parts[1])
+            u, v, lam = (float(x) for x in parts[2:])
+        except ValueError as exc:
+            raise DomainError(f"bad potential spec {text!r}: {exc}") from exc
+        return PotentialSpec(N, M, u, v, lam)
 
     def to_text(self) -> str:
         return f"{self.N} {self.M} {self.u!r} {self.v!r} {self.lam!r}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .actions import level_one_log_correction, binomial_action
 from .errors import DomainError
@@ -49,6 +49,7 @@ class VerifyConfig:
     @staticmethod
     def from_file(path) -> "VerifyConfig":
         """key=value overrides, '#' comments allowed."""
+        known = {f.name for f in fields(VerifyConfig)}
         overrides = {}
         with open(path) as fh:
             for line in fh:
@@ -58,12 +59,17 @@ class VerifyConfig:
                 key, _, value = line.partition("=")
                 key = key.strip()
                 value = value.strip()
-                if key == "grid":
-                    overrides[key] = tuple(float(x) for x in value.split(","))
-                elif key in ("spectrum_count", "jobs"):
-                    overrides[key] = int(value)
-                else:
-                    overrides[key] = float(value)
+                if key not in known:
+                    raise DomainError(f"unknown config key {key!r} in {path}")
+                try:
+                    if key == "grid":
+                        overrides[key] = tuple(float(x) for x in value.split(","))
+                    elif key in ("spectrum_count", "jobs"):
+                        overrides[key] = int(value)
+                    else:
+                        overrides[key] = float(value)
+                except ValueError as exc:
+                    raise DomainError(f"bad value for config key {key!r}: {exc}") from exc
         cfg = VerifyConfig(**overrides)
         for g in cfg.grid:
             if g <= 0.0:
@@ -233,7 +239,7 @@ def verify(N: int, config: VerifyConfig | None = None) -> PredictionReport:
         "zp1": [_PI / 4.0] * len(grid),
         "z2": [_PI * _PI / 8.0] * len(grid),
         "zp2": [CATALAN] * len(grid),
-        "slope": [0.5 * math.log(g) - 2.0 * LOG2 for g in grid],
+        "slope": [(math.log(g) - N * LOG2) / (N - 2.0) for g in grid],
         "ratio0": [predict_det_ratio_g(N, 2, g, 0.0) for g in grid],
         "skew_ratio0": [0.0] * len(grid),
     }

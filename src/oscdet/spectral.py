@@ -29,7 +29,6 @@ from .spectrum import (
     DEFAULT_MAX_COUNT,
     SpectrumResult,
     bs_level,
-    bs_level_estimate,
     eigenvalue_tail_model,
     eigenvalues,
 )
@@ -359,13 +358,18 @@ def zeta_full(spec: PotentialSpec, s: int, E: float = 0.0, *,
         count = min(2 * count, max_count)
 
 
-def _iterated_average(partials, depth: int) -> float:
-    row = list(partials)
+def _alternating_sum(terms, depth: int) -> tuple[float, float]:
+    """sum_k (-1)^k terms_k by iterated averaging of the last partial sums,
+    and the fraction of the value that the averaging added."""
+    partials = np.cumsum((-1.0) ** np.arange(len(terms)) * terms)
+    row = list(partials[-(2 * depth + 8):])
     for _ in range(depth):
         if len(row) < 2:
             break
         row = [0.5 * (a + b) for a, b in zip(row, row[1:])]
-    return row[-1]
+    value = row[-1]
+    frac = abs(value - partials[-1]) / abs(value) if value else 0.0
+    return float(value), float(frac)
 
 
 def zeta_skew(spec: PotentialSpec, s: int, E: float = 0.0, *,
@@ -376,21 +380,8 @@ def zeta_skew(spec: PotentialSpec, s: int, E: float = 0.0, *,
         raise DomainError("s must be a positive integer")
     spectrum = eigenvalues(spec, count, tol)
     _check_below_ground(spectrum, E)
-    lam = spectrum.values()
-    terms = (-1.0) ** np.arange(len(lam)) * (lam - E) ** (-float(s))
-    partials = np.cumsum(terms)
-    window = min(2 * depth + 8, len(partials))
-    value = _iterated_average(partials[-window:], depth)
-    frac = abs(value - partials[-1]) / abs(value)
-    return ZetaValue(s, E, float(value), float(frac))
-
-
-def parity_zeta(spec: PotentialSpec, parity: str, s: int, E: float = 0.0, *,
-                count: int = 160, tol: float = 1e-6) -> float:
-    """Plain partial sum over one parity sector (no tail model); test aid."""
-    spectrum = eigenvalues(spec, count, tol)
-    lam = spectrum.parity_values(parity)
-    return float(np.sum((lam - E) ** (-float(s))))
+    value, frac = _alternating_sum((spectrum.values() - E) ** (-float(s)), depth)
+    return ZetaValue(s, E, value, frac)
 
 
 # exact harmonic references ------------------------------------------------
@@ -424,34 +415,37 @@ def harmonic_zeta_skew(s: int, E: float = 0.0, v: float = 1.0, *,
     root = math.sqrt(v)
     if E >= root:
         raise DomainError("E must lie below the ground state")
-    k = np.arange(terms)
-    lam = root * (2.0 * k + 1.0)
-    terms_arr = (-1.0) ** k * (lam - E) ** (-float(s))
-    partials = np.cumsum(terms_arr)
-    window = min(2 * depth + 8, len(partials))
-    value = _iterated_average(partials[-window:], depth)
-    frac = abs(value - partials[-1]) / abs(value)
-    return ZetaValue(s, E, float(value), float(frac))
+    lam = root * (2.0 * np.arange(terms) + 1.0)
+    value, frac = _alternating_sum((lam - E) ** (-float(s)), depth)
+    return ZetaValue(s, E, value, frac)
 
 
 # --------------------------------------------------------------------------
 # Weierstrass-product determinant ratios (zero-free form, N > 2)
 # --------------------------------------------------------------------------
 
+def _log_factors(spec: PotentialSpec, lam: float, count: int,
+                 tol: float) -> tuple[np.ndarray, float]:
+    """log|1 + lam/lam_k| over the computed levels and the sign of their
+    product; the sign is 0 when a factor vanishes."""
+    if spec.N == 2:
+        raise DomainError("N = 2 is not zero-free; use harmonic_det")
+    factors = 1.0 + lam / eigenvalues(spec, count, tol).values()
+    if np.any(np.abs(factors) < 1e-12):
+        return factors, 0.0
+    sign = -1.0 if int(np.sum(factors < 0.0)) % 2 else 1.0
+    return np.log(np.abs(factors)), sign
+
+
 def det_ratio(spec: PotentialSpec, lam: float, *,
               count: int = 384, tol: float = 1e-6) -> float:
     """D(lam)/D(0) = prod_k (1 + lam/lam_k), computed levels plus a tail
     integrated over the Bohr-Sommerfeld level model."""
-    if spec.N == 2:
-        raise DomainError("N = 2 is not zero-free; use harmonic_det")
-    spectrum = eigenvalues(spec, count, tol)
-    vals = spectrum.values()
-    factors = 1.0 + lam / vals
-    if np.any(np.abs(factors) < 1e-12):
+    logs, sign = _log_factors(spec, lam, count, tol)
+    if sign == 0.0:
         return 0.0
-    sign = -1.0 if int(np.sum(factors < 0.0)) % 2 else 1.0
-    head = float(np.sum(np.log(np.abs(factors))))
-    K = len(spectrum)
+    head = float(np.sum(logs))
+    K = len(logs)
 
     def f(k):
         return math.log1p(lam / bs_level(spec, float(k)))
@@ -464,19 +458,11 @@ def det_ratio(spec: PotentialSpec, lam: float, *,
 def det_ratio_skew(spec: PotentialSpec, lam: float, *,
                    count: int = 384, tol: float = 1e-6, depth: int = 12) -> float:
     """D^P(lam)/D^P(0) = prod_k (1 + lam/lam_k)^{(-1)^k}, accelerated."""
-    if spec.N == 2:
-        raise DomainError("N = 2 is not zero-free; use harmonic_det")
-    spectrum = eigenvalues(spec, count, tol)
-    vals = spectrum.values()
-    factors = 1.0 + lam / vals
-    if np.any(np.abs(factors) < 1e-12):
+    logs, sign = _log_factors(spec, lam, count, tol)
+    if sign == 0.0:
         return 0.0
-    sign = -1.0 if int(np.sum(factors < 0.0)) % 2 else 1.0
-    terms = (-1.0) ** np.arange(len(vals)) * np.log(np.abs(factors))
-    partials = np.cumsum(terms)
-    window = min(2 * depth + 8, len(partials))
-    value = _iterated_average(partials[-window:], depth)
-    return sign * math.exp(float(value))
+    value, _ = _alternating_sum(logs, depth)
+    return sign * math.exp(value)
 
 
 # --------------------------------------------------------------------------
@@ -542,7 +528,7 @@ def zeta_from_det(spec: PotentialSpec, s: int, E: float = 0.0, *,
     """
     if s < 1:
         raise DomainError("s must be a positive integer")
-    lam0_est = bs_level_estimate(spec, 0)
+    lam0_est = bs_level(spec, 1.0)
     if E >= 0.8 * lam0_est:
         raise DomainError("E must lie safely below the ground state")
     if delta is None:

@@ -1,12 +1,17 @@
 """Parity-split eigenvalues of -d^2/dq^2 + V(q) on the real line.
 
-Even potentials split into two half-line problems on [0, L]: a Neumann
-condition at the origin (even states, imposed through a ghost-point
-reflection that keeps the matrix symmetric) and a Dirichlet condition
-(odd states).  Each is discretized by second-order central differences;
-the lowest eigenvalues come out of LAPACK's Sturm-sequence bisection for
-symmetric tridiagonal matrices, and a Richardson step in the mesh removes
-the h^2 error.
+Rayleigh-Ritz in a harmonic-oscillator (Hermite) basis of frequency omega.
+With x = sqrt(omega) q the Hamiltonian reads
+
+    H = omega (2n + 1) - omega x^2 + u omega^{-N/2} x^N + v omega^{-M/2} x^M + lam,
+
+and x^2 couples a basis state n only to n and n +- 2.  So each parity
+sector of H is a real symmetric band matrix of half-bandwidth N/2, built
+diagonal by diagonal from powers of the tridiagonal x^2 block, and LAPACK's
+band solver returns its lowest levels (Hioe & Montroll, J. Math. Phys. 16
+(1975) 1945; Banerjee et al., Proc. R. Soc. A 360 (1978) 575).  Ritz values
+fall monotonically towards the exact levels as the basis grows; the error
+estimate is the change between n and 2n basis states per parity.
 """
 
 from __future__ import annotations
@@ -16,16 +21,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 from scipy.integrate import quad
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eig_banded
 from scipy.optimize import brentq
 
 from .errors import AccuracyError, DomainError, ModelError
 from .potential import PotentialSpec
 
 DEFAULT_MAX_COUNT = 512
-_AGMON_BUDGET = 40.0
-_MAX_POINTS = 3_000_000
+_DOUBLINGS = 3   # the basis grows to at most 8 times its first size
 
 
 @dataclass(frozen=True)
@@ -38,10 +43,8 @@ class EigenEntry:
 
 @dataclass(frozen=True)
 class SolverParams:
-    L: float
-    h: float
-    n: int
-    extrapolation_order: int
+    n: int             # basis states per parity sector
+    omega: float       # frequency of the harmonic-oscillator basis
 
 
 @dataclass(frozen=True)
@@ -59,40 +62,6 @@ class SpectrumResult:
         return len(self.entries)
 
 
-def half_line_eigenvalues(spec: PotentialSpec, parity: str, count: int,
-                          L: float, n: int, bisect_tol: float = 1e-12) -> np.ndarray:
-    """Raw (unextrapolated) eigenvalues of one parity sector at mesh L/n.
-
-    ``bisect_tol`` is handed to the LAPACK Sturm bisection as an absolute
-    interval width; the driver default scales with the matrix norm (1/h^2)
-    and would drown the Richardson differences on fine meshes.
-    """
-    h = L / n
-    if parity == "even":
-        q = np.arange(0, n) * h
-        d = 2.0 / h**2 + spec.value(q)
-        e = np.full(n - 1, -1.0 / h**2)
-        e[0] = -math.sqrt(2.0) / h**2   # ghost-point reflection, symmetrized
-    elif parity == "odd":
-        q = np.arange(1, n) * h
-        d = 2.0 / h**2 + spec.value(q)
-        e = np.full(n - 2, -1.0 / h**2)
-    else:
-        raise DomainError(f"unknown parity {parity!r}")
-    return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
-                                lapack_driver="stebz", tol=bisect_tol)
-
-
-def _bs_count(spec: PotentialSpec, lam: float) -> float:
-    """Bohr-Sommerfeld estimate of the number of states below lam."""
-    if lam <= spec.value(0.0):
-        return 0.0
-    qt = turning_point(spec, lam)
-    integral, _ = quad(lambda q: math.sqrt(max(lam - spec.value(q), 0.0)),
-                       0.0, qt, epsrel=1e-8, limit=200)
-    return 2.0 * integral / math.pi - 0.5
-
-
 def turning_point(spec: PotentialSpec, lam: float) -> float:
     if lam <= spec.value(0.0):
         raise DomainError("level below the potential minimum")
@@ -100,15 +69,6 @@ def turning_point(spec: PotentialSpec, lam: float) -> float:
     while spec.value(hi) < lam:
         hi *= 2.0
     return brentq(lambda q: spec.value(q) - lam, 0.0, hi, xtol=1e-12)
-
-
-def bs_level_estimate(spec: PotentialSpec, k: int) -> float:
-    """Rough Bohr-Sommerfeld inversion one level above the k-th eigenvalue."""
-    lo = spec.value(0.0) + 1e-9
-    hi = max(1.0, 2.0 * abs(lo))
-    while _bs_count(spec, hi) < k + 1.0:
-        hi *= 2.0
-    return brentq(lambda lam: _bs_count(spec, lam) - (k + 1.0), lo, hi, rtol=1e-6)
 
 
 def bs_level(spec: PotentialSpec, k: float) -> float:
@@ -132,97 +92,96 @@ def bs_level(spec: PotentialSpec, k: float) -> float:
     return brentq(phase, lo, hi, rtol=1e-10)
 
 
-def choose_box(spec: PotentialSpec, count: int) -> tuple[float, float]:
-    """Box size L such that the top requested level is buried under the
-    Agmon decay budget, and the level estimate it was based on."""
-    lam_top = 1.15 * bs_level_estimate(spec, count + 2) + 5.0
-    qt = turning_point(spec, lam_top)
-    L = 1.2 * qt + 1.0
-    while True:
-        decay, _ = quad(lambda q: math.sqrt(max(spec.value(q) - lam_top, 0.0)),
-                        qt, L, epsrel=1e-6, limit=200)
-        if decay >= _AGMON_BUDGET:
-            break
-        L *= 1.15
-    return L, lam_top
+def _sector_band(spec: PotentialSpec, omega: float, n: int, parity: int) -> np.ndarray:
+    """Lower band storage of one parity block of H on its first n states."""
+    half = spec.N // 2
+    # quantum numbers of the sector; the padding keeps the kept entries of
+    # the powers of x^2 exact
+    m = np.arange(parity, 2 * (n + half), 2, dtype=float)
+    off = 0.5 * np.sqrt((m[:-1] + 1.0) * (m[:-1] + 2.0))
+    x2 = scipy.sparse.diags([off, m + 0.5, off], [-1, 0, 1], format="csr")
+    coef = np.zeros(half + 1)    # V - omega^2 q^2 as a polynomial in x^2
+    coef[half] += spec.u * omega ** (-half)
+    coef[spec.M // 2] += spec.v * omega ** (-(spec.M // 2))
+    coef[1] -= omega
+    coef[0] += spec.lam
+    eye = scipy.sparse.identity(len(m), format="csr")
+    poly = coef[half] * eye
+    for c in coef[-2::-1]:
+        poly = poly @ x2 + c * eye
+    band = np.zeros((half + 1, n))
+    for d in range(half + 1):
+        band[d, :n - d] = poly.diagonal(-d)[:n - d]
+    band[0] += omega * (2.0 * m[:n] + 1.0)
+    return band
+
+
+def _ritz_levels(spec: PotentialSpec, omega: float, n: int,
+                 count: int) -> tuple[np.ndarray, float]:
+    """Lowest ``count`` Ritz values in level order on n states per parity,
+    and the larger 1-norm of the two blocks."""
+    values = np.empty(count)
+    norm = 0.0
+    for parity in (0, 1):
+        levels = (count + 1 - parity) // 2
+        band = _sector_band(spec, omega, n, parity)
+        values[parity::2] = eig_banded(band, lower=True, eigvals_only=True, select="i",
+                                       select_range=(0, max(levels, 1) - 1))[:levels]
+        rows = np.abs(band).sum(axis=0)   # diagonal and right of it, by symmetry
+        for d in range(1, len(band)):
+            rows[d:] += np.abs(band[d, :n - d])
+        norm = max(norm, float(rows.max()))
+    return values, norm
 
 
 def eigenvalues(spec: PotentialSpec, count: int, tol: float = 1e-6,
                 max_count: int = DEFAULT_MAX_COUNT) -> SpectrumResult:
     """First ``count`` eigenvalues with parity labels and error estimates.
 
-    Solves the two half-line problems at meshes h and h/2 and Richardson-
-    extrapolates; the per-level error estimate is the (conservative)
-    extrapolation correction.  Raises AccuracyError with the best estimate
-    attached when the tolerance is unreachable at the mesh cap.
+    ``err_est`` is the change of each level when the basis doubles, floored
+    at LAPACK's eigenvalue error bound eps * ||H||_1.  Raises AccuracyError
+    with the best estimate attached when ``tol`` is unreachable at the
+    largest basis.
     """
     if count < 1:
         raise DomainError("count must be positive")
     if count > max_count:
         raise DomainError(f"count {count} exceeds the configured cap {max_count}")
-    return _eigenvalues_cached(spec, count, float(tol))
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance {tol} must be positive and finite")
+    return _eigenvalues_cached(spec, count, tol)
 
 
 @lru_cache(maxsize=64)
 def _eigenvalues_cached(spec: PotentialSpec, count: int, tol: float) -> SpectrumResult:
-    n_even = count - count // 2
-    n_odd = count // 2
-    L, lam_top = choose_box(spec, count)
-    bisect_tol = min(1e-12 * max(1.0, lam_top), 0.01 * tol)
-
-    # initial mesh from the h^4 error model of the extrapolated values,
-    # floored so the top mode keeps >= 16 points per wavelength
-    c4 = 0.3 * lam_top**3 / 360.0 + 1.0
-    h0 = (15.0 * tol / c4) ** 0.25
-    h0 = min(h0, 2.0 * math.pi / math.sqrt(lam_top) / 16.0, L / 256.0)
-    n = 2 ** math.ceil(math.log2(L / (2.0 * h0)))
-
-    def solve(npts):
-        return (half_line_eigenvalues(spec, "even", n_even, L, npts, bisect_tol),
-                half_line_eigenvalues(spec, "odd", n_odd, L, npts, bisect_tol))
-
-    coarse = solve(n)
-    extrap = None
-    best = None
-    while n <= _MAX_POINTS:
+    # basis matched to the classical region of the top level, measured from
+    # the bottom of the well so that a constant in V leaves it alone
+    lam_top = bs_level(spec, count + 2)
+    omega = math.sqrt(lam_top - spec.value(0.0)) / turning_point(spec, lam_top)
+    n = max(count + count % 2, 16)   # twice the levels of the even sector
+    coarse, _ = _ritz_levels(spec, omega, n, count)
+    for _ in range(_DOUBLINGS):
         n *= 2
-        fine = solve(n)
-        new_extrap = ((4.0 * fine[0] - coarse[0]) / 3.0,
-                      (4.0 * fine[1] - coarse[1]) / 3.0)
-        if extrap is not None:
-            # consecutive extrapolants differ by ~15x the residual h^4 error
-            err_ev = np.abs(new_extrap[0] - extrap[0]) / 15.0
-            err_od = np.abs(new_extrap[1] - extrap[1]) / 15.0
-            worst = max(err_ev.max(), err_od.max())
-            best = _assemble(spec, count, new_extrap[0], err_ev,
-                             new_extrap[1], err_od, L, n)
-            if worst <= tol:
-                return best
+        fine, norm = _ritz_levels(spec, omega, n, count)
+        err = np.maximum(np.abs(fine - coarse), np.finfo(float).eps * norm)
+        best = _assemble(fine, err, SolverParams(n=n, omega=omega))
+        if err.max() <= tol:
+            if np.any(np.diff(fine) <= 0.0):
+                raise AccuracyError("parity interlacing violated", best_estimate=None)
+            return best
         coarse = fine
-        extrap = new_extrap
-
     raise AccuracyError(
-        f"eigenvalue tolerance {tol} unreachable at {_MAX_POINTS} mesh points",
-        best_estimate=best, err_est=float(worst) if best is not None else None)
+        f"eigenvalue tolerance {tol} unreachable with {n} basis states per parity",
+        best_estimate=best, err_est=float(err.max()))
 
 
-def _assemble(spec, count, ev, err_ev, od, err_od, L, n) -> SpectrumResult:
-    entries = []
-    for k in range(count):
-        if k % 2 == 0:
-            value, err = ev[k // 2], err_ev[k // 2]
-            parity = "even"
-        else:
-            value, err = od[k // 2], err_od[k // 2]
-            parity = "odd"
-        entries.append(EigenEntry(k, parity, float(value),
-                                  max(float(err), 1e-15 * abs(float(value)), 1e-300)))
-    values = [e.value for e in entries]
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise AccuracyError("parity interlacing violated; refine the mesh",
-                            best_estimate=None)
-    params = SolverParams(L=L, h=L / n, n=n, extrapolation_order=2)
-    return SpectrumResult(tuple(entries), params)
+def _assemble(values, err, params: SolverParams) -> SpectrumResult:
+    entries = tuple(
+        EigenEntry(k, "even" if k % 2 == 0 else "odd", float(value),
+                   max(float(e), 1e-15 * abs(float(value)), 1e-300))
+        for k, (value, e) in enumerate(zip(values, err)))
+    return SpectrumResult(entries, params)
 
 
 @dataclass(frozen=True)

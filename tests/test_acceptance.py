@@ -145,18 +145,22 @@ def test_c8_fig2_right_reproduction(verify_reports):
 
 
 def test_c9_determinant_asymptotics(verify_reports):
-    report, _ = verify_reports[4]
-    grid = report.grid
-    slope_rel = [abs(r / p) for r, p in zip(report.residuals["slope"],
-                                            report.predicted["slope"])]
-    i3 = min(range(len(grid)), key=lambda i: abs(grid[i] - 1e-3))
-    slope_ok = all(b < a for a, b in zip(slope_rel[:i3 + 1], slope_rel[1:i3 + 1]))
-    slope_ok &= slope_rel[i3] <= 0.02
-    ratio_g = [abs(r) * g for r, g in zip(report.residuals["ratio0"], grid)]
-    value_ok = all(b < a for a, b in zip(ratio_g, ratio_g[1:]))
-    _report("C9  det ratio asymptotics", slope_ok and value_ok,
-            f"slope rel dev at 1e-3 = {slope_rel[i3]:.4f}, "
-            f"residual*g span = {ratio_g[0]:.1e} -> {ratio_g[-1]:.1e}")
+    ok = True
+    details = []
+    for N in (4, 6):
+        report, _ = verify_reports[N]
+        grid = report.grid
+        slope_rel = [abs(r / p) for r, p in zip(report.residuals["slope"],
+                                                report.predicted["slope"])]
+        i3 = min(range(len(grid)), key=lambda i: abs(grid[i] - 1e-3))
+        slope_ok = all(b < a for a, b in zip(slope_rel[:i3 + 1], slope_rel[1:i3 + 1]))
+        slope_ok &= slope_rel[i3] <= 0.02
+        ratio_g = [abs(r) * g for r, g in zip(report.residuals["ratio0"], grid)]
+        value_ok = all(b < a for a, b in zip(ratio_g, ratio_g[1:]))
+        ok &= slope_ok and value_ok
+        details.append(f"N={N}: slope rel dev at 1e-3 = {slope_rel[i3]:.4f}, "
+                       f"residual*g span = {ratio_g[0]:.1e} -> {ratio_g[-1]:.1e}")
+    _report("C9  det ratio asymptotics", ok, "; ".join(details))
 
 
 def test_c10_regular_limits(verify_reports):

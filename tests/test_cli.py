@@ -112,6 +112,32 @@ def test_domain_error_exit_two(capsys):
     assert exc.value.code == 2
 
 
+def _exit_two_without_traceback(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    return err
+
+
+def test_malformed_spec_exit_two(capsys):
+    _exit_two_without_traceback(capsys, "spectrum", "--spec", "4 2 x 1 0")
+    _exit_two_without_traceback(capsys, "spectrum", "--spec", "4 2 1 1 nan")
+
+
+def test_nonpositive_tolerance_exit_two(capsys):
+    for tol in ("0", "-1e-6", "nan", "inf"):
+        _exit_two_without_traceback(capsys, "spectrum", "--spec", "4 0 1 0 0", "--tol", tol)
+
+
+def test_unknown_config_key_exit_two(tmp_path, capsys):
+    config = tmp_path / "verify.cfg"
+    config.write_text("# thresholds\nspectrum_cout = 64\n")
+    err = _exit_two_without_traceback(capsys, "verify", "--config", str(config))
+    assert "spectrum_cout" in err
+
+
 def test_verify_family_alias(capsys):
     code, out = run_cli(capsys, "verify", "--family", "2,4",
                         "--grid", "1e-1,3e-2,1e-2")

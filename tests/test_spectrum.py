@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oscdet.errors import DomainError, ModelError
+from oscdet.errors import AccuracyError, DomainError, ModelError
 from oscdet.potential import PotentialSpec, symanzik_map
-from oscdet.spectrum import (
-    choose_box,
-    eigenvalue_tail_model,
-    eigenvalues,
-    half_line_eigenvalues,
-)
+from oscdet.spectrum import _ritz_levels, eigenvalue_tail_model, eigenvalues
 
 # frozen from a dense-mesh run (h -> h/2 -> h/4, double Richardson) done
 # independently of this solver before it was written
@@ -47,15 +42,13 @@ def test_symanzik_spectral_equivalence():
         assert np.max(np.abs(direct - partner / math.sqrt(v))) < 1e-6
 
 
-def test_mesh_convergence_is_second_order():
-    spec = PotentialSpec.uncoupled(2, 1.0)
-    L, _ = choose_box(spec, 8)
-    d1 = np.abs(half_line_eigenvalues(spec, "even", 6, L, 2048)
-                - half_line_eigenvalues(spec, "even", 6, L, 4096))
-    d2 = np.abs(half_line_eigenvalues(spec, "even", 6, L, 4096)
-                - half_line_eigenvalues(spec, "even", 6, L, 8192))
-    ratios = d1 / d2
-    assert np.all((ratios > 3.5) & (ratios < 4.5))
+def test_err_est_covers_a_doubled_basis():
+    # the levels solved on twice the final basis stay within err_est
+    for spec in (PotentialSpec.uncoupled(6, 1.0), PotentialSpec.trinomial(4, 2, 1.0)):
+        res = eigenvalues(spec, 128, 1e-6)
+        finer, _ = _ritz_levels(spec, res.params.omega, 2 * res.params.n, len(res))
+        err = np.array([e.err_est for e in res.entries])
+        assert np.all(np.abs(finer - res.values()) <= err)
 
 
 def test_monotone_in_coupling():
@@ -78,6 +71,15 @@ def test_count_cap():
     # explicit override allows more
     res = eigenvalues(PotentialSpec.uncoupled(2, 1.0), 600, 1e-4, max_count=1024)
     assert len(res) == 600
+
+
+def test_unreachable_tolerance_carries_best_estimate():
+    # below the rounding floor eps * ||H|| of every basis tried
+    with pytest.raises(AccuracyError) as exc:
+        eigenvalues(PotentialSpec.uncoupled(6, 1.0), 64, 1e-14)
+    best = exc.value.best_estimate
+    assert len(best) == 64 and exc.value.err_est > 1e-14
+    assert best.values()[0] == pytest.approx(1.1448024537, abs=1e-8)
 
 
 def test_tail_model_pure_powers():
