@@ -15,7 +15,6 @@ from .errors import (
     AccuracyError,
     DivergenceError,
     DomainError,
-    ModelError,
     PoleError,
     TailPreconditionError,
 )
@@ -68,10 +67,6 @@ from .spectral import (
     zeta_full,
     zeta_skew,
 )
-from .spectrum import (
-    SpectrumResult,
-    eigenvalue_tail_model,
-    eigenvalues,
-)
+from .spectrum import SpectrumResult, eigenvalues
 
 __all__ = [name for name in dir() if not name.startswith("_")]

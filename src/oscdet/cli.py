@@ -12,17 +12,17 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
 from .actions import binomial_action, improper_action, trinomial_action_asymptotic
-from .errors import AccuracyError, DivergenceError, DomainError, ModelError, TailPreconditionError
+from .errors import AccuracyError, DivergenceError, DomainError, TailPreconditionError
 from .mellin import contributing_poles, enumerate_poles
 from .potential import PotentialSpec, symanzik_map
 from .predictions import (
     VerifyConfig,
-    fig2_left_rows,
-    fig2_right_rows,
+    fig2_rows,
     predict_det_ratio_g,
     predict_Z1,
     verify,
@@ -198,9 +198,9 @@ def _config_from_args(args) -> VerifyConfig:
             grid = tuple(float(x) for x in args.grid.split(","))
         except ValueError as exc:
             raise DomainError(f"bad --grid value: {exc}") from exc
-        cfg = VerifyConfig(**{**cfg.__dict__, "grid": grid})
+        cfg = replace(cfg, grid=grid)
     if args.jobs != 1:
-        cfg = VerifyConfig(**{**cfg.__dict__, "jobs": args.jobs})
+        cfg = replace(cfg, jobs=args.jobs)
     return cfg
 
 
@@ -231,15 +231,16 @@ def cmd_fig2(args):
     cfg = _config_from_args(args)
     outdir = args.outdir or os.environ.get(_OUTDIR_ENV) or "."
     os.makedirs(outdir, exist_ok=True)
-    families = tuple(int(x) for x in args.families.split(","))
-    left = os.path.join(outdir, "fig2_left.csv")
-    right = os.path.join(outdir, "fig2_right.csv")
-    with open(left, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(fig2_left_rows(families, cfg))
-    with open(right, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(fig2_right_rows(families, cfg))
-    print(left)
-    print(right)
+    try:
+        families = tuple(int(x) for x in args.families.split(","))
+    except ValueError as exc:
+        raise DomainError(f"bad --families value: {exc}") from exc
+    paths = [os.path.join(outdir, name) for name in ("fig2_left.csv", "fig2_right.csv")]
+    for path, rows in zip(paths, fig2_rows(families, cfg)):
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    for path in paths:
+        print(path)
     return 0
 
 
@@ -328,7 +329,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (AccuracyError, ModelError, TailPreconditionError, DivergenceError) as exc:
+    except (AccuracyError, TailPreconditionError, DivergenceError) as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, AccuracyError) and exc.err_est is not None:
             diag["err_est"] = exc.err_est

@@ -33,9 +33,5 @@ class AccuracyError(RuntimeError):
         self.err_est = err_est
 
 
-class ModelError(RuntimeError):
-    """A fitted model failed its sanity checks."""
-
-
 class DivergenceError(ValueError):
     """The requested spectral sum does not converge."""

@@ -46,6 +46,16 @@ class VerifyConfig:
     spectrum_tol: float = 1e-6
     jobs: int = 1
 
+    def __post_init__(self):
+        if not self.grid or not all(math.isfinite(g) and g > 0.0 for g in self.grid):
+            raise DomainError("grid couplings must be positive and finite")
+        if self.spectrum_count < 1:
+            raise DomainError("spectrum_count must be at least 1")
+        if not (math.isfinite(self.spectrum_tol) and self.spectrum_tol > 0.0):
+            raise DomainError("spectrum_tol must be positive and finite")
+        if self.jobs < 1:
+            raise DomainError("jobs must be at least 1")
+
     @staticmethod
     def from_file(path) -> "VerifyConfig":
         """key=value overrides, '#' comments allowed."""
@@ -70,11 +80,7 @@ class VerifyConfig:
                         overrides[key] = float(value)
                 except ValueError as exc:
                     raise DomainError(f"bad value for config key {key!r}: {exc}") from exc
-        cfg = VerifyConfig(**overrides)
-        for g in cfg.grid:
-            if g <= 0.0:
-                raise DomainError("grid couplings must be positive")
-        return cfg
+        return VerifyConfig(**overrides)
 
 
 def predict_det_asymptotic(N: int, M: int, v: float, lam: float) -> float:
@@ -158,7 +164,7 @@ def measure_point(N: int, g: float, *, count: int = 256, tol: float = 1e-6) -> P
     d0 = shooting_det(spec_v, 0.0)
     ratio0 = z0 * (-0.5 * math.log(v)) + d0.log_abs_full - _LOG_SQRT2
     skew_ratio0 = -0.25 * math.log(v) + d0.log_abs_skew - _HARMONIC_SKEW0
-    slope = -root * zeta_from_det(spec_v, 1, 0.0).value + 0.5 * (EULER_GAMMA + LOG2)
+    slope = -z1 + 0.5 * (EULER_GAMMA + LOG2)
 
     # direct spectrum route on q^2 + g q^N
     spec_g = PotentialSpec(N, 2, g, 1.0, 0.0)
@@ -224,15 +230,7 @@ def verify(N: int, config: VerifyConfig | None = None) -> PredictionReport:
     """
     cfg = config or VerifyConfig()
     grid = sorted(cfg.grid, reverse=True)
-    if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            points = list(pool.map(_measure_for_pool,
-                                   [(N, g, cfg.spectrum_count, cfg.spectrum_tol)
-                                    for g in grid]))
-    else:
-        points = [measure_point(N, g, count=cfg.spectrum_count, tol=cfg.spectrum_tol)
-                  for g in grid]
+    points = measure_grid(N, cfg)
 
     predicted = {
         "z1": [predict_Z1(N, g) for g in grid],
@@ -286,6 +284,18 @@ def verify(N: int, config: VerifyConfig | None = None) -> PredictionReport:
                             verdicts=verdicts, notes=notes)
 
 
+def measure_grid(N: int, config: VerifyConfig) -> list[PointMeasurement]:
+    """measure_point at every coupling of the grid, largest first; ``jobs``
+    worker processes when above one, with results in grid order."""
+    args = [(N, g, config.spectrum_count, config.spectrum_tol)
+            for g in sorted(config.grid, reverse=True)]
+    if config.jobs == 1:
+        return [_measure_for_pool(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        return list(pool.map(_measure_for_pool, args))
+
+
 def _measure_for_pool(args):
     N, g, count, tol = args
     return measure_point(N, g, count=count, tol=tol)
@@ -295,23 +305,17 @@ def _measure_for_pool(args):
 # Fig. 2 datasets
 # --------------------------------------------------------------------------
 
-def fig2_left_rows(families=(4, 6), config: VerifyConfig | None = None):
-    """family,N,g,v,inv_v,ZP1,Z2,ZP2 rows (header first)."""
+def fig2_rows(families=(4, 6), config: VerifyConfig | None = None):
+    """Rows of both Fig. 2 datasets, header first, from one measurement of
+    each (N, g): family,N,g,v,inv_v,ZP1,Z2,ZP2 (left) and
+    family,N,g,log_g,Z1,Z1_predicted (right)."""
     cfg = config or VerifyConfig()
-    yield ["family", "N", "g", "v", "inv_v", "ZP1", "Z2", "ZP2"]
+    left = [["family", "N", "g", "v", "inv_v", "ZP1", "Z2", "ZP2"]]
+    right = [["family", "N", "g", "log_g", "Z1", "Z1_predicted"]]
     for N in families:
-        for g in sorted(cfg.grid, reverse=True):
-            p = measure_point(N, g, count=cfg.spectrum_count, tol=cfg.spectrum_tol)
-            yield [f"q2+gq{N}", str(N), repr(g), repr(p.v), repr(1.0 / p.v),
-                   repr(p.zp1), repr(p.z2), repr(p.zp2)]
-
-
-def fig2_right_rows(families=(4, 6), config: VerifyConfig | None = None):
-    """family,N,g,log_g,Z1,Z1_predicted rows (header first)."""
-    cfg = config or VerifyConfig()
-    yield ["family", "N", "g", "log_g", "Z1", "Z1_predicted"]
-    for N in families:
-        for g in sorted(cfg.grid, reverse=True):
-            p = measure_point(N, g, count=cfg.spectrum_count, tol=cfg.spectrum_tol)
-            yield [f"q2+gq{N}", str(N), repr(g), repr(math.log(g)),
-                   repr(p.z1), repr(predict_Z1(N, g))]
+        for p in measure_grid(N, cfg):
+            left.append([f"q2+gq{N}", str(N), repr(p.g), repr(p.v), repr(1.0 / p.v),
+                         repr(p.zp1), repr(p.z2), repr(p.zp2)])
+            right.append([f"q2+gq{N}", str(N), repr(p.g), repr(math.log(p.g)),
+                          repr(p.z1), repr(predict_Z1(N, p.g))])
+    return left, right

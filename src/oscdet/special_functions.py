@@ -11,27 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import scipy.special
+
 from .errors import DomainError
 
 EULER_GAMMA = 0.57721566490153286061
 CATALAN = 0.91596559417721901505
 LOG2 = 0.69314718055994530942
-
-# Lanczos coefficients, g = 7, n = 9 (double precision).
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -64,33 +50,12 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
-def _sinpi(x: float) -> float:
-    """sin(pi*x), exact at integers and accurate near them."""
-    r = math.remainder(x, 2.0)  # r in [-1, 1]
-    if r == math.floor(r):
-        return 0.0
-    if r > 0.5:
-        r = 1.0 - r
-    elif r < -0.5:
-        r = -1.0 - r
-    return math.sin(math.pi * r)
-
-
 def _cotpi(x: float) -> float:
     """cos(pi*x)/sin(pi*x) with the argument reduced to a half period."""
     r = math.remainder(x, 1.0)  # r in [-0.5, 0.5]
     if r == 0.0:
         raise DomainError("cot(pi x) pole at integer x")
     return math.cos(math.pi * r) / math.sin(math.pi * r)
-
-
-def _lanczos_log_gamma(x: float) -> float:
-    # valid for x >= 0.5
-    s = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        s += c / (x - 1.0 + i)
-    t = x + _LANCZOS_G - 0.5
-    return _HALF_LOG_2PI + (x - 0.5) * math.log(t) - t + math.log(s)
 
 
 def log_gamma(x: float) -> tuple[float, float]:
@@ -100,12 +65,9 @@ def log_gamma(x: float) -> tuple[float, float]:
     """
     if _is_nonpositive_integer(x):
         raise DomainError(f"Gamma pole at x = {x}")
-    if x >= 0.5:
-        return _lanczos_log_gamma(x), 1.0
-    # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x); Gamma(1-x) > 0 here
-    s = _sinpi(x)
-    value = math.log(math.pi) - math.log(abs(s)) - _lanczos_log_gamma(1.0 - x)
-    return value, math.copysign(1.0, s)
+    # Gamma changes sign at each pole: negative on (-1, 0), (-3, -2), ...
+    sign = -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
+    return math.lgamma(x), sign
 
 
 def gamma(x: float) -> float:
@@ -115,25 +77,17 @@ def gamma(x: float) -> float:
 
 
 def digamma(x: float) -> float:
-    """psi(x) = Gamma'(x)/Gamma(x)."""
+    """psi(x) = Gamma'(x)/Gamma(x).
+
+    Negative arguments go through psi(x) = psi(1-x) - pi cot(pi x) with the
+    cotangent's argument reduced first, which keeps full relative accuracy
+    next to the poles, where scipy's own reflection loses digits.
+    """
     if _is_nonpositive_integer(x):
         raise DomainError(f"digamma pole at x = {x}")
     if x < 0.0:
-        # psi(x) = psi(1-x) - pi cot(pi x)
-        return digamma(1.0 - x) - math.pi * _cotpi(x)
-    acc = 0.0
-    while x < 12.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    # asymptotic series: log x - 1/(2x) - sum B_{2n}/(2n x^{2n})
-    series = inv2 * (1.0 / 12.0
-                     - inv2 * (1.0 / 120.0
-                               - inv2 * (1.0 / 252.0
-                                         - inv2 * (1.0 / 240.0
-                                                   - inv2 * (1.0 / 132.0
-                                                             - inv2 * (691.0 / 32760.0))))))
-    return acc + math.log(x) - 0.5 / x - series
+        return float(scipy.special.digamma(1.0 - x)) - math.pi * _cotpi(x)
+    return float(scipy.special.digamma(x))
 
 
 def general_binomial(alpha: float, k: int) -> float:

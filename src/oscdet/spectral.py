@@ -25,13 +25,7 @@ from scipy.integrate import quad
 from .actions import adaptive_tail, expansion_parameter
 from .errors import AccuracyError, DivergenceError, DomainError
 from .potential import PotentialSpec, classify
-from .spectrum import (
-    DEFAULT_MAX_COUNT,
-    SpectrumResult,
-    bs_level,
-    eigenvalue_tail_model,
-    eigenvalues,
-)
+from .spectrum import DEFAULT_MAX_COUNT, SpectrumResult, bs_level, bs_tail, eigenvalues
 from .special_functions import LOG2, digamma, log_gamma
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -314,48 +308,52 @@ def harmonic_resolvent_reg(E: float) -> float:
 # spectral zeta functions over computed spectra
 # --------------------------------------------------------------------------
 
+_TAIL_CAP = 0.1              # largest tail fraction zeta_full accepts
+_DEPTH = 12                  # averaging passes over a computed spectrum
+_HARMONIC_TERMS = 20000      # exact ladder terms in harmonic_zeta_full
+_HARMONIC_SKEW_TERMS = 400   # exact ladder terms in harmonic_zeta_skew
+_HARMONIC_SKEW_DEPTH = 24
+
+
 def _check_below_ground(spectrum: SpectrumResult, E: float):
     if E >= spectrum.entries[0].value:
         raise DomainError("E must lie below the lowest eigenvalue")
 
 
 def zeta_full(spec: PotentialSpec, s: int, E: float = 0.0, *,
-              count: int = 128, tol: float = 1e-6,
-              max_count: int = DEFAULT_MAX_COUNT,
-              tail_cap: float = 0.1) -> ZetaValue:
-    """sum_k (lam_k - E)^{-s}: head over computed levels plus a model tail.
+              count: int = 128, tol: float = 1e-6) -> ZetaValue:
+    """sum_k (lam_k - E)^{-s}: head over computed levels plus a tail over the
+    Bohr-Sommerfeld levels (``bs_tail``).
 
-    The tail integrates the fitted power law with the first Euler-Maclaurin
-    correction; the eigenvalue count grows until the tail contributes less
-    than ``tail_cap`` of the total.
+    The eigenvalue count doubles, up to DEFAULT_MAX_COUNT, until the tail is
+    at most a tenth of the total.
     """
     if s < 1:
         raise DomainError("s must be a positive integer")
     growth = 2.0 * spec.N / (spec.N + 2.0)
     if s * growth <= 1.0:
         raise DivergenceError(f"zeta(s={s}) diverges for growth exponent {growth}")
+
+    def f(lam):
+        return (lam - E) ** (-float(s))
+
+    def df(lam):
+        return -s * (lam - E) ** (-float(s) - 1.0)
+
     while True:
         spectrum = eigenvalues(spec, count, tol)
         _check_below_ground(spectrum, E)
-        model = eigenvalue_tail_model(spec, spectrum)
-        lam = spectrum.values()
-        head = float(np.sum((lam - E) ** (-float(s))))
-        K = len(spectrum)
-
-        def f(k):
-            return (model.level(k) - E) ** (-float(s))
-
-        integral, _ = quad(f, K, np.inf, epsrel=1e-10, limit=200)
-        tail = float(integral + 0.5 * f(K))
+        head = float(np.sum(f(spectrum.values())))
+        tail = bs_tail(spec, len(spectrum), f, df)
         total = head + tail
         frac = abs(tail) / abs(total)
-        if frac <= tail_cap:
+        if frac <= _TAIL_CAP:
             return ZetaValue(s, E, float(total), float(frac))
-        if count >= max_count:
+        if count >= DEFAULT_MAX_COUNT:
             raise AccuracyError(
-                f"tail fraction {frac:.3f} above {tail_cap} at the count cap",
+                f"tail fraction {frac:.3f} above {_TAIL_CAP} at the count cap",
                 best_estimate=total, err_est=abs(tail))
-        count = min(2 * count, max_count)
+        count = min(2 * count, DEFAULT_MAX_COUNT)
 
 
 def _alternating_sum(terms, depth: int) -> tuple[float, float]:
@@ -373,50 +371,43 @@ def _alternating_sum(terms, depth: int) -> tuple[float, float]:
 
 
 def zeta_skew(spec: PotentialSpec, s: int, E: float = 0.0, *,
-              count: int = 160, tol: float = 1e-6, depth: int = 12) -> ZetaValue:
+              count: int = 160, tol: float = 1e-6) -> ZetaValue:
     """sum_k (-1)^k (lam_k - E)^{-s}, alternating tail accelerated by
     iterated averaging of the partial sums."""
     if s < 1:
         raise DomainError("s must be a positive integer")
     spectrum = eigenvalues(spec, count, tol)
     _check_below_ground(spectrum, E)
-    value, frac = _alternating_sum((spectrum.values() - E) ** (-float(s)), depth)
+    value, frac = _alternating_sum((spectrum.values() - E) ** (-float(s)), _DEPTH)
     return ZetaValue(s, E, value, frac)
 
 
 # exact harmonic references ------------------------------------------------
 
-def harmonic_zeta_full(s: int, E: float = 0.0, v: float = 1.0, *,
-                       terms: int = 20000) -> ZetaValue:
+def harmonic_zeta_full(s: int, E: float = 0.0, v: float = 1.0) -> ZetaValue:
     """Full zeta over the exact ladder sqrt(v)(2k+1)."""
     if s < 2:
         raise DivergenceError("harmonic full zeta diverges at s = 1")
     root = math.sqrt(v)
     if E >= root:
         raise DomainError("E must lie below the ground state")
-    k = np.arange(terms)
-    lam = root * (2.0 * k + 1.0)
+    lam = root * (2.0 * np.arange(_HARMONIC_TERMS) + 1.0)
     head = float(np.sum((lam - E) ** (-float(s))))
-
-    def f(kk):
-        return (root * (2.0 * kk + 1.0) - E) ** (-float(s))
-
-    top = root * (2.0 * terms + 1.0) - E
+    top = root * (2.0 * _HARMONIC_TERMS + 1.0) - E
     integral = top ** (1.0 - s) / (2.0 * root * (s - 1.0))
     fprime = -2.0 * root * s * top ** (-float(s) - 1.0)
-    tail = integral + 0.5 * f(terms) - fprime / 12.0
+    tail = integral + 0.5 * top ** (-float(s)) - fprime / 12.0
     total = head + tail
     return ZetaValue(s, E, total, abs(tail) / abs(total))
 
 
-def harmonic_zeta_skew(s: int, E: float = 0.0, v: float = 1.0, *,
-                       terms: int = 400, depth: int = 24) -> ZetaValue:
+def harmonic_zeta_skew(s: int, E: float = 0.0, v: float = 1.0) -> ZetaValue:
     """Skew zeta over the exact ladder, accelerated."""
     root = math.sqrt(v)
     if E >= root:
         raise DomainError("E must lie below the ground state")
-    lam = root * (2.0 * np.arange(terms) + 1.0)
-    value, frac = _alternating_sum((lam - E) ** (-float(s)), depth)
+    lam = root * (2.0 * np.arange(_HARMONIC_SKEW_TERMS) + 1.0)
+    value, frac = _alternating_sum((lam - E) ** (-float(s)), _HARMONIC_SKEW_DEPTH)
     return ZetaValue(s, E, value, frac)
 
 
@@ -439,29 +430,23 @@ def _log_factors(spec: PotentialSpec, lam: float, count: int,
 
 def det_ratio(spec: PotentialSpec, lam: float, *,
               count: int = 384, tol: float = 1e-6) -> float:
-    """D(lam)/D(0) = prod_k (1 + lam/lam_k), computed levels plus a tail
-    integrated over the Bohr-Sommerfeld level model."""
+    """D(lam)/D(0) = prod_k (1 + lam/lam_k): computed levels plus the tail
+    over the Bohr-Sommerfeld levels (``bs_tail``), which converges for N > 2."""
     logs, sign = _log_factors(spec, lam, count, tol)
     if sign == 0.0:
         return 0.0
-    head = float(np.sum(logs))
-    K = len(logs)
-
-    def f(k):
-        return math.log1p(lam / bs_level(spec, float(k)))
-
-    integral, _ = quad(f, K, np.inf, epsrel=1e-9, limit=200)
-    tail = integral + 0.5 * f(K)
-    return sign * math.exp(head + tail)
+    tail = bs_tail(spec, len(logs), lambda x: math.log1p(lam / x),
+                   lambda x: -lam / (x * (x + lam)))
+    return sign * math.exp(float(np.sum(logs)) + tail)
 
 
 def det_ratio_skew(spec: PotentialSpec, lam: float, *,
-                   count: int = 384, tol: float = 1e-6, depth: int = 12) -> float:
+                   count: int = 384, tol: float = 1e-6) -> float:
     """D^P(lam)/D^P(0) = prod_k (1 + lam/lam_k)^{(-1)^k}, accelerated."""
     logs, sign = _log_factors(spec, lam, count, tol)
     if sign == 0.0:
         return 0.0
-    value, _ = _alternating_sum(logs, depth)
+    value, _ = _alternating_sum(logs, _DEPTH)
     return sign * math.exp(value)
 
 
@@ -517,22 +502,24 @@ def _stencil_derivative(fvals, delta: float, order: int) -> float:
     raise DomainError("only first and second derivatives are supported")
 
 
+_STENCIL_TOL = 2e-5   # largest relative change between two stencil widths
+
+
 def zeta_from_det(spec: PotentialSpec, s: int, E: float = 0.0, *,
-                  skew: bool = False, delta: float | None = None,
-                  tol: float = 2e-5, check: bool = True) -> ZetaValue:
+                  skew: bool = False) -> ZetaValue:
     """Z(s; E) = -(1/(s-1)!) d^s/dE^s log det(H - E) by central differences
     of the shooting log-determinant in the spectral argument.
 
-    Two stencil widths are compared; disagreement beyond ``tol`` raises an
-    accuracy error.
+    Two stencil widths are compared; the width halves up to three times, and
+    a disagreement still beyond 2e-5 (relative above 1) raises an accuracy
+    error.
     """
     if s < 1:
         raise DomainError("s must be a positive integer")
     lam0_est = bs_level(spec, 1.0)
     if E >= 0.8 * lam0_est:
         raise DomainError("E must lie safely below the ground state")
-    if delta is None:
-        delta = min(0.04 * max(0.5, lam0_est), 0.2 * (0.8 * lam0_est - E) + 1e-9)
+    delta = min(0.04 * max(0.5, lam0_est), 0.2 * (0.8 * lam0_est - E) + 1e-9)
     mu0 = -E
     idx = 1 if skew else 0
 
@@ -547,12 +534,10 @@ def zeta_from_det(spec: PotentialSpec, s: int, E: float = 0.0, *,
         return sign * _stencil_derivative(vals, d, s) / fact
 
     z1 = estimate(delta)
-    if not check:
-        return ZetaValue(s, E, z1, 0.0)
     for _ in range(3):
         z2 = estimate(0.5 * delta)
         err = abs(z1 - z2)
-        if err <= tol * max(1.0, abs(z2)):
+        if err <= _STENCIL_TOL * max(1.0, abs(z2)):
             return ZetaValue(s, E, z2, 0.0)
         delta *= 0.5
         z1 = z2

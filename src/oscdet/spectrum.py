@@ -12,6 +12,10 @@ band solver returns its lowest levels (Hioe & Montroll, J. Math. Phys. 16
 (1975) 1945; Banerjee et al., Proc. R. Soc. A 360 (1978) 575).  Ritz values
 fall monotonically towards the exact levels as the basis grows; the error
 estimate is the change between n and 2n basis states per parity.
+
+The Bohr-Sommerfeld levels (``bs_level``) pick the basis frequency and, in
+``bs_tail``, carry every sum and product over the levels beyond the computed
+ones.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from scipy.integrate import quad
 from scipy.linalg import eig_banded
 from scipy.optimize import brentq
 
-from .errors import AccuracyError, DomainError, ModelError
+from .errors import AccuracyError, DomainError
 from .potential import PotentialSpec
 
 DEFAULT_MAX_COUNT = 512
@@ -75,9 +79,10 @@ def bs_level(spec: PotentialSpec, k: float) -> float:
     """Bohr-Sommerfeld eigenvalue model, continuous in the index.
 
     Solves 2 int sqrt(lam - V) dq = (k + 1/2) pi; the relative error falls
-    like (2k+1)^{-2}, which makes it the tail model of choice for products
-    and sums over high levels of coupled potentials (a local power-law fit
-    extrapolates with a curvature bias through the crossover region).
+    like (2k+1)^{-2}, which makes these levels the tail of products and sums
+    over high levels of coupled potentials (``bs_tail``), where a local
+    power-law fit extrapolates with a curvature bias through the crossover
+    region.
     """
     def phase(lam):
         qt = turning_point(spec, lam)
@@ -90,6 +95,46 @@ def bs_level(spec: PotentialSpec, k: float) -> float:
     while phase(hi) < 0.0:
         hi *= 2.0
     return brentq(phase, lo, hi, rtol=1e-10)
+
+
+@lru_cache(maxsize=1)
+def _area_rule() -> tuple[np.ndarray, np.ndarray]:
+    """48-node Gauss-Legendre rule for the classical area in bs_tail: the
+    weights of dq/Q = 2 w dw on [0, 1] (the map to [0, 1] halves them) and
+    log t at the nodes, t = 1 - w^2.  Built on first use, because its
+    LAPACK call adds about 1 MB to a process that never solves a spectrum."""
+    x, weights = np.polynomial.legendre.leggauss(48)
+    w = 0.5 * (x + 1.0)
+    return w * weights, np.log1p(-w * w)
+
+
+def bs_tail(spec: PotentialSpec, K: int, f, df) -> float:
+    """sum_{k >= K} f(lam_k) over the Bohr-Sommerfeld levels.
+
+    Takes the first Euler-Maclaurin form int_K^inf f(lam(k)) dk + f(lam_K)/2
+    and integrates it by parts against the level count
+    n(lam) = (2/pi) int sqrt(lam - V) dq - 1/2, written in the turning
+    point Q with lam = V(Q):
+
+        int_{Q_K}^inf -f'(V(Q)) (n(V(Q)) - K) V'(Q) dQ + f(lam_K)/2.
+
+    The boundary term at infinity vanishes whenever the sum converges, and
+    no level is solved inside the quadrature.  With q = Q(1 - w^2) the
+    classical area is smooth in w, so a fixed Gauss-Legendre rule takes it.
+    """
+    rule, log_t = _area_rule()
+    # V(Q) - V(Qt) = u Q^N (1 - t^N) + v Q^M (1 - t^M), without cancellation
+    gap_N = -np.expm1(spec.N * log_t)
+    gap_M = -np.expm1(spec.M * log_t)
+
+    def levels_above(Q):
+        area = Q * (rule @ np.sqrt(spec.u * Q**spec.N * gap_N + spec.v * Q**spec.M * gap_M))
+        return 2.0 * area / math.pi - 0.5 - K
+
+    lam_K = bs_level(spec, K)
+    integral, _ = quad(lambda Q: -df(spec.value(Q)) * levels_above(Q) * spec.deriv(Q),
+                       turning_point(spec, lam_K), np.inf, epsrel=1e-10, limit=200)
+    return integral + 0.5 * f(lam_K)
 
 
 def _sector_band(spec: PotentialSpec, omega: float, n: int, parity: int) -> np.ndarray:
@@ -182,60 +227,3 @@ def _assemble(values, err, params: SolverParams) -> SpectrumResult:
                    max(float(e), 1e-15 * abs(float(value)), 1e-300))
         for k, (value, e) in enumerate(zip(values, err)))
     return SpectrumResult(entries, params)
-
-
-@dataclass(frozen=True)
-class TailModel:
-    """Power-law model lam_k ~ c (2k+1)^exponent for the high levels."""
-
-    c: float
-    exponent: float
-    k_start: int
-
-    def level(self, k) -> float:
-        return self.c * (2.0 * np.asarray(k, dtype=float) + 1.0) ** self.exponent
-
-
-def eigenvalue_tail_model(spec: PotentialSpec, spectrum: SpectrumResult,
-                          rel_band: float = 0.05) -> TailModel:
-    """Least-squares fit of log lam_k against log(2k+1) on the top half.
-
-    The fitted exponent is checked against the Bohr-Sommerfeld growth: for a
-    pure power q^N it must sit within ``rel_band`` of 2N/(N+2); a coupled
-    potential is accepted anywhere between the growth of its two exponents
-    (its computed range may still sit in the crossover region).
-    """
-    m = len(spectrum)
-    if m < 32:
-        raise DomainError("need at least 32 computed eigenvalues")
-    k0 = m // 2
-    ks = np.arange(k0, m)
-    lam = spectrum.values()[k0:]
-    if np.any(lam <= 0.0):
-        raise ModelError("nonpositive eigenvalues in the fit window")
-    x = np.log(2.0 * ks + 1.0)
-    y = np.log(lam)
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    exponent, logc = float(coef[0]), float(coef[1])
-    resid = y - A @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    if rms > 0.02:
-        raise ModelError(f"tail fit residual too large (rms {rms:.3g})")
-
-    p_top = 2.0 * spec.N / (spec.N + 2.0)
-    pure_power = spec.v == 0.0 and spec.lam == 0.0
-    if pure_power:
-        if abs(exponent - p_top) > rel_band * p_top:
-            raise ModelError(
-                f"fitted exponent {exponent:.4f} not within {rel_band:.0%} of {p_top:.4f}")
-    else:
-        m_eff = spec.M if spec.v > 0.0 and spec.M >= 2 else spec.N
-        p_low = 2.0 * m_eff / (m_eff + 2.0)
-        lo = min(p_low, p_top) * (1.0 - rel_band)
-        hi = max(p_low, p_top) * (1.0 + rel_band)
-        if not (lo <= exponent <= hi):
-            raise ModelError(
-                f"fitted exponent {exponent:.4f} outside the growth band "
-                f"[{lo:.4f}, {hi:.4f}]")
-    return TailModel(c=math.exp(logc), exponent=exponent, k_start=m)

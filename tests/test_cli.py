@@ -4,6 +4,7 @@ import math
 import pytest
 
 from oscdet.cli import main
+from oscdet.predictions import predict_Z1
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +137,53 @@ def test_unknown_config_key_exit_two(tmp_path, capsys):
     config.write_text("# thresholds\nspectrum_cout = 64\n")
     err = _exit_two_without_traceback(capsys, "verify", "--config", str(config))
     assert "spectrum_cout" in err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("fig2 --families 4,x", ""),
+    ("fig2 --jobs 0", ""),
+    ("verify --jobs 0", ""),
+    ("verify --grid 0.1,-1", ""),
+    ("verify --grid 0.1,0", ""),
+    ("verify --grid 0.1,nan", ""),
+    ("verify --grid 0.1,inf", ""),
+    ("verify --config {}", "spectrum_count = 0"),
+    ("verify --config {}", "spectrum_tol = 0"),
+    ("verify --config {}", "spectrum_tol = nan"),
+    ("verify --config {}", "jobs = 0"),
+    ("fig2 --config {}", "grid = 1e-1, -1e-2"),
+])
+def test_bad_verify_input_exit_two_before_measuring(command, config, tmp_path, capsys,
+                                                    monkeypatch):
+    import oscdet.predictions as predictions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point was measured before the input was checked")
+
+    monkeypatch.setattr(predictions, "measure_point", refuse)
+    path = tmp_path / "verify.cfg"
+    path.write_text(config + "\n")
+    _exit_two_without_traceback(capsys, *command.format(path).split())
+
+
+def test_fig2_measures_each_point_once(tmp_path, capsys, monkeypatch):
+    import oscdet.predictions as predictions
+
+    calls = []
+
+    def fake(N, g, *, count=256, tol=1e-6):
+        calls.append((N, g))
+        return predictions.PointMeasurement(g=g, v=2.0, z1=1.0, zp1_det=0.5, z2_det=1.5,
+                                            zp1=0.5, z2=1.5, zp2=0.25, slope=0.0,
+                                            ratio0=0.0, skew_ratio0=0.0)
+
+    monkeypatch.setattr(predictions, "measure_point", fake)
+    code, _ = run_cli(capsys, "fig2", "--families", "4,6", "--grid", "1e-1,3e-2",
+                      "--outdir", str(tmp_path))
+    assert code == 0
+    assert sorted(calls) == [(4, 3e-2), (4, 1e-1), (6, 3e-2), (6, 1e-1)]
+    right = (tmp_path / "fig2_right.csv").read_text().splitlines()
+    assert right[1] == f"q2+gq4,4,0.1,{math.log(0.1)!r},1.0,{predict_Z1(4, 0.1)!r}"
 
 
 def test_verify_family_alias(capsys):

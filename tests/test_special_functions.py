@@ -96,6 +96,27 @@ def test_digamma_against_scipy_grid():
                                                   rel=1e-11, abs=1e-11)
 
 
+# negative arguments within 1e-6 of the poles and around the positive root of psi
+ORACLE_GRID = (-4.5, -3.75, -2.999999, -2.000001, -1.9999999, -1.25, -1.0000001,
+               -0.999999, -0.5, -1e-7, 1e-7, 0.1, 0.5, 1.0, 1.4616321449683622,
+               2.5, 3.7, 10.25, 50.5, 171.3, 1e3)
+
+
+@pytest.mark.parametrize("x", ORACLE_GRID)
+def test_log_gamma_and_digamma_against_mpmath(x):
+    import mpmath
+
+    with mpmath.workdps(40):
+        g = mpmath.gamma(x)
+        want_lg = float(mpmath.log(abs(g)))
+        want_psi = float(mpmath.digamma(x))
+        want_sign = 1.0 if g > 0 else -1.0
+    lg, sign = log_gamma(x)
+    assert sign == want_sign
+    assert abs(lg - want_lg) <= 4e-15 * max(1.0, abs(want_lg))
+    assert abs(digamma(x) - want_psi) <= 4e-15 * max(1.0, abs(want_psi))
+
+
 @pytest.mark.parametrize("alpha,k,want", [
     (0.5, 0, 1.0),
     (0.5, 1, 0.5),

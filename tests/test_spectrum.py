@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oscdet.errors import AccuracyError, DomainError, ModelError
+from oscdet.errors import AccuracyError, DomainError
 from oscdet.potential import PotentialSpec, symanzik_map
-from oscdet.spectrum import _ritz_levels, eigenvalue_tail_model, eigenvalues
+from oscdet.spectral import zeta_full
+from oscdet.spectrum import _ritz_levels, eigenvalues
 
 # frozen from a dense-mesh run (h -> h/2 -> h/4, double Richardson) done
 # independently of this solver before it was written
@@ -82,36 +83,10 @@ def test_unreachable_tolerance_carries_best_estimate():
     assert best.values()[0] == pytest.approx(1.1448024537, abs=1e-8)
 
 
-def test_tail_model_pure_powers():
-    for N, want in ((2, 1.0), (4, 4.0 / 3.0), (6, 1.5)):
-        spec = PotentialSpec.uncoupled(N, 1.0)
-        res = eigenvalues(spec, 64, 1e-6)
-        model = eigenvalue_tail_model(spec, res)
-        assert model.exponent == pytest.approx(want, rel=0.05)
-        # the model reproduces the top computed levels
-        top = res.values()[-1]
-        assert model.level(len(res) - 1) == pytest.approx(top, rel=0.01)
-
-
-def test_tail_model_requires_enough_levels():
-    spec = PotentialSpec.uncoupled(4, 1.0)
-    res = eigenvalues(spec, 16, 1e-6)
-    with pytest.raises(DomainError):
-        eigenvalue_tail_model(spec, res)
-
-
-def test_tail_model_coupled_band():
-    # small-g coupled family sits in the harmonic-to-quartic crossover
+def test_zeta_full_tail_stable_in_count():
+    # the small-g coupled family sits in the harmonic-to-quartic crossover,
+    # where a tail over too few levels would move with the count
     spec = PotentialSpec(4, 2, 1e-3, 1.0, 0.0)
-    res = eigenvalues(spec, 64, 1e-6)
-    model = eigenvalue_tail_model(spec, res)
-    assert 0.9 <= model.exponent <= 1.4
-
-
-def test_tail_model_rejects_wrong_growth():
-    # feeding a quartic spectrum as if it came from a pure q^8 potential
-    spec4 = PotentialSpec.uncoupled(4, 1.0)
-    res = eigenvalues(spec4, 64, 1e-6)
-    fake = PotentialSpec.uncoupled(8, 1.0)
-    with pytest.raises(ModelError):
-        eigenvalue_tail_model(fake, res)
+    z128 = zeta_full(spec, 2, count=128).value
+    z512 = zeta_full(spec, 2, count=512).value
+    assert z128 == pytest.approx(z512, abs=1e-7)
