@@ -10,17 +10,21 @@ gauge: A = Psi e^{-phi}, Bhat = Psi' e^{-phi} / Pi with
 phi = -(1/4) log P + T(q), where T is the zeta-regularized tail action.
 Both components stay O(1) all the way down, nodes of Psi pass through
 A = 0 with their sign intact, and the boundary data at the origin are the
-parity determinants.
+parity determinants.  The other mode decays in the gauge at rate 2 sqrt(P),
+so the system is stiff where P is large; scipy's LSODA (``odeint``) switches
+to its BDF branch there, and its steps follow how fast P varies rather than
+1/sqrt(P) (Petzold, SIAM J. Sci. Stat. Comput. 4 (1983) 136).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import ODEintWarning, odeint, quad
 
 from .actions import adaptive_tail, expansion_parameter
 from .errors import AccuracyError, DivergenceError, DomainError
@@ -85,79 +89,6 @@ class ZetaValue:
 
 
 # --------------------------------------------------------------------------
-# embedded Dormand-Prince 4(5) stepper on plain floats
-# --------------------------------------------------------------------------
-
-def _integrate_dp45(f, t0, t1, y0, rtol, atol, hmax_fn):
-    """Adaptive embedded Dormand-Prince 4(5) pair for two-component systems.
-
-    ``f(t, u, w) -> (du, dw)``.  The stages are unrolled on plain floats;
-    hmax_fn caps the step so the fast-decaying WKB mode stays inside the
-    explicit stability region instead of thrashing the error control.
-    """
-    t = t0
-    u, w = y0
-    direction = 1.0 if t1 > t0 else -1.0
-    span = abs(t1 - t0)
-    if span == 0.0:
-        return u, w
-    h = direction * min(hmax_fn(t0), 0.01 * span)
-    while (t1 - t) * direction > 0.0:
-        if abs(h) > abs(t1 - t):
-            h = t1 - t
-        k1u, k1w = f(t, u, w)
-        k2u, k2w = f(t + 0.2 * h, u + h * 0.2 * k1u, w + h * 0.2 * k1w)
-        k3u, k3w = f(t + 0.3 * h,
-                     u + h * (0.075 * k1u + 0.225 * k2u),
-                     w + h * (0.075 * k1w + 0.225 * k2w))
-        k4u, k4w = f(t + 0.8 * h,
-                     u + h * (0.9777777777777777 * k1u - 3.7333333333333334 * k2u
-                              + 3.5555555555555554 * k3u),
-                     w + h * (0.9777777777777777 * k1w - 3.7333333333333334 * k2w
-                              + 3.5555555555555554 * k3w))
-        k5u, k5w = f(t + 0.8888888888888888 * h,
-                     u + h * (2.9525986892242035 * k1u - 11.595793324188385 * k2u
-                              + 9.822892851699436 * k3u - 0.2908093278463649 * k4u),
-                     w + h * (2.9525986892242035 * k1w - 11.595793324188385 * k2w
-                              + 9.822892851699436 * k3w - 0.2908093278463649 * k4w))
-        k6u, k6w = f(t + h,
-                     u + h * (2.8462752525252526 * k1u - 10.757575757575758 * k2u
-                              + 8.906422717743473 * k3u + 0.2784090909090909 * k4u
-                              - 0.2735313036020583 * k5u),
-                     w + h * (2.8462752525252526 * k1w - 10.757575757575758 * k2w
-                              + 8.906422717743473 * k3w + 0.2784090909090909 * k4w
-                              - 0.2735313036020583 * k5w))
-        u5 = u + h * (0.09114583333333333 * k1u + 0.44923629829290207 * k3u
-                      + 0.6510416666666666 * k4u - 0.322376179245283 * k5u
-                      + 0.13095238095238096 * k6u)
-        w5 = w + h * (0.09114583333333333 * k1w + 0.44923629829290207 * k3w
-                      + 0.6510416666666666 * k4w - 0.322376179245283 * k5w
-                      + 0.13095238095238096 * k6w)
-        k7u, k7w = f(t + h, u5, w5)
-        # b5 - b4 error weights
-        eu = h * (0.0012326388888888888 * k1u - 0.0042527702905061394 * k3u
-                  + 0.03697916666666667 * k4u - 0.05086379716981132 * k5u
-                  + 0.0419047619047619 * k6u - 0.025 * k7u)
-        ew = h * (0.0012326388888888888 * k1w - 0.0042527702905061394 * k3w
-                  + 0.03697916666666667 * k4w - 0.05086379716981132 * k5w
-                  + 0.0419047619047619 * k6w - 0.025 * k7w)
-        scu = atol + rtol * max(abs(u), abs(u5))
-        scw = atol + rtol * max(abs(w), abs(w5))
-        err = math.sqrt(0.5 * ((eu / scu) ** 2 + (ew / scw) ** 2))
-        if err <= 1.0:
-            t += h
-            u, w = u5, w5
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        h *= factor
-        cap = hmax_fn(t)
-        if abs(h) > cap:
-            h = direction * cap
-        if abs(h) < 1e-14 * max(1.0, abs(t)):
-            raise AccuracyError("step size underflow in the shooting integrator")
-    return u, w
-
-
-# --------------------------------------------------------------------------
 # shooting determinant
 # --------------------------------------------------------------------------
 
@@ -184,15 +115,32 @@ def _choose_q_max(work: PotentialSpec, threshold: float = 1e-8) -> float:
 
 
 _PLAIN_THRESHOLD = 4.0   # drop the WKB gauge once P falls below this
+_RTOL = 1e-11            # LSODA tolerances of both sweeps
+_ATOL = 1e-13
+_MXSTEP = 10000          # LSODA's default of 500 is below the 540-860 steps of
+                         # the stiff sweeps (q^4 + v q^2 at v = 464 to 10^6)
+
+
+def _sweep(rhs, q0: float, q1: float, y0) -> np.ndarray:
+    """Integrate the two-component system y' = rhs(q, y) from q0 to q1 with
+    LSODA; a solver failure is an accuracy error, not a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)
+        ys, info = odeint(rhs, y0, [q0, q1], tfirst=True, rtol=_RTOL, atol=_ATOL,
+                          mxstep=_MXSTEP, full_output=True)
+    if info["message"] != "Integration successful.":
+        raise AccuracyError(f"shooting integrator failed: {info['message']}")
+    return ys[-1]
 
 
 def shooting_det(spec: PotentialSpec, lam: float = 0.0, *,
-                 rtol: float = 1e-11, q_max: float | None = None) -> DeterminantValue:
+                 q_max: float | None = None) -> DeterminantValue:
     """Parity determinants of -d^2/dq^2 + u q^N + v q^M + (spec.lam + lam).
 
     The recessive solution is normalized at q_max by its regularized WKB
     form (including the first two log-derivative corrections, which keep
     q_max moderate) and integrated inward; D- = Psi(0), D+ = -Psi'(0).
+    Both sweeps run through LSODA; a solver failure raises AccuracyError.
     """
     work = spec.with_shift(lam)
     if q_max is None:
@@ -231,28 +179,21 @@ def shooting_det(spec: PotentialSpec, lam: float = 0.0, *,
 
     uu, vv, cc, NN, MM = work.u, work.v, work.lam, work.N, work.M
 
-    def rhs_gauged(q, a, bh):
+    def rhs_gauged(q, y):
+        a, bh = y
         p = uu * q**NN + vv * q**MM + cc
         root = math.sqrt(p)
         r = (NN * uu * q ** (NN - 1) + (MM * vv * q ** (MM - 1) if MM > 0 else 0.0)) / (4.0 * p)
         s = root * (a + bh)
         return s + r * a, s - r * bh
 
-    def hmax_gauged(q):
-        return 1.0 / math.sqrt(max(P(q), _PLAIN_THRESHOLD))
-
-    a_c, bh_c = _integrate_dp45(rhs_gauged, q_max, q_cut, (a0, bh0),
-                                rtol, 1e-13, hmax_gauged)
+    a_c, bh_c = _sweep(rhs_gauged, q_max, q_cut, (a0, bh0))
 
     if q_cut > 0.0:
-        def rhs_plain(q, y, dy):
-            return dy, (uu * q**NN + vv * q**MM + cc) * y
+        def rhs_plain(q, y):
+            return y[1], (uu * q**NN + vv * q**MM + cc) * y[0]
 
-        def hmax_plain(q):
-            return 0.25 / math.sqrt(max(abs(P(q)), 1.0))
-
-        y0, dy0 = _integrate_dp45(rhs_plain, q_cut, 0.0,
-                                  (a_c, pi(q_cut) * bh_c), rtol, 1e-13, hmax_plain)
+        y0, dy0 = _sweep(rhs_plain, q_cut, 0.0, (a_c, pi(q_cut) * bh_c))
     else:
         y0, dy0 = a_c, pi(0.0) * bh_c
 

@@ -75,64 +75,65 @@ def turning_point(spec: PotentialSpec, lam: float) -> float:
     return brentq(lambda q: spec.value(q) - lam, 0.0, hi, xtol=1e-12)
 
 
-def bs_level(spec: PotentialSpec, k: float) -> float:
-    """Bohr-Sommerfeld eigenvalue model, continuous in the index.
-
-    Solves 2 int sqrt(lam - V) dq = (k + 1/2) pi; the relative error falls
-    like (2k+1)^{-2}, which makes these levels the tail of products and sums
-    over high levels of coupled potentials (``bs_tail``), where a local
-    power-law fit extrapolates with a curvature bias through the crossover
-    region.
-    """
-    def phase(lam):
-        qt = turning_point(spec, lam)
-        integral, _ = quad(lambda q: math.sqrt(max(lam - spec.value(q), 0.0)),
-                           0.0, qt, epsrel=1e-10, limit=300)
-        return 2.0 * integral / math.pi - 0.5 - k
-
-    lo = spec.value(0.0) + 1e-12
-    hi = max(1.0, 2.0 * abs(lo))
-    while phase(hi) < 0.0:
-        hi *= 2.0
-    return brentq(phase, lo, hi, rtol=1e-10)
-
-
 @lru_cache(maxsize=1)
 def _area_rule() -> tuple[np.ndarray, np.ndarray]:
-    """48-node Gauss-Legendre rule for the classical area in bs_tail: the
-    weights of dq/Q = 2 w dw on [0, 1] (the map to [0, 1] halves them) and
-    log t at the nodes, t = 1 - w^2.  Built on first use, because its
-    LAPACK call adds about 1 MB to a process that never solves a spectrum."""
+    """48-node Gauss-Legendre rule for the classical area: the weights of
+    dq/Q = 2 w dw on [0, 1] (the map to [0, 1] halves them) and log t at the
+    nodes, t = 1 - w^2.  Built on first use, because its LAPACK call adds
+    about 1 MB to a process that never needs a Bohr-Sommerfeld level."""
     x, weights = np.polynomial.legendre.leggauss(48)
     w = 0.5 * (x + 1.0)
     return w * weights, np.log1p(-w * w)
+
+
+def _level_count(spec: PotentialSpec):
+    """Q -> n(V(Q)), the Bohr-Sommerfeld level count
+    n(lam) = (2/pi) int sqrt(lam - V) dq - 1/2 at the level whose turning
+    point is Q.  With q = Q(1 - w^2) the classical area is smooth in w, so a
+    fixed Gauss-Legendre rule takes it."""
+    rule, log_t = _area_rule()
+    # V(Q) - V(Qt) = u Q^N (1 - t^N) + v Q^M (1 - t^M), without cancellation
+    gap_N = -np.expm1(spec.N * log_t)
+    gap_M = -np.expm1(spec.M * log_t)
+
+    def count(Q):
+        area = Q * (rule @ np.sqrt(spec.u * Q**spec.N * gap_N + spec.v * Q**spec.M * gap_M))
+        return 2.0 * area / math.pi - 0.5
+
+    return count
+
+
+def bs_level(spec: PotentialSpec, k: float) -> float:
+    """Bohr-Sommerfeld eigenvalue model, continuous in the index.
+
+    Solves 2 int sqrt(lam - V) dq = (k + 1/2) pi for the turning point and
+    returns lam = V(Q); the relative error falls like (2k+1)^{-2}, which
+    makes these levels the tail of products and sums over high levels of
+    coupled potentials (``bs_tail``), where a local power-law fit
+    extrapolates with a curvature bias through the crossover region.
+    """
+    count = _level_count(spec)
+    hi = 1.0
+    while count(hi) < k:
+        hi *= 2.0
+    return spec.value(brentq(lambda Q: count(Q) - k, 0.0, hi, rtol=1e-12))
 
 
 def bs_tail(spec: PotentialSpec, K: int, f, df) -> float:
     """sum_{k >= K} f(lam_k) over the Bohr-Sommerfeld levels.
 
     Takes the first Euler-Maclaurin form int_K^inf f(lam(k)) dk + f(lam_K)/2
-    and integrates it by parts against the level count
-    n(lam) = (2/pi) int sqrt(lam - V) dq - 1/2, written in the turning
-    point Q with lam = V(Q):
+    and integrates it by parts against the level count n(lam), written in
+    the turning point Q with lam = V(Q):
 
         int_{Q_K}^inf -f'(V(Q)) (n(V(Q)) - K) V'(Q) dQ + f(lam_K)/2.
 
     The boundary term at infinity vanishes whenever the sum converges, and
-    no level is solved inside the quadrature.  With q = Q(1 - w^2) the
-    classical area is smooth in w, so a fixed Gauss-Legendre rule takes it.
+    no level is solved inside the quadrature.
     """
-    rule, log_t = _area_rule()
-    # V(Q) - V(Qt) = u Q^N (1 - t^N) + v Q^M (1 - t^M), without cancellation
-    gap_N = -np.expm1(spec.N * log_t)
-    gap_M = -np.expm1(spec.M * log_t)
-
-    def levels_above(Q):
-        area = Q * (rule @ np.sqrt(spec.u * Q**spec.N * gap_N + spec.v * Q**spec.M * gap_M))
-        return 2.0 * area / math.pi - 0.5 - K
-
+    count = _level_count(spec)
     lam_K = bs_level(spec, K)
-    integral, _ = quad(lambda Q: -df(spec.value(Q)) * levels_above(Q) * spec.deriv(Q),
+    integral, _ = quad(lambda Q: -df(spec.value(Q)) * (count(Q) - K) * spec.deriv(Q),
                        turning_point(spec, lam_K), np.inf, epsrel=1e-10, limit=200)
     return integral + 0.5 * f(lam_K)
 

@@ -1,9 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import ODEintWarning
 
-from oscdet.errors import DivergenceError, DomainError
+from oscdet import spectral
+from oscdet.cli import main
+from oscdet.errors import AccuracyError, DivergenceError, DomainError
 from oscdet.potential import PotentialSpec
 from oscdet.special_functions import CATALAN, EULER_GAMMA, LOG2
 from oscdet.spectral import (
@@ -85,6 +89,21 @@ def test_shooting_rejects_small_q_max():
         shooting_det(PotentialSpec.uncoupled(4, 1.0), 0.0, q_max=3.0)
 
 
+def test_shooting_integrator_failure_is_an_accuracy_error(monkeypatch, capsys):
+    def failing_odeint(func, y0, t, **kwargs):
+        warnings.warn("Excess work done on this call.", ODEintWarning)
+        return np.array([y0, y0]), {"message": "Excess work done on this call."}
+
+    monkeypatch.setattr(spectral, "odeint", failing_odeint)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(AccuracyError, match="Excess work"):
+            shooting_det(PotentialSpec.uncoupled(4, 1.0), 0.0)
+        assert main(["det", "--spec", "4 0 1.0 0.0 0.0"]) == 3
+    assert caught == []
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _bisect_sign(f, lo, hi, tol=1e-8):
     flo = f(lo)
     assert flo * f(hi) < 0.0
@@ -114,10 +133,11 @@ def test_shooting_zeros_locate_the_spectrum():
 
 
 def test_shooting_matches_product_ratios():
-    # Gelfand-Yaglom-style cross-check on three potentials
+    # Gelfand-Yaglom-style cross-check; q^4 + 400 q^2 is stiff in the gauge
     for spec in (PotentialSpec.uncoupled(4, 1.0),
                  PotentialSpec.uncoupled(6, 1.0),
-                 PotentialSpec.trinomial(4, 2, 1.0)):
+                 PotentialSpec.trinomial(4, 2, 1.0),
+                 PotentialSpec.trinomial(4, 2, 400.0)):
         d0 = shooting_det(spec, 0.0)
         for lam in (0.5, 1.0, 2.0):
             dl = shooting_det(spec, lam)
