@@ -5,10 +5,10 @@ __version__ = "0.1.0"
 
 from .actions import (
     ActionValue,
+    adaptive_tail,
     binomial_action,
     binomial_action_s,
     improper_action,
-    regularized_tail,
     trinomial_action_asymptotic,
 )
 from .errors import (
@@ -48,7 +48,7 @@ from .special_functions import (
     EULER_GAMMA,
     Jet1,
     digamma,
-    general_binomial,
+    binomial_jets,
     log_gamma,
     odd_harmonic_partial,
 )

@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import DomainError, PoleError, TailPreconditionError
-from .potential import PotentialSpec, beta_coefficients, residue_level_coefficient
+from .potential import (
+    PotentialSpec,
+    beta_coefficients,
+    binomial_series,
+    expansion_parameter,
+    residue_level_coefficient,
+)
 from .special_functions import LOG2, Jet1, digamma, log_gamma
 
 _FINITE_PART_SHIFT = 2.0 * (1.0 - LOG2)  # finite-part normalization constant
@@ -101,29 +107,25 @@ def binomial_action(u: float, v: float, N: float, M: float) -> ActionValue:
     return ActionValue(binomial_action_s(u, v, N, M, 0.0), "closed-normal", None, Jet1.zero())
 
 
-def default_rho_min(spec: PotentialSpec) -> Fraction:
-    """Keep every term down to about three lattice orders past rho = -1."""
-    return Fraction(-1 - 3 * (spec.N - spec.M))
-
-
-def expansion_parameter(spec: PotentialSpec, q: float) -> float:
-    """Size of the small quantity the large-q binomial series expands in.
-
-    (v/u) q^{M-N} + (|lam|/u) q^{-N}: successive expansion orders decay at
-    least geometrically at this rate, which is what makes truncation of the
-    (possibly interleaved) rho lattice controllable.
-    """
-    return (spec.v / spec.u) * q ** (spec.M - spec.N) + (abs(spec.lam) / spec.u) * q ** (-spec.N)
-
-
 def _suggest_tail_point(spec: PotentialSpec, target: float) -> float:
+    """A q where expansion_parameter(spec, q) is at most target / 2."""
     return max((4.0 * spec.v / (target * spec.u)) ** (1.0 / (spec.N - spec.M)),
                (4.0 * abs(spec.lam) / (target * spec.u) + 1e-30) ** (1.0 / spec.N),
                1.0)
 
 
-def _tail_pieces(spec: PotentialSpec, q: float, rho_min):
-    """Tail value, magnitude of the first dropped term, and the kept terms."""
+def adaptive_tail(spec: PotentialSpec, q: float, abs_tol: float = 1e-11) -> float:
+    """int_q^inf Pi dq with the zeta-regularized finite-part normalization.
+
+    Integrates the orders of ``binomial_series`` term by term,
+    beta_rho q^rho -> -beta_rho q^{rho+1} / (rho + 1), and stops after the
+    first order k with sqrt(u) |binom(1/2, k)| x^k q^{N/2+1} <= abs_tol,
+    x = expansion_parameter(spec, q).  That bounds the order's integrated
+    terms (|rho + 1| >= 1), and each later bound is at most x times the one
+    before, so the orders left out add at most abs_tol x / (1 - x), below
+    abs_tol since x <= 1/2 is required.  The rho = -1 term is replaced by its
+    finite part, read off the residue jet of ``beta_coefficients``.
+    """
     if q <= 0.0:
         raise DomainError("tail point q must be positive")
     x = expansion_parameter(spec, q)
@@ -131,56 +133,18 @@ def _tail_pieces(spec: PotentialSpec, q: float, rho_min):
         raise TailPreconditionError(
             f"large-q series not decreasing at q = {q} (expansion parameter {x:.3g})",
             suggested_q=_suggest_tail_point(spec, 0.5))
-    rho_min = Fraction(rho_min)
-    step = Fraction(math.gcd(spec.N - spec.M, spec.N))
-    table = beta_coefficients(spec, rho_min - step)
-    logq = math.log(q)
-
-    kept = []          # (rho, series term beta_rho q^rho, integrated term)
-    dropped = 0.0
+    scale = q ** (spec.N // 2 + 1)
     total = 0.0
-    residue = table.residue()
-    for rho, jet in table.entries.items():
-        if jet.value == 0.0:
-            continue
-        series_term = jet.value * q ** float(rho)
-        if rho < rho_min:
-            dropped = max(dropped, abs(series_term * q / (float(rho) + 1.0)))
-            continue
-        if rho == -1:
-            continue
-        integrated = -jet.value * q ** (float(rho) + 1.0) / (float(rho) + 1.0)
-        kept.append((rho, series_term, integrated))
-        total += integrated
-
+    for bound, terms in binomial_series(spec, q):
+        for rho, value, _ in terms:
+            if rho != -1:
+                total -= value * scale / (rho + 1)
+        if bound * scale <= abs_tol:
+            break
     # finite part of the rho = -1 term plus the fixed normalization shift
-    bracket = (-residue.value * logq + residue.deriv / spec.N
-               + _FINITE_PART_SHIFT * residue.value / spec.N)
-    total += bracket
-    return total, dropped, kept
-
-
-def regularized_tail(spec: PotentialSpec, q: float, rho_min=None) -> float:
-    """int_q^inf Pi dq with the zeta-regularized finite-part normalization."""
-    if rho_min is None:
-        rho_min = default_rho_min(spec)
-    value, _, _ = _tail_pieces(spec, q, rho_min)
-    return value
-
-
-def adaptive_tail(spec: PotentialSpec, q: float, abs_tol: float = 1e-11) -> float:
-    """regularized_tail with the lattice deepened until the first dropped
-    term sits below ``abs_tol``."""
-    rho_min = default_rho_min(spec)
-    step = spec.N - spec.M
-    for _ in range(40):
-        value, dropped, _ = _tail_pieces(spec, q, rho_min)
-        if dropped <= abs_tol:
-            return value
-        rho_min -= 4 * step
-    raise TailPreconditionError(
-        f"tail truncation stuck above {abs_tol} at q = {q}",
-        suggested_q=2.0 * q)
+    residue = beta_coefficients(spec, -1).residue()
+    return total + (-residue.value * math.log(q) + residue.deriv / spec.N
+                    + _FINITE_PART_SHIFT * residue.value / spec.N)
 
 
 def _momentum(spec: PotentialSpec):
@@ -195,40 +159,30 @@ def _check_positive_momentum(spec: PotentialSpec):
         raise DomainError("Pi^2 vanishes on the integration path (lam < 0)")
 
 
-def choose_split_point(spec: PotentialSpec, tol: float, rho_min=None) -> float:
-    """Smallest dyadic-ish Q where the tail series is safely truncatable.
+def choose_split_point(spec: PotentialSpec) -> float:
+    """Split point of improper_action: the smallest q >= 1 where the tail
+    series converges with expansion parameter x <= 0.2.
 
-    Successive expansion orders must decay by 10x and the first dropped
-    term must sit below tol/10.
+    Head and tail cancel and each grows like q^{N/2+1}, so a larger q loses
+    digits: for q^10 + 100 q^8 at x = 0.05 (q = 44.7) each is 1.4e9 and
+    their sum misses the closed form by 5e-7.
     """
-    if rho_min is None:
-        rho_min = default_rho_min(spec)
-    scale = max((spec.v / spec.u) ** (1.0 / (spec.N - spec.M)) if spec.v > 0 else 0.0,
-                (abs(spec.lam) / spec.u) ** (1.0 / spec.N) if spec.lam != 0 else 0.0,
-                1.0)
-    q = 2.0 * scale
-    for _ in range(200):
-        if expansion_parameter(spec, q) >= 0.1:
-            q *= 1.3
-            continue
-        _, dropped, _ = _tail_pieces(spec, q, rho_min)
-        if dropped < tol / 10.0:
-            return q
-        q *= 1.3
-    raise DomainError("no usable split point found")
+    if expansion_parameter(spec, 1.0) <= 0.2:
+        return 1.0
+    return brentq(lambda q: expansion_parameter(spec, q) - 0.2,
+                  1.0, _suggest_tail_point(spec, 0.4))
 
 
 def improper_action(spec: PotentialSpec, tol: float = 1e-9,
-                    split_q: float | None = None, rho_min=None) -> ActionValue:
-    """int_0^inf Pi dq = quadrature on [0, Q] + regularized tail from Q."""
+                    split_q: float | None = None) -> ActionValue:
+    """int_0^inf Pi dq = quadrature on [0, Q] + regularized tail from Q,
+    each to tol / 10."""
     _check_positive_momentum(spec)
-    if rho_min is None:
-        rho_min = default_rho_min(spec)
-    q_split = choose_split_point(spec, tol, rho_min) if split_q is None else split_q
+    q_split = choose_split_point(spec) if split_q is None else split_q
     head, _ = quad(_momentum(spec), 0.0, q_split,
                    epsabs=tol / 10.0, epsrel=1e-12, limit=200)
-    tail, _, _ = _tail_pieces(spec, q_split, rho_min)
-    residue = beta_coefficients(spec, Fraction(-1)).residue()
+    tail = adaptive_tail(spec, q_split, tol / 10.0)
+    residue = beta_coefficients(spec, -1).residue()
     return ActionValue(head + tail, "numeric-regularized", None, residue)
 
 

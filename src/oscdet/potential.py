@@ -10,15 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .errors import DomainError
-from .special_functions import (
-    Jet1,
-    digamma,
-    general_binomial,
-    general_binomial_alpha_deriv,
-)
+from .special_functions import Jet1, binomial_jets, digamma
 
 
 @dataclass(frozen=True)
@@ -120,20 +114,17 @@ class AnomalyType:
 class BetaTable:
     """Coefficients of (V + lam)^{1/2-s} ~ sum_rho beta_rho(s) q^{rho - N s}.
 
-    Entries are order-1 jets at s = 0, keyed by exact rational rho on the
-    lattice N/2, N/2 - step, ... down to rho_min, step = gcd(N - M, N).
+    Entries are order-1 jets at s = 0, keyed by the integer rho from N/2 down
+    to rho_min; a rho that no term reaches has no entry and reads as zero.
     """
 
-    entries: dict  # Fraction -> Jet1, descending rho
+    entries: dict  # int -> Jet1, descending rho
 
-    def at(self, rho) -> Jet1:
-        return self.entries.get(Fraction(rho), Jet1.zero())
+    def at(self, rho: int) -> Jet1:
+        return self.entries.get(rho, Jet1.zero())
 
     def residue(self) -> Jet1:
         return self.at(-1)
-
-    def rhos(self):
-        return list(self.entries.keys())
 
 
 def level_candidate(N: int, M: int) -> int | None:
@@ -175,57 +166,66 @@ def classify(spec: PotentialSpec) -> AnomalyType:
     return AnomalyType.anomalous(j, Jet1(value, deriv))
 
 
-def beta_coefficients(spec: PotentialSpec, rho_min) -> BetaTable:
+def expansion_parameter(spec: PotentialSpec, q: float) -> float:
+    """x = (v/u) q^{M-N} + (|lam|/u) q^{-N}, the size of the small quantity
+    the large-q binomial series expands in.
+
+    Order k of the series at q is at most sqrt(u) |binom(1/2, k)| x^k q^{N/2}
+    in magnitude, so the orders decay at least geometrically at rate x.
+    """
+    return (spec.v / spec.u) * q ** (spec.M - spec.N) + (abs(spec.lam) / spec.u) * q ** (-spec.N)
+
+
+def binomial_series(spec: PotentialSpec, q: float):
+    """The large-q series of (u q^N + v q^M + lam)^{1/2-s} at q, one order at a time.
+
+    (u q^N)^{1/2-s} (1 + X + Y)^{1/2-s} with X = (v/u) q^{M-N} and
+    Y = (lam/u) q^{-N} expands by the generalized binomial theorem; the term
+    X^a Y^b of order k = a + b carries q^{rho - N s} with the integer
+    rho = N/2 + a(M-N) - bN.  Yields, for k = 0, 1, 2, ..., the pair
+    (bound, terms).  terms lists (rho, value, deriv), the s = 0 jet of the
+    coefficient u^{1/2-s} binom(1/2-s, k) C(k, a) X^a Y^b of each term, which
+    is value q^{N/2} at s = 0; a term with a factor X = 0 or Y = 0 is left
+    out.  bound = sqrt(u) |binom(1/2, k)| x^k, x = expansion_parameter(spec, q),
+    caps the sum of the magnitudes of the values.  At q = 1 the values are
+    the contributions to beta_rho.
+    """
+    N, M = spec.N, spec.M
+    u_half, logu = math.sqrt(spec.u), math.log(spec.u)
+    X = (spec.v / spec.u) * q ** (M - N)
+    Y = (spec.lam / spec.u) * q ** (-N)
+    x = expansion_parameter(spec, q)
+    for k, (binom, dbinom) in enumerate(binomial_jets(0.5)):
+        # with one small term zero, only its zeroth power survives
+        powers = range(k + 1) if X and Y else ((k,) if X else (0,))
+        terms = []
+        for a in powers:
+            weight = math.comb(k, a) * X**a * Y ** (k - a) * u_half
+            value = binom * weight
+            # d/ds of u^{1/2-s} binom(1/2-s, k) at s = 0
+            terms.append((N // 2 + a * (M - N) - (k - a) * N, value,
+                          -logu * value - dbinom * weight))
+        yield u_half * abs(binom) * x**k, terms
+
+
+def beta_coefficients(spec: PotentialSpec, rho_min: int) -> BetaTable:
     """Expansion coefficients with rho >= rho_min, as jets at s = 0.
 
-    (u q^N)^{1/2-s} (1 + (v/u) q^{M-N} + (lam/u) q^{-N})^{1/2-s} expanded by
-    the generalized binomial theorem; the pair (a, b) of powers of the two
-    small terms lands on rho = N/2 + a(M-N) - b N.
+    Sums the orders of ``binomial_series`` at q = 1 until every rho of an
+    order lies below rho_min; each (a, b) lands on rho = N/2 + a(M-N) - bN.
     """
-    rho_min = Fraction(rho_min)
-    N, M = spec.N, spec.M
-    top = Fraction(N, 2)
-    if rho_min > top:
+    if rho_min > spec.N // 2:
         raise DomainError("rho_min must not exceed N/2")
-    step = Fraction(math.gcd(N - M, N))
-    logu = math.log(spec.u)
-    u_half = math.sqrt(spec.u)
-    x = spec.v / spec.u
-    y = spec.lam / spec.u
-
-    lattice: dict[Fraction, list] = {}
-    rho = top
-    while rho >= rho_min:
-        lattice[rho] = [0.0, 0.0]
-        rho -= step
-
-    a = 0
-    while True:
-        rho_a = top + a * (M - N)
-        if rho_a < rho_min:
+    cells: dict[int, list] = {}
+    for _, terms in binomial_series(spec, 1.0):
+        if max(rho for rho, _, _ in terms) < rho_min:
             break
-        if a > 0 and x == 0.0:
-            break
-        xa = x**a
-        b = 0
-        while True:
-            rho = rho_a - b * N
-            if rho < rho_min:
-                break
-            if b > 0 and y == 0.0:
-                break
-            k = a + b
-            weight = math.comb(k, a) * xa * y**b
-            val = general_binomial(0.5, k) * weight * u_half
-            der = (-logu) * val - general_binomial_alpha_deriv(0.5, k) * weight * u_half
-            cell = lattice[rho]
-            cell[0] += val
-            cell[1] += der
-            b += 1
-        a += 1
-
-    entries = {rho: Jet1(v, d) for rho, (v, d) in lattice.items()}
-    return BetaTable(entries)
+        for rho, value, deriv in terms:
+            if rho >= rho_min:
+                cell = cells.setdefault(rho, [0.0, 0.0])
+                cell[0] += value
+                cell[1] += deriv
+    return BetaTable({rho: Jet1(*cells[rho]) for rho in sorted(cells, reverse=True)})
 
 
 def order_mu(N: int) -> float:

@@ -2,12 +2,14 @@
 
 Scalar log-gamma with explicit sign tracking (negative arguments such as
 Gamma(-5/4) occur routinely in the action formulas), digamma, generalized
-binomial coefficients with their derivative in the upper argument, and the
-odd harmonic partial sums of the sharp-cutoff regularization.
+binomial coefficients with their derivative in the upper argument (by
+recurrence in k), and the odd harmonic partial sums of the sharp-cutoff
+regularization.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -90,38 +92,17 @@ def digamma(x: float) -> float:
     return float(scipy.special.digamma(x))
 
 
-def general_binomial(alpha: float, k: int) -> float:
-    """binom(alpha, k) = alpha (alpha-1) ... (alpha-k+1) / k!
+def binomial_jets(alpha: float):
+    """(binom(alpha, k), d/d(alpha) binom(alpha, k)) for k = 0, 1, 2, ...
 
-    Product recurrence, well defined for any real alpha.
+    binom(alpha, k+1) = binom(alpha, k) (alpha - k) / (k + 1), differentiated
+    by the product rule, so the derivative stays exact where a factor
+    alpha - k vanishes.
     """
-    if k < 0:
-        raise DomainError("k must be a nonnegative integer")
-    out = 1.0
-    for i in range(k):
-        out *= (alpha - i) / (i + 1)
-    return out
-
-
-def general_binomial_alpha_deriv(alpha: float, k: int) -> float:
-    """d/d(alpha) of binom(alpha, k), by the product rule.
-
-    Safe even when some factor (alpha - i) vanishes.
-    """
-    if k < 0:
-        raise DomainError("k must be a nonnegative integer")
-    # derivative of prod (alpha - i) is sum_j prod_{i != j} (alpha - i)
-    total = 0.0
-    for j in range(k):
-        term = 1.0
-        for i in range(k):
-            if i != j:
-                term *= alpha - i
-        total += term
-    fact = 1.0
-    for i in range(1, k + 1):
-        fact *= i
-    return total / fact
+    value, deriv = 1.0, 0.0
+    for k in itertools.count():
+        yield value, deriv
+        value, deriv = value * (alpha - k) / (k + 1), (deriv * (alpha - k) + value) / (k + 1)
 
 
 def odd_harmonic_partial(K: int) -> float:

@@ -24,12 +24,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.special
 from scipy.integrate import ODEintWarning, odeint, quad
 
-from .actions import adaptive_tail, expansion_parameter
+from .actions import adaptive_tail
 from .errors import AccuracyError, DivergenceError, DomainError
-from .potential import PotentialSpec, classify
-from .spectrum import DEFAULT_MAX_COUNT, SpectrumResult, bs_level, bs_tail, eigenvalues
+from .potential import PotentialSpec, classify, expansion_parameter
+from .spectrum import (
+    DEFAULT_MAX_COUNT,
+    SpectrumResult,
+    bs_level,
+    bs_tail,
+    eigenvalues,
+    turning_point,
+)
 from .special_functions import LOG2, digamma, log_gamma
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -165,17 +173,7 @@ def shooting_det(spec: PotentialSpec, lam: float = 0.0, *,
     bh0 = w_init / math.sqrt(p0) * a0
 
     # gauged sweep down to where P drops to order one
-    if P(0.0) >= _PLAIN_THRESHOLD:
-        q_cut = 0.0
-    else:
-        lo, hi = 0.0, q_max
-        while hi - lo > 1e-13 * q_max:
-            mid = 0.5 * (lo + hi)
-            if P(mid) < _PLAIN_THRESHOLD:
-                lo = mid
-            else:
-                hi = mid
-        q_cut = hi
+    q_cut = 0.0 if P(0.0) >= _PLAIN_THRESHOLD else turning_point(work, _PLAIN_THRESHOLD)
 
     uu, vv, cc, NN, MM = work.u, work.v, work.lam, work.N, work.M
 
@@ -251,9 +249,6 @@ def harmonic_resolvent_reg(E: float) -> float:
 
 _TAIL_CAP = 0.1              # largest tail fraction zeta_full accepts
 _DEPTH = 12                  # averaging passes over a computed spectrum
-_HARMONIC_TERMS = 20000      # exact ladder terms in harmonic_zeta_full
-_HARMONIC_SKEW_TERMS = 400   # exact ladder terms in harmonic_zeta_skew
-_HARMONIC_SKEW_DEPTH = 24
 
 
 def _check_below_ground(spectrum: SpectrumResult, E: float):
@@ -297,12 +292,12 @@ def zeta_full(spec: PotentialSpec, s: int, E: float = 0.0, *,
         count = min(2 * count, DEFAULT_MAX_COUNT)
 
 
-def _alternating_sum(terms, depth: int) -> tuple[float, float]:
+def _alternating_sum(terms) -> tuple[float, float]:
     """sum_k (-1)^k terms_k by iterated averaging of the last partial sums,
     and the fraction of the value that the averaging added."""
     partials = np.cumsum((-1.0) ** np.arange(len(terms)) * terms)
-    row = list(partials[-(2 * depth + 8):])
-    for _ in range(depth):
+    row = list(partials[-(2 * _DEPTH + 8):])
+    for _ in range(_DEPTH):
         if len(row) < 2:
             break
         row = [0.5 * (a + b) for a, b in zip(row, row[1:])]
@@ -319,37 +314,42 @@ def zeta_skew(spec: PotentialSpec, s: int, E: float = 0.0, *,
         raise DomainError("s must be a positive integer")
     spectrum = eigenvalues(spec, count, tol)
     _check_below_ground(spectrum, E)
-    value, frac = _alternating_sum((spectrum.values() - E) ** (-float(s)), _DEPTH)
+    value, frac = _alternating_sum((spectrum.values() - E) ** (-float(s)))
     return ZetaValue(s, E, value, frac)
 
 
 # exact harmonic references ------------------------------------------------
 
-def harmonic_zeta_full(s: int, E: float = 0.0, v: float = 1.0) -> ZetaValue:
-    """Full zeta over the exact ladder sqrt(v)(2k+1)."""
-    if s < 2:
-        raise DivergenceError("harmonic full zeta diverges at s = 1")
+def _harmonic_offset(E: float, v: float) -> tuple[float, float]:
+    """r = sqrt(v) and a = (r - E)/(2r): the ladder r(2k+1) - E is 2r(k + a)."""
     root = math.sqrt(v)
     if E >= root:
         raise DomainError("E must lie below the ground state")
-    lam = root * (2.0 * np.arange(_HARMONIC_TERMS) + 1.0)
-    head = float(np.sum((lam - E) ** (-float(s))))
-    top = root * (2.0 * _HARMONIC_TERMS + 1.0) - E
-    integral = top ** (1.0 - s) / (2.0 * root * (s - 1.0))
-    fprime = -2.0 * root * s * top ** (-float(s) - 1.0)
-    tail = integral + 0.5 * top ** (-float(s)) - fprime / 12.0
-    total = head + tail
-    return ZetaValue(s, E, total, abs(tail) / abs(total))
+    return root, (root - E) / (2.0 * root)
+
+
+def harmonic_zeta_full(s: int, E: float = 0.0, v: float = 1.0) -> ZetaValue:
+    """Full zeta over the exact ladder sqrt(v)(2k+1): (2r)^{-s} zeta(s, a)."""
+    if s < 2:
+        raise DivergenceError("harmonic full zeta diverges at s = 1")
+    root, a = _harmonic_offset(E, v)
+    value = (2.0 * root) ** (-float(s)) * float(scipy.special.zeta(s, a))
+    return ZetaValue(s, E, value, 0.0)
 
 
 def harmonic_zeta_skew(s: int, E: float = 0.0, v: float = 1.0) -> ZetaValue:
-    """Skew zeta over the exact ladder, accelerated."""
-    root = math.sqrt(v)
-    if E >= root:
-        raise DomainError("E must lie below the ground state")
-    lam = root * (2.0 * np.arange(_HARMONIC_SKEW_TERMS) + 1.0)
-    value, frac = _alternating_sum((lam - E) ** (-float(s)), _HARMONIC_SKEW_DEPTH)
-    return ZetaValue(s, E, value, frac)
+    """Skew zeta over the exact ladder: the even and odd levels are Hurwitz
+    ladders of spacing 4r, so it is (4r)^{-s} [zeta(s, a/2) - zeta(s, (a+1)/2)],
+    and [psi((a+1)/2) - psi(a/2)] / (4r) at s = 1."""
+    if s < 1:
+        raise DomainError("s must be a positive integer")
+    root, a = _harmonic_offset(E, v)
+    if s == 1:
+        value = (digamma(0.5 * (a + 1.0)) - digamma(0.5 * a)) / (4.0 * root)
+    else:
+        value = (4.0 * root) ** (-float(s)) * float(
+            scipy.special.zeta(s, 0.5 * a) - scipy.special.zeta(s, 0.5 * (a + 1.0)))
+    return ZetaValue(s, E, value, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -387,7 +387,7 @@ def det_ratio_skew(spec: PotentialSpec, lam: float, *,
     logs, sign = _log_factors(spec, lam, count, tol)
     if sign == 0.0:
         return 0.0
-    value, _ = _alternating_sum(logs, _DEPTH)
+    value, _ = _alternating_sum(logs)
     return sign * math.exp(value)
 
 

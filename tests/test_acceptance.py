@@ -65,7 +65,7 @@ def test_c2_anomalous_closed_forms():
 
 def test_c3_split_point_independence():
     spec = PotentialSpec.trinomial(4, 2, 1.0)
-    base = choose_split_point(spec, 1e-9)
+    base = choose_split_point(spec)
     values = [improper_action(spec, split_q=f * base).value for f in (1.0, 2.0, 4.0)]
     spread = max(values) - min(values)
     _report("C3  additivity", spread < 1e-7, f"spread = {spread:.2e}")

@@ -1,23 +1,23 @@
 import math
-from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from oscdet.actions import (
+    adaptive_tail,
     level_one_log_correction,
     anomalous_binomial_action,
     binomial_action,
     binomial_action_s,
     choose_split_point,
     improper_action,
-    regularized_tail,
     trinomial_action_asymptotic,
 )
 from oscdet.errors import DomainError, PoleError, TailPreconditionError
-from oscdet.potential import PotentialSpec
+from oscdet.potential import PotentialSpec, beta_coefficients
 from oscdet.special_functions import LOG2
 
 
@@ -110,12 +110,10 @@ def test_regularized_tail_normal_bracket_vanishes():
     # normal spec: the tail equals the plain truncated series
     spec = PotentialSpec.trinomial(4, 2, 1.0, 0.0)
     q = 10.0
-    from oscdet.potential import beta_coefficients
-    table = beta_coefficients(spec, Fraction(-9))
-    series = -sum(jet.value * q ** (float(rho) + 1.0) / (float(rho) + 1.0)
-                  for rho, jet in table.entries.items()
-                  if jet.value != 0.0 and rho != -1)
-    assert regularized_tail(spec, q, Fraction(-9)) == pytest.approx(series, rel=1e-14)
+    table = beta_coefficients(spec, -31)
+    series = -sum(jet.value * q ** (rho + 1.0) / (rho + 1.0)
+                  for rho, jet in table.entries.items() if rho != -1)
+    assert adaptive_tail(spec, q) == pytest.approx(series, rel=1e-14)
 
 
 def test_additivity_binomial_q4():
@@ -126,7 +124,7 @@ def test_additivity_binomial_q4():
         for q in (6.0, 9.0, 14.0):
             head, _ = quad(lambda x: math.sqrt(spec.value(x)), 0.0, q,
                            epsabs=1e-12, epsrel=1e-12)
-            total = head + regularized_tail(spec, q, Fraction(-13))
+            total = head + adaptive_tail(spec, q)
             assert total == pytest.approx(closed, abs=1e-7)
 
 
@@ -137,14 +135,25 @@ def test_additivity_uncoupled_harmonic():
     for q in (8.0, 16.0):
         head, _ = quad(lambda x: math.sqrt(spec.value(x)), 0.0, q,
                        epsabs=1e-12, epsrel=1e-12)
-        assert head + regularized_tail(spec, q) == pytest.approx(closed, abs=1e-7)
+        assert head + adaptive_tail(spec, q) == pytest.approx(closed, abs=1e-7)
 
 
 def test_tail_precondition_error_suggests_larger_q():
     spec = PotentialSpec.trinomial(4, 2, 9.0, 0.0)
     with pytest.raises(TailPreconditionError) as exc:
-        regularized_tail(spec, 1.5)
+        adaptive_tail(spec, 1.5)
     assert exc.value.suggested_q > 1.5
+
+
+@pytest.mark.parametrize("v,q", [(100.0, 10.93), (316.228, 12.14)])
+def test_adaptive_tail_against_mpmath_head(v, q):
+    # q^6 + v q^2: the level-1 anomalous tail is the closed action minus the
+    # head, taken to 30 digits
+    spec = PotentialSpec.trinomial(6, 2, v, 0.0)
+    with mp.workdps(30):
+        head = float(mp.quad(lambda t: mp.sqrt(t**6 + v * t**2), [0, q]))
+    want = binomial_action(1.0, v, 6.0, 2.0).value - head
+    assert abs(adaptive_tail(spec, q) - want) <= 1e-10
 
 
 def test_improper_action_bc4():
@@ -155,8 +164,8 @@ def test_improper_action_bc4():
 
 
 def test_improper_action_matches_closed_forms_on_grid():
-    for N, M in ((4, 2), (6, 2), (6, 4), (8, 4), (8, 2), (10, 4)):
-        for v in (0.5, 1.0, 2.0):
+    for N, M in ((4, 2), (6, 2), (6, 4), (8, 4), (8, 2), (10, 4), (10, 8)):
+        for v in (0.5, 1.0, 2.0, 10.0, 100.0):
             spec = PotentialSpec.trinomial(N, M, v, 0.0)
             numeric = improper_action(spec).value
             closed = binomial_action(1.0, v, float(N), float(M)).value
@@ -165,7 +174,7 @@ def test_improper_action_matches_closed_forms_on_grid():
 
 def test_improper_action_split_independence():
     spec = PotentialSpec.trinomial(4, 2, 1.0, 0.0)
-    base = choose_split_point(spec, 1e-9)
+    base = choose_split_point(spec)
     values = [improper_action(spec, split_q=f * base).value for f in (1.0, 2.0, 4.0)]
     assert max(values) - min(values) < 1e-7
 

@@ -1,6 +1,6 @@
 import math
-from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,7 +61,7 @@ def test_residue_level_coefficient():
 def test_beta_table_hand_expansion_quartic():
     # (q^4 + v q^2 + lam)^{1/2} = q^2 + v/2 + (lam/2 - v^2/8) q^{-2} + ...
     v, lam = 0.7, 0.3
-    table = beta_coefficients(PotentialSpec.trinomial(4, 2, v, lam), Fraction(-2))
+    table = beta_coefficients(PotentialSpec.trinomial(4, 2, v, lam), -2)
     assert table.at(2).value == pytest.approx(1.0, abs=1e-15)
     assert table.at(0).value == pytest.approx(v / 2.0, rel=1e-14)
     assert table.at(-2).value == pytest.approx(lam / 2.0 - v * v / 8.0, rel=1e-14)
@@ -71,7 +71,7 @@ def test_beta_table_matches_numeric_expansion():
     # fit check: the truncated series reproduces sqrt(V + lam) with a
     # residual falling like the first dropped power
     spec = PotentialSpec.trinomial(4, 2, 0.9, 0.4)
-    table = beta_coefficients(spec, Fraction(-4))
+    table = beta_coefficients(spec, -4)
     resid = []
     for q in (10.0, 20.0, 40.0, 80.0):
         partial = sum(jet.value * q ** float(rho) for rho, jet in table.entries.items())
@@ -81,9 +81,32 @@ def test_beta_table_matches_numeric_expansion():
         assert b < a / 40.0
 
 
+@pytest.mark.parametrize("N,M", [(4, 2), (6, 2), (10, 8)])
+def test_beta_coefficients_against_mpmath(N, M):
+    # every (a, b) with rho >= N/2 - 8(N - M) has order a + b <= 8; the
+    # s-derivative of the oracle is taken numerically at s = 0
+    u, v, lam = 1.7, 0.6, -0.45
+    rho_min = N // 2 - 8 * (N - M)
+    table = beta_coefficients(PotentialSpec(N, M, u, v, lam), rho_min)
+
+    def beta(rho, s):
+        return mp.fsum(mp.mpf(u) ** (0.5 - s) * mp.binomial(0.5 - s, a + b)
+                       * mp.binomial(a + b, a) * mp.mpf(v / u) ** a * mp.mpf(lam / u) ** b
+                       for a in range(9) for b in range(9)
+                       if N // 2 + a * (M - N) - b * N == rho)
+
+    with mp.workdps(30):
+        for rho in range(rho_min, N // 2 + 1):
+            jet = table.at(rho)
+            want = float(beta(rho, 0))
+            want_deriv = float(mp.diff(lambda s: beta(rho, s), 0))
+            assert abs(jet.value - want) <= 1e-14 * max(1.0, abs(want)), rho
+            assert abs(jet.deriv - want_deriv) <= 1e-14 * max(1.0, abs(want_deriv)), rho
+
+
 def test_beta_top_entry_jet():
     for u in (0.5, 1.0, 3.0):
-        table = beta_coefficients(PotentialSpec(4, 2, u, 1.0, 0.0), Fraction(0))
+        table = beta_coefficients(PotentialSpec(4, 2, u, 1.0, 0.0), 0)
         top = table.at(2)
         assert top.value == pytest.approx(math.sqrt(u), rel=1e-14)
         assert top.deriv == pytest.approx(-math.sqrt(u) * math.log(u), rel=1e-13, abs=1e-15)
@@ -96,7 +119,7 @@ def test_residue_two_routes_agree():
             for lam in (0.0, 0.7):
                 spec = PotentialSpec.trinomial(N, M, v, lam)
                 a = classify(spec)
-                jet = beta_coefficients(spec, Fraction(-1)).residue()
+                jet = beta_coefficients(spec, -1).residue()
                 assert jet.value == pytest.approx(a.beta_m1.value, rel=1e-12)
                 assert jet.deriv == pytest.approx(a.beta_m1.deriv, rel=1e-12)
 
@@ -105,14 +128,14 @@ def test_residue_lambda_independent_for_N_above_two():
     for N, M in ((6, 4), (6, 2), (8, 6)):
         spec0 = PotentialSpec.trinomial(N, M, 1.3, 0.0)
         spec7 = PotentialSpec.trinomial(N, M, 1.3, 7.0)
-        r0 = beta_coefficients(spec0, Fraction(-1)).residue()
-        r7 = beta_coefficients(spec7, Fraction(-1)).residue()
+        r0 = beta_coefficients(spec0, -1).residue()
+        r7 = beta_coefficients(spec7, -1).residue()
         assert r0.value == pytest.approx(r7.value, rel=1e-14, abs=1e-15)
 
 
 def test_empty_lattice_slots_are_zero():
     # (8,2): step gcd(6,8)=2 but rho=2 has no (a,b) solution
-    table = beta_coefficients(PotentialSpec.trinomial(8, 2, 1.0, 0.0), Fraction(-1))
+    table = beta_coefficients(PotentialSpec.trinomial(8, 2, 1.0, 0.0), -1)
     assert table.at(2).is_zero
     assert not table.at(4).is_zero
 

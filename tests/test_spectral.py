@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import ODEintWarning
@@ -203,6 +204,20 @@ def test_harmonic_skew_accelerated_vs_partial_sums():
     partial = np.cumsum(terms)
     oracle = 0.5 * (partial[-1] + partial[-2])
     assert harmonic_zeta_skew(2).value == pytest.approx(oracle, abs=1e-8)
+
+
+def test_harmonic_zetas_against_mpmath_nsum():
+    # closed Hurwitz forms against the ladder sqrt(v)(2k+1) - E summed by mpmath
+    for v in (1.0, 2.5):
+        for E in (0.0, -1.3, 0.6):
+            r = mp.sqrt(v)
+            for s in (1, 2, 3):
+                skew = mp.nsum(lambda k: (-1) ** k / (r * (2 * k + 1) - E) ** s, [0, mp.inf])
+                assert harmonic_zeta_skew(s, E, v).value == pytest.approx(float(skew), rel=1e-14)
+                if s > 1:
+                    full = mp.nsum(lambda k: 1 / (r * (2 * k + 1) - E) ** s, [0, mp.inf])
+                    assert harmonic_zeta_full(s, E, v).value == pytest.approx(float(full),
+                                                                              rel=1e-14)
 
 
 def test_zeta_skew_computed_spectrum_vs_partial_sums():
