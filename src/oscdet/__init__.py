@@ -31,8 +31,6 @@ from .potential import (
     PotentialSpec,
     beta_coefficients,
     classify,
-    order_mu,
-    symanzik_inverse,
     symanzik_map,
 )
 from .predictions import (
@@ -50,7 +48,6 @@ from .special_functions import (
     digamma,
     binomial_jets,
     log_gamma,
-    odd_harmonic_partial,
 )
 from .spectral import (
     DeterminantValue,
@@ -58,7 +55,6 @@ from .spectral import (
     det_ratio,
     det_ratio_skew,
     dilate_det,
-    dilate_zeta,
     harmonic_det,
     harmonic_zeta_full,
     harmonic_zeta_skew,

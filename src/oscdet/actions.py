@@ -160,7 +160,8 @@ def _check_positive_momentum(spec: PotentialSpec):
 
 
 def choose_split_point(spec: PotentialSpec) -> float:
-    """Split point of improper_action: the smallest q >= 1 where the tail
+    """Split point of improper_action, and the tail point of shooting_det
+    when beyond its WKB matching point: the smallest q >= 1 where the tail
     series converges with expansion parameter x <= 0.2.
 
     Head and tail cancel and each grows like q^{N/2+1}, so a larger q loses
@@ -170,7 +171,7 @@ def choose_split_point(spec: PotentialSpec) -> float:
     if expansion_parameter(spec, 1.0) <= 0.2:
         return 1.0
     return brentq(lambda q: expansion_parameter(spec, q) - 0.2,
-                  1.0, _suggest_tail_point(spec, 0.4))
+                  1.0, _suggest_tail_point(spec, 0.2))
 
 
 def improper_action(spec: PotentialSpec, tol: float = 1e-9,

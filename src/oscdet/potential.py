@@ -228,13 +228,6 @@ def beta_coefficients(spec: PotentialSpec, rho_min: int) -> BetaTable:
     return BetaTable({rho: Jet1(*cells[rho]) for rho in sorted(cells, reverse=True)})
 
 
-def order_mu(N: int) -> float:
-    """1/2 + 1/N, the growth order of the problem."""
-    if N < 2:
-        raise DomainError("N must be >= 2")
-    return 0.5 + 1.0 / N
-
-
 def symanzik_map(M: int, N: int, g: float, E: float) -> tuple[float, float]:
     """(g, E) on q^M + g q^N  ->  (v, lambda) on q^N + v q^M."""
     if g <= 0.0:
@@ -242,12 +235,3 @@ def symanzik_map(M: int, N: int, g: float, E: float) -> tuple[float, float]:
     v = g ** (-(M + 2) / (N + 2))
     lam = -(v ** (2.0 / (M + 2))) * E
     return v, lam
-
-
-def symanzik_inverse(M: int, N: int, v: float, lam: float) -> tuple[float, float]:
-    """Inverse of symanzik_map."""
-    if v <= 0.0:
-        raise DomainError("v must be positive")
-    g = v ** (-(N + 2) / (M + 2))
-    E = -(v ** (-2.0 / (M + 2))) * lam
-    return g, E

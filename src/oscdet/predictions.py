@@ -17,9 +17,9 @@ from .actions import level_one_log_correction, binomial_action
 from .errors import DomainError
 from .potential import PotentialSpec, classify, symanzik_map
 from .spectral import (
+    dilate_det,
     harmonic_det,
     shooting_det,
-    zeta0_value,
     zeta_from_det,
     zeta_full,
     zeta_skew,
@@ -159,11 +159,10 @@ def measure_point(N: int, g: float, *, count: int = 256, tol: float = 1e-6) -> P
     zp1_det = root * zeta_from_det(spec_v, 1, 0.0, skew=True).value
     z2_det = v * zeta_from_det(spec_v, 2, 0.0).value
 
-    # determinant data at E = 0
-    z0 = zeta0_value(spec_v)
-    d0 = shooting_det(spec_v, 0.0)
-    ratio0 = z0 * (-0.5 * math.log(v)) + d0.log_abs_full - _LOG_SQRT2
-    skew_ratio0 = -0.25 * math.log(v) + d0.log_abs_skew - _HARMONIC_SKEW0
+    # determinant data at E = 0, dilated back to the spectrum of q^2 + g q^N
+    d0 = dilate_det(shooting_det(spec_v, 0.0), v**-0.5, spec_v)
+    ratio0 = d0.log_abs_full - _LOG_SQRT2
+    skew_ratio0 = d0.log_abs_skew - _HARMONIC_SKEW0
     slope = -z1 + 0.5 * (EULER_GAMMA + LOG2)
 
     # direct spectrum route on q^2 + g q^N

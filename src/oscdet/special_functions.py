@@ -3,8 +3,7 @@
 Scalar log-gamma with explicit sign tracking (negative arguments such as
 Gamma(-5/4) occur routinely in the action formulas), digamma, generalized
 binomial coefficients with their derivative in the upper argument (by
-recurrence in k), and the odd harmonic partial sums of the sharp-cutoff
-regularization.
+recurrence in k).
 """
 
 from __future__ import annotations
@@ -103,14 +102,3 @@ def binomial_jets(alpha: float):
     for k in itertools.count():
         yield value, deriv
         value, deriv = value * (alpha - k) / (k + 1), (deriv * (alpha - k) + value) / (k + 1)
-
-
-def odd_harmonic_partial(K: int) -> float:
-    """sum_{k=0}^{K-1} 1/(2k+1)."""
-    if K < 1:
-        raise DomainError("K must be a positive integer")
-    # backwards summation keeps the rounding error at the 1e-16 level
-    total = 0.0
-    for k in range(K - 1, -1, -1):
-        total += 1.0 / (2 * k + 1)
-    return total

@@ -19,6 +19,7 @@ to its BDF branch there, and its steps follow how fast P varies rather than
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,9 +28,9 @@ import numpy as np
 import scipy.special
 from scipy.integrate import ODEintWarning, odeint, quad
 
-from .actions import adaptive_tail
+from .actions import adaptive_tail, choose_split_point
 from .errors import AccuracyError, DivergenceError, DomainError
-from .potential import PotentialSpec, classify, expansion_parameter
+from .potential import PotentialSpec, classify
 from .spectrum import (
     DEFAULT_MAX_COUNT,
     SpectrumResult,
@@ -38,7 +39,7 @@ from .spectrum import (
     eigenvalues,
     turning_point,
 )
-from .special_functions import LOG2, digamma, log_gamma
+from .special_functions import digamma, log_gamma
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -47,14 +48,30 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # value containers
 # --------------------------------------------------------------------------
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _signed_exp(sign: float, log_abs: float) -> float:
+    """sign * exp(log_abs), a signed inf once log_abs is beyond double range."""
+    if log_abs > _LOG_FLOAT_MAX:
+        return sign * math.inf
+    return sign * math.exp(log_abs)
+
+
 @dataclass(frozen=True)
 class DeterminantValue:
-    """Parity determinants in log/sign form; full and skew are derived."""
+    """Parity determinants in log/sign form; full is derived.
+
+    log_abs_skew = log|D+| - log|D-| is stored, formed before any common
+    normalization is added: at |log D| ~ 1e12 the difference of the two
+    parity logs cancels every digit of it.
+    """
 
     log_abs_even: float
     sign_even: float
     log_abs_odd: float
     sign_odd: float
+    log_abs_skew: float
     method: str            # "product" | "closed-harmonic" | "shooting"
 
     @property
@@ -66,26 +83,22 @@ class DeterminantValue:
         return self.sign_even * self.sign_odd
 
     @property
-    def log_abs_skew(self) -> float:
-        return self.log_abs_even - self.log_abs_odd
-
-    @property
     def even(self) -> float:
-        return self.sign_even * math.exp(self.log_abs_even)
+        return _signed_exp(self.sign_even, self.log_abs_even)
 
     @property
     def odd(self) -> float:
-        return self.sign_odd * math.exp(self.log_abs_odd)
+        return _signed_exp(self.sign_odd, self.log_abs_odd)
 
     @property
     def full(self) -> float:
-        return self.sign_full * math.exp(self.log_abs_full)
+        return _signed_exp(self.sign_full, self.log_abs_full)
 
     @property
     def skew(self) -> float:
         if self.sign_odd == 0.0:
             return math.inf
-        return self.sign_even / self.sign_odd * math.exp(self.log_abs_skew)
+        return _signed_exp(self.sign_even / self.sign_odd, self.log_abs_skew)
 
 
 @dataclass(frozen=True)
@@ -101,23 +114,21 @@ class ZetaValue:
 # --------------------------------------------------------------------------
 
 def _wkb_next_correction(work: PotentialSpec, q: float) -> float:
-    """w2/Pi: relative size of the second log-derivative correction."""
+    """Bound on w2/Pi, the relative size of the second log-derivative
+    correction: the magnitudes of the two terms of w2 are added, so the
+    bound does not vanish where the terms cancel."""
     p = work.value(q)
     dp = work.deriv(q)
     d2p = work.deriv2(q)
-    w2 = -d2p / (8.0 * p**1.5) + 5.0 * dp * dp / (32.0 * p**2.5)
-    return abs(w2) / math.sqrt(p)
+    w2 = abs(d2p) / (8.0 * p**1.5) + 5.0 * dp * dp / (32.0 * p**2.5)
+    return w2 / math.sqrt(p)
 
 
-def _choose_q_max(work: PotentialSpec, threshold: float = 1e-8) -> float:
-    """Matching point: WKB residual below threshold and the tail expansion
-    parameter small enough for a fast-converging series."""
-    scale = max(1.0,
-                (work.v / work.u) ** (1.0 / (work.N - work.M)) if work.v > 0 else 0.0,
-                (abs(work.lam) / work.u) ** (1.0 / work.N) if work.lam != 0 else 0.0)
-    q = 2.0 * scale
-    while (_wkb_next_correction(work, q) > threshold
-           or expansion_parameter(work, q) > 0.2):
+def _choose_q_max(work: PotentialSpec, q: float) -> float:
+    """WKB matching point: the first q * 1.2^k, k = 0, 1, ..., where the
+    WKB residual bound is at most 1e-8.  The regularized tail is taken
+    farther out, where improper_action takes it (``choose_split_point``)."""
+    while _wkb_next_correction(work, q) > 1e-8:
         q *= 1.2
     return q
 
@@ -141,25 +152,26 @@ def _sweep(rhs, q0: float, q1: float, y0) -> np.ndarray:
     return ys[-1]
 
 
-def shooting_det(spec: PotentialSpec, lam: float = 0.0, *,
-                 q_max: float | None = None) -> DeterminantValue:
+def shooting_det(spec: PotentialSpec, lam: float = 0.0) -> DeterminantValue:
     """Parity determinants of -d^2/dq^2 + u q^N + v q^M + (spec.lam + lam).
 
-    The recessive solution is normalized at q_max by its regularized WKB
-    form (including the first two log-derivative corrections, which keep
-    q_max moderate) and integrated inward; D- = Psi(0), D+ = -Psi'(0).
-    Both sweeps run through LSODA; a solver failure raises AccuracyError.
+    The recessive solution is normalized at the WKB matching point q_max by
+    its WKB form (including the first two log-derivative corrections, which
+    keep q_max moderate) and integrated inward; D- = Psi(0), D+ = -Psi'(0).
+    The gauge's regularized tail action is taken at the tail point
+    max(q_max, choose_split_point), the split point of improper_action, and
+    one quadrature of Pi bridges it to the gauge's end.  Both sweeps run
+    through LSODA; a solver failure raises AccuracyError.
     """
     work = spec.with_shift(lam)
-    if q_max is None:
-        q_max = _choose_q_max(work)
-    elif _wkb_next_correction(work, q_max) > 1e-6:
-        raise DomainError(f"q_max = {q_max} too small: WKB residual test fails")
-
     P, dP, d2P = work.value, work.deriv, work.deriv2
 
     def pi(q):
         return math.sqrt(P(q))
+
+    # the gauged sweep runs from q_max down to where P drops to order one
+    q_cut = 0.0 if P(0.0) >= _PLAIN_THRESHOLD else turning_point(work, _PLAIN_THRESHOLD)
+    q_max = _choose_q_max(work, max(1.0, q_cut))
 
     # initialization at q_max: w through second order, ell through ell_2
     p0 = P(q_max)
@@ -171,9 +183,6 @@ def shooting_det(spec: PotentialSpec, lam: float = 0.0, *,
     ell2 = -dP(q_max) / (8.0 * p0**1.5) + tail_int / 32.0
     a0 = math.exp(ell2)
     bh0 = w_init / math.sqrt(p0) * a0
-
-    # gauged sweep down to where P drops to order one
-    q_cut = 0.0 if P(0.0) >= _PLAIN_THRESHOLD else turning_point(work, _PLAIN_THRESHOLD)
 
     uu, vv, cc, NN, MM = work.u, work.v, work.lam, work.N, work.M
 
@@ -195,19 +204,16 @@ def shooting_det(spec: PotentialSpec, lam: float = 0.0, *,
     else:
         y0, dy0 = a_c, pi(0.0) * bh_c
 
-    bridge, _ = quad(pi, q_cut, q_max, epsabs=1e-13, epsrel=1e-12, limit=400)
-    c_norm = -0.25 * math.log(P(q_cut)) + adaptive_tail(work, q_max) + bridge
+    q_tail = max(q_max, choose_split_point(work))
+    bridge, _ = quad(pi, q_cut, q_tail, epsabs=1e-13, epsrel=1e-12, limit=400)
+    c_norm = -0.25 * math.log(P(q_cut)) + bridge + adaptive_tail(work, q_tail)
 
-    if y0 == 0.0:
-        log_odd, sign_odd = -math.inf, 0.0
-    else:
-        log_odd, sign_odd = c_norm + math.log(abs(y0)), math.copysign(1.0, y0)
     dplus = -dy0
-    if dplus == 0.0:
-        log_even, sign_even = -math.inf, 0.0
-    else:
-        log_even, sign_even = c_norm + math.log(abs(dplus)), math.copysign(1.0, dplus)
-    return DeterminantValue(log_even, sign_even, log_odd, sign_odd, "shooting")
+    log_even = math.log(abs(dplus)) if dplus else -math.inf
+    log_odd = math.log(abs(y0)) if y0 else -math.inf
+    return DeterminantValue(c_norm + log_even, float(np.sign(dplus)),
+                            c_norm + log_odd, float(np.sign(y0)),
+                            log_even - log_odd, "shooting")
 
 
 # --------------------------------------------------------------------------
@@ -234,13 +240,8 @@ def harmonic_det(v: float, lam: float) -> DeterminantValue:
         lg, sg = log_gamma(x)
         out[name] = ((0.5 - x) * base + _HALF_LOG_2PI - lg, sg)
     return DeterminantValue(out["even"][0], out["even"][1],
-                            out["odd"][0], out["odd"][1], "closed-harmonic")
-
-
-def harmonic_resolvent_reg(E: float) -> float:
-    """Regularized -d/dE log det(-d^2/dq^2 + q^2 - E), the g = 0 limit of
-    the singular s = 1 zeta value."""
-    return -0.5 * (digamma(0.5 * (1.0 - E)) + LOG2)
+                            out["odd"][0], out["odd"][1],
+                            out["even"][0] - out["odd"][0], "closed-harmonic")
 
 
 # --------------------------------------------------------------------------
@@ -414,14 +415,7 @@ def dilate_det(det: DeterminantValue, r: float, ref_spec: PotentialSpec) -> Dete
     return DeterminantValue(
         det.log_abs_even + 0.5 * (z0 + 0.5) * logr, det.sign_even,
         det.log_abs_odd + 0.5 * (z0 - 0.5) * logr, det.sign_odd,
-        det.method)
-
-
-def dilate_zeta(z: ZetaValue, r: float) -> ZetaValue:
-    """Z(s; E) of the dilated spectrum at argument r E: r^{-s} Z(s; E)."""
-    if r <= 0.0:
-        raise DomainError("dilation factor must be positive")
-    return ZetaValue(z.s, r * z.E, r ** (-float(z.s)) * z.value, z.tail_fraction)
+        det.log_abs_skew + 0.5 * logr, det.method)
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from oscdet.actions import binomial_action
 from oscdet.cli import main
 from oscdet.predictions import predict_Z1
 
@@ -29,6 +30,14 @@ def test_action_numeric_route(capsys):
     assert payload["value"] == pytest.approx(-0.06817893171, abs=1e-7)
 
 
+def test_action_numeric_with_constant_and_shift(capsys):
+    # q^6 + 1 + 1: both small terms of the tail series are nonzero at once
+    code, out = run_cli(capsys, "action", "--spec", "6 0 1 1 1", "--method", "numeric")
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(
+        binomial_action(1.0, 2.0, 6, 0).value, abs=1e-9)
+
+
 def test_zeta_harmonic_constant(capsys):
     code, out = run_cli(capsys, "zeta", "--harmonic", "--s", "2")
     assert code == 0
@@ -48,6 +57,19 @@ def test_det_harmonic(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"]["full"] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
+def test_det_beyond_double_range(capsys):
+    import jsonschema
+
+    from oscdet import schemas
+
+    code, out = run_cli(capsys, "det", "--spec", "6 4 1 10000 0")
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, schemas.DET_SCHEMA)
+    assert all(math.isfinite(x) for x in payload["log_abs"].values())
+    assert payload["value"]["full"] == math.inf
 
 
 def test_spectrum_csv_schema(capsys):

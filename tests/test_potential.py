@@ -12,8 +12,6 @@ from oscdet.potential import (
     beta_coefficients,
     residue_level_coefficient,
     classify,
-    order_mu,
-    symanzik_inverse,
     symanzik_map,
 )
 
@@ -146,6 +144,10 @@ def test_symanzik_values():
     for g in (0.3, 1.7):
         v, _ = symanzik_map(2, 4, g, 0.0)
         assert v == pytest.approx(g ** (-2.0 / 3.0), rel=1e-15)
+    # the energy maps to the shift lam = -v^{2/(M+2)} E
+    v, lam = symanzik_map(4, 6, 0.01, 1.5)
+    assert v == pytest.approx(0.01 ** -0.75, rel=1e-15)
+    assert lam == pytest.approx(-(v ** (1.0 / 3.0)) * 1.5, rel=1e-15)
 
 
 @given(st.floats(min_value=1e-4, max_value=1e3),
@@ -153,7 +155,7 @@ def test_symanzik_values():
 @settings(max_examples=60, deadline=None)
 def test_symanzik_round_trip(g, E):
     v, lam = symanzik_map(2, 6, g, E)
-    g2, E2 = symanzik_inverse(2, 6, v, lam)
+    g2, E2 = v ** -2.0, -lam / math.sqrt(v)   # inverse map for (M, N) = (2, 6)
     assert g2 == pytest.approx(g, rel=1e-14)
     assert E2 == pytest.approx(E, rel=1e-13, abs=1e-14)
 
@@ -161,14 +163,6 @@ def test_symanzik_round_trip(g, E):
 def test_symanzik_rejects_nonpositive_coupling():
     with pytest.raises(DomainError):
         symanzik_map(2, 4, 0.0, 1.0)
-
-
-def test_order_mu():
-    assert order_mu(2) == 1.0
-    assert order_mu(4) == 0.75
-    mus = [order_mu(N) for N in range(2, 40, 2)]
-    assert all(b < a for a, b in zip(mus, mus[1:]))
-    assert mus[-1] > 0.5
 
 
 def test_spec_validation():

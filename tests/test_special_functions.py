@@ -15,7 +15,6 @@ from oscdet.special_functions import (
     digamma,
     gamma,
     log_gamma,
-    odd_harmonic_partial,
 )
 
 
@@ -141,28 +140,6 @@ def test_general_binomial_deriv_matches_finite_difference():
         for k in (1, 2, 3, 5):
             fd = (_binomial_jet(alpha + h, k)[0] - _binomial_jet(alpha - h, k)[0]) / (2 * h)
             assert _binomial_jet(alpha, k)[1] == pytest.approx(fd, rel=1e-7, abs=1e-9)
-
-
-def test_odd_harmonic_small():
-    assert odd_harmonic_partial(1) == 1.0
-    assert odd_harmonic_partial(2) == pytest.approx(4.0 / 3.0, abs=1e-15)
-
-
-def test_odd_harmonic_cutoff_asymptotics():
-    K = 10**6
-    target = 0.5 * (math.log(K) + EULER_GAMMA + 2.0 * LOG2)
-    assert abs(odd_harmonic_partial(K) - target) < 3e-7
-
-
-def test_odd_harmonic_remainder_monotone_and_inverse_K():
-    diffs = []
-    for K in (10**3, 10**4, 10**5, 10**6):
-        d = odd_harmonic_partial(K) - 0.5 * (math.log(K) + EULER_GAMMA + 2.0 * LOG2)
-        diffs.append((K, d))
-    for (_, a), (_, b) in zip(diffs, diffs[1:]):
-        assert abs(b) < abs(a)
-    for K, d in diffs:
-        assert abs(d) < 1.0 / K
 
 
 def test_constants():
