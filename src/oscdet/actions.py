@@ -114,17 +114,21 @@ def _suggest_tail_point(spec: PotentialSpec, target: float) -> float:
                1.0)
 
 
-def adaptive_tail(spec: PotentialSpec, q: float, abs_tol: float = 1e-11) -> float:
-    """int_q^inf Pi dq with the zeta-regularized finite-part normalization.
+def adaptive_tail(spec: PotentialSpec, q: float, abs_tol: float = 1e-11,
+                  lam_deriv: int = 0) -> float:
+    """int_q^inf Pi dq with the zeta-regularized finite-part normalization,
+    or its lam_deriv-th derivative n in lam = spec.lam.
 
-    Integrates the orders of ``binomial_series`` term by term,
-    beta_rho q^rho -> -beta_rho q^{rho+1} / (rho + 1), and stops after the
-    first order k with sqrt(u) |binom(1/2, k)| x^k q^{N/2+1} <= abs_tol,
-    x = expansion_parameter(spec, q).  That bounds the order's integrated
-    terms (|rho + 1| >= 1), and each later bound is at most x times the one
-    before, so the orders left out add at most abs_tol x / (1 - x), below
-    abs_tol since x <= 1/2 is required.  The rho = -1 term is replaced by its
-    finite part, read off the residue jet of ``beta_coefficients``.
+    Integrates the orders of ``binomial_series`` (of the n-th lam-derivative)
+    term by term, beta_rho q^rho -> -beta_rho q^{rho+1} / (rho + 1), and stops
+    after the first order with bound q^{N/2+1} <= abs_tol, bound the order's
+    cap from ``binomial_series``.  That bounds the order's integrated terms
+    (|rho + 1| >= 1), and each later bound is at most c x times the one
+    before, c = max(1, n - 1/2), x = expansion_parameter(spec, q), so the
+    orders left out add at most abs_tol c x / (1 - c x): below abs_tol for
+    n <= 1, since x <= 1/2 is required, and below 3 abs_tol for n = 2.  The
+    rho = -1 term is replaced by its finite part, read off the residue jet of
+    ``beta_coefficients``; only for N = 2 does that residue depend on lam.
     """
     if q <= 0.0:
         raise DomainError("tail point q must be positive")
@@ -135,14 +139,14 @@ def adaptive_tail(spec: PotentialSpec, q: float, abs_tol: float = 1e-11) -> floa
             suggested_q=_suggest_tail_point(spec, 0.5))
     scale = q ** (spec.N // 2 + 1)
     total = 0.0
-    for bound, terms in binomial_series(spec, q):
+    for bound, terms in binomial_series(spec, q, lam_deriv):
         for rho, value, _ in terms:
             if rho != -1:
                 total -= value * scale / (rho + 1)
         if bound * scale <= abs_tol:
             break
     # finite part of the rho = -1 term plus the fixed normalization shift
-    residue = beta_coefficients(spec, -1).residue()
+    residue = beta_coefficients(spec, -1, lam_deriv).residue()
     return total + (-residue.value * math.log(q) + residue.deriv / spec.N
                     + _FINITE_PART_SHIFT * residue.value / spec.N)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -71,6 +72,23 @@ def _emit_text(text, path):
         print(path)
 
 
+def _strict(obj):
+    """obj with every non-finite float replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _json_text(payload) -> str:
+    """RFC 8259 JSON: a non-finite float (a determinant beyond double range,
+    a log at an eigenvalue) is written as null."""
+    return json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
+
+
 def _spec_from_args(args) -> PotentialSpec:
     if args.spec is not None:
         return PotentialSpec.from_text(args.spec)
@@ -109,7 +127,7 @@ def cmd_action(args):
         a = improper_action(spec, tol=args.tol)
         out.update(value=a.value, method=a.method,
                    residue=a.residue_used.value)
-    _emit_text(json.dumps(out, indent=2, sort_keys=True), _out_path(args, "action.json"))
+    _emit_text(_json_text(out), _out_path(args, "action.json"))
     return 0
 
 
@@ -138,7 +156,7 @@ def cmd_poles(args):
         "poles": [encode(p) for p in poles],
         "contributing": {"leading": encode(lead), "subleading": encode(sub)},
     }
-    _emit_text(json.dumps(out, indent=2, sort_keys=True), _out_path(args, "poles.json"))
+    _emit_text(_json_text(out), _out_path(args, "poles.json"))
     return 0
 
 
@@ -157,7 +175,7 @@ def cmd_det(args):
         "sign": {"even": d.sign_even, "odd": d.sign_odd},
         "value": {"even": d.even, "odd": d.odd, "full": d.full, "skew": d.skew},
     }
-    _emit_text(json.dumps(out, indent=2, sort_keys=True), _out_path(args, "det.json"))
+    _emit_text(_json_text(out), _out_path(args, "det.json"))
     return 0
 
 
@@ -174,7 +192,7 @@ def cmd_zeta(args):
         spec_text = spec.to_text()
     out = {"spec": spec_text, "s": z.s, "E": z.E, "skew": args.skew,
            "value": z.value, "tail_fraction": z.tail_fraction}
-    _emit_text(json.dumps(out, indent=2, sort_keys=True), _out_path(args, "zeta.json"))
+    _emit_text(_json_text(out), _out_path(args, "zeta.json"))
     return 0
 
 
@@ -187,7 +205,7 @@ def cmd_predict(args):
         "Z1": predict_Z1(args.N, args.g, args.E),
         "log_det_ratio": predict_det_ratio_g(args.N, 2, args.g, args.E),
     }
-    _emit_text(json.dumps(out, indent=2, sort_keys=True), _out_path(args, "predict.json"))
+    _emit_text(_json_text(out), _out_path(args, "predict.json"))
     return 0
 
 
@@ -333,7 +351,7 @@ def main(argv=None) -> int:
         diag = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, AccuracyError) and exc.err_est is not None:
             diag["err_est"] = exc.err_est
-        print(json.dumps(diag, indent=2, sort_keys=True))
+        print(_json_text(diag))
         return 3
     except DomainError as exc:
         ap.exit(2, f"{ap.prog}: error: {exc}\n")

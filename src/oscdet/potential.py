@@ -176,40 +176,51 @@ def expansion_parameter(spec: PotentialSpec, q: float) -> float:
     return (spec.v / spec.u) * q ** (spec.M - spec.N) + (abs(spec.lam) / spec.u) * q ** (-spec.N)
 
 
-def binomial_series(spec: PotentialSpec, q: float):
-    """The large-q series of (u q^N + v q^M + lam)^{1/2-s} at q, one order at a time.
+def binomial_series(spec: PotentialSpec, q: float, lam_deriv: int = 0):
+    """The large-q series of (u q^N + v q^M + lam)^{1/2-s} at q, one order at a time,
+    or of its lam_deriv-th derivative in lam.
 
     (u q^N)^{1/2-s} (1 + X + Y)^{1/2-s} with X = (v/u) q^{M-N} and
     Y = (lam/u) q^{-N} expands by the generalized binomial theorem; the term
     X^a Y^b of order k = a + b carries q^{rho - N s} with the integer
-    rho = N/2 + a(M-N) - bN.  Yields, for k = 0, 1, 2, ..., the pair
-    (bound, terms).  terms lists (rho, value, deriv), the s = 0 jet of the
-    coefficient u^{1/2-s} binom(1/2-s, k) C(k, a) X^a Y^b of each term, which
-    is value q^{N/2} at s = 0; a term with a factor X = 0 or Y = 0 is left
-    out.  bound = sqrt(u) |binom(1/2, k)| x^k, x = expansion_parameter(spec, q),
-    caps the sum of the magnitudes of the values.  At q = 1 the values are
-    the contributions to beta_rho.
+    rho = N/2 + a(M-N) - bN.  Its n-th lam-derivative replaces Y^b by
+    b!/(b-n)! Y^{b-n} y^n, y = q^{-N}/u, so orders below n = lam_deriv have
+    none.  Yields, for k = n, n+1, ..., the pair (bound, terms).  terms lists
+    (rho, value, deriv), the s = 0 jet of the coefficient
+    u^{1/2-s} binom(1/2-s, k) C(k, a) d^n/dlam^n (X^a Y^b) of each term, which
+    is value q^{N/2} at s = 0; a term that vanishes because X = 0 or Y = 0
+    is left out.  bound = sqrt(u) |binom(1/2, k)| k!/(k-n)! x^{k-n} y^n,
+    x = expansion_parameter(spec, q), caps the sum of the magnitudes of the
+    values.  At q = 1 the values are the contributions to beta_rho (or to its
+    n-th lam-derivative).
     """
-    N, M = spec.N, spec.M
+    N, M, n = spec.N, spec.M, lam_deriv
     u_half, logu = math.sqrt(spec.u), math.log(spec.u)
     X = (spec.v / spec.u) * q ** (M - N)
     Y = (spec.lam / spec.u) * q ** (-N)
+    y = q ** (-N) / spec.u
     x = expansion_parameter(spec, q)
     for k, (binom, dbinom) in enumerate(binomial_jets(0.5)):
-        # with one small term zero, only its zeroth power survives
-        powers = range(k + 1) if X and Y else ((k,) if X else (0,))
+        if k < n:
+            continue
+        # with one small term zero, only its lowest surviving power is kept
+        powers = range(k - n + 1) if X and Y else ((k - n,) if X else (0,))
         terms = []
         for a in powers:
-            weight = math.comb(k, a) * X**a * Y ** (k - a) * u_half
+            b = k - a
+            weight = math.comb(k, a) * X**a * Y ** (b - n) * u_half
+            if n:
+                weight *= math.perm(b, n) * y**n
             value = binom * weight
             # d/ds of u^{1/2-s} binom(1/2-s, k) at s = 0
-            terms.append((N // 2 + a * (M - N) - (k - a) * N, value,
+            terms.append((N // 2 + a * (M - N) - b * N, value,
                           -logu * value - dbinom * weight))
-        yield u_half * abs(binom) * x**k, terms
+        yield u_half * abs(binom) * math.perm(k, n) * x ** (k - n) * y**n, terms
 
 
-def beta_coefficients(spec: PotentialSpec, rho_min: int) -> BetaTable:
-    """Expansion coefficients with rho >= rho_min, as jets at s = 0.
+def beta_coefficients(spec: PotentialSpec, rho_min: int, lam_deriv: int = 0) -> BetaTable:
+    """Expansion coefficients with rho >= rho_min, as jets at s = 0, or their
+    lam_deriv-th derivatives in lam.
 
     Sums the orders of ``binomial_series`` at q = 1 until every rho of an
     order lies below rho_min; each (a, b) lands on rho = N/2 + a(M-N) - bN.
@@ -217,7 +228,7 @@ def beta_coefficients(spec: PotentialSpec, rho_min: int) -> BetaTable:
     if rho_min > spec.N // 2:
         raise DomainError("rho_min must not exceed N/2")
     cells: dict[int, list] = {}
-    for _, terms in binomial_series(spec, 1.0):
+    for _, terms in binomial_series(spec, 1.0, lam_deriv):
         if max(rho for rho, _, _ in terms) < rho_min:
             break
         for rho, value, deriv in terms:

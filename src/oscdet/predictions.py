@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-from .actions import level_one_log_correction, binomial_action
+from .actions import binomial_action
 from .errors import DomainError
 from .potential import PotentialSpec, classify, symanzik_map
 from .spectral import (
@@ -81,17 +81,6 @@ class VerifyConfig:
                 except ValueError as exc:
                     raise DomainError(f"bad value for config key {key!r}: {exc}") from exc
         return VerifyConfig(**overrides)
-
-
-def predict_det_asymptotic(N: int, M: int, v: float, lam: float) -> float:
-    """log of the large-v prefactor relating the coupled determinant to the
-    uncoupled one: the binomial action plus the level-1 term when M = 2."""
-    if not (N > M >= 2):
-        raise DomainError("need even N > M >= 2")
-    total = binomial_action(1.0, v, N, M).value
-    if M == 2 and lam != 0.0:
-        total += (N / (N - 2.0)) * level_one_log_correction(lam, v)
-    return total
 
 
 def predict_det_ratio_g(N: int, M: int, g: float, E: float) -> float:

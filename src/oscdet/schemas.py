@@ -9,11 +9,15 @@ DET_SCHEMA = {
         "log_abs": {
             "type": "object",
             "required": ["even", "odd", "full", "skew"],
+            "additionalProperties": {"type": ["number", "null"]},
         },
         "sign": {"type": "object", "required": ["even", "odd"]},
+        # null where the value is not finite: beyond double range, or a log
+        # at an eigenvalue
         "value": {
             "type": "object",
             "required": ["even", "odd", "full", "skew"],
+            "additionalProperties": {"type": ["number", "null"]},
         },
     },
 }

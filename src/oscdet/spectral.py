@@ -14,6 +14,13 @@ parity determinants.  The other mode decays in the gauge at rate 2 sqrt(P),
 so the system is stiff where P is large; scipy's LSODA (``odeint``) switches
 to its BDF branch there, and its steps follow how fast P varies rather than
 1/sqrt(P) (Petzold, SIAM J. Sci. Stat. Comput. 4 (1983) 136).
+
+Zeta values at s = 1, 2 are mu-derivatives of log det(H + mu).  They come
+from one shot of the sensitivity equations: the first and second
+mu-derivatives of (A, Bhat) and of (Psi, Psi') are integrated in the same
+LSODA pass as the solution, and the WKB start, the bridge quadrature and the
+tail series are differentiated with them, so no difference quotient and no
+step width enters (``zeta_from_det``).
 """
 
 from __future__ import annotations
@@ -134,15 +141,15 @@ def _choose_q_max(work: PotentialSpec, q: float) -> float:
 
 
 _PLAIN_THRESHOLD = 4.0   # drop the WKB gauge once P falls below this
-_RTOL = 1e-11            # LSODA tolerances of both sweeps
+_RTOL = 1e-11            # LSODA tolerances of every sweep
 _ATOL = 1e-13
 _MXSTEP = 10000          # LSODA's default of 500 is below the 540-860 steps of
                          # the stiff sweeps (q^4 + v q^2 at v = 464 to 10^6)
 
 
 def _sweep(rhs, q0: float, q1: float, y0) -> np.ndarray:
-    """Integrate the two-component system y' = rhs(q, y) from q0 to q1 with
-    LSODA; a solver failure is an accuracy error, not a warning."""
+    """Integrate y' = rhs(q, y) from q0 to q1 with LSODA; a solver failure
+    is an accuracy error, not a warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)
         ys, info = odeint(rhs, y0, [q0, q1], tfirst=True, rtol=_RTOL, atol=_ATOL,
@@ -150,6 +157,90 @@ def _sweep(rhs, q0: float, q1: float, y0) -> np.ndarray:
     if info["message"] != "Integration successful.":
         raise AccuracyError(f"shooting integrator failed: {info['message']}")
     return ys[-1]
+
+
+# A jet is the list [f, df/dmu, ..., d^n f/dmu^n], mu the constant term of P.
+# Each value (n = 0) keeps one fixed order of operations, so shooting_det's
+# outputs stay bit-stable: a change in the last bit of a sweep's start moves
+# LSODA's steps, and log D by up to 4e-10 relative (q^4).
+
+def _inverse_power(c: float, p: float, beta: float, n: int) -> float:
+    """d^n/dmu^n of c P^{-beta} at P = p: c (-beta) ... (-beta-n+1) / p^(beta+n)."""
+    for j in range(n):
+        c *= -beta - j
+    return c / p ** (beta + n)
+
+
+def _root(p: float, n: int) -> float:
+    """d^n/dmu^n of sqrt(P) at P = p."""
+    return math.sqrt(p) if n == 0 else _inverse_power(0.5, p, 0.5, n - 1)
+
+
+def _jet_mul(f, g) -> list:
+    """The jet of f g by the Leibniz rule."""
+    return [sum(math.comb(n, k) * f[k] * g[n - k] for k in range(n + 1))
+            for n in range(len(f))]
+
+
+def _jet_div(f, g) -> list:
+    """The jet of f / g: h_n = (f_n - sum_{k<n} C(n,k) h_k g_{n-k}) / g_0."""
+    h = []
+    for n in range(len(f)):
+        h.append((f[n] - sum(math.comb(n, k) * h[k] * g[n - k] for k in range(n))) / g[0])
+    return h
+
+
+def _shoot(work: PotentialSpec, order: int, rhs_gauged, rhs_plain):
+    """Jets of psi(0), psi'(0) and the normalization c_norm of the recessive
+    solution, integrated with its first ``order`` (0 or 2) mu-derivatives.
+
+    The states of both sweeps interleave the jets, (A, Bhat, dA, dBhat, ...)
+    and (psi, psi', dpsi, dpsi', ...).  The gauged sweep runs from the WKB
+    matching point q_max down to q_cut, where P drops to order one, and the
+    plain sweep on to the origin.  At q_max, A and Bhat take the WKB form
+    (log-derivative w through second order, amplitude exp(ell_2));
+    c_norm = -1/4 log P(q_cut) + int_{q_cut}^{q_tail} Pi + adaptive_tail at
+    the tail point q_tail = max(q_max, choose_split_point).  q_cut, q_max and
+    q_tail are held fixed under mu: log D does not depend on them.
+    """
+    P, dP, d2P = work.value, work.deriv, work.deriv2
+    q_cut = 0.0 if P(0.0) >= _PLAIN_THRESHOLD else turning_point(work, _PLAIN_THRESHOLD)
+    q_max = _choose_q_max(work, max(1.0, q_cut))
+    q_tail = max(q_max, choose_split_point(work))
+    try:
+        p_tail = P(q_tail)
+    except OverflowError:
+        p_tail = math.inf
+    if not math.isfinite(p_tail):
+        raise AccuracyError(f"P is beyond double range at the tail point q = {q_tail:.3g}")
+
+    p0, dp0, d2p0, p_cut = P(q_max), dP(q_max), d2P(q_max), P(q_cut)
+    root0 = [_root(p0, n) for n in range(order + 1)]
+    w, ell, c_norm = [], [], []
+    for n in range(order + 1):
+        w.append(-root0[n] - _inverse_power(dp0 / 4.0, p0, 1.0, n)
+                 - _inverse_power(d2p0 / 8.0, p0, 1.5, n)
+                 + _inverse_power(5.0 * dp0**2 / 32.0, p0, 2.5, n))
+        tail_int, _ = quad(lambda q: _inverse_power(dP(q) ** 2, P(q), 2.5, n), q_max, np.inf,
+                           epsabs=1e-14, epsrel=1e-12, limit=200)
+        ell.append(_inverse_power(-dp0 / 8.0, p0, 1.5, n) + tail_int / 32.0)
+        bridge, _ = quad(lambda q: _root(P(q), n), q_cut, q_tail,
+                         epsabs=1e-13, epsrel=1e-12, limit=400)
+        log_cut = math.log(p_cut) if n == 0 else _inverse_power(1.0, p_cut, 1.0, n - 1)
+        c_norm.append(-0.25 * log_cut + bridge + adaptive_tail(work, q_tail, lam_deriv=n))
+
+    # A = exp(ell), Bhat = w A / Pi at q_max
+    a0 = [math.exp(ell[0])]
+    if order:
+        a0 += [a0[0] * ell[1], a0[0] * (ell[2] + ell[1] ** 2)]
+    bh0 = _jet_mul(_jet_div(w, root0), a0)
+
+    ys = _sweep(rhs_gauged, q_max, q_cut, [c for pair in zip(a0, bh0) for c in pair])
+    dys = _jet_mul([_root(p_cut, n) for n in range(order + 1)], ys[1::2])
+    ys = [c for pair in zip(ys[0::2], dys) for c in pair]
+    if q_cut > 0.0:
+        ys = _sweep(rhs_plain, q_cut, 0.0, ys)
+    return ys[0::2], ys[1::2], c_norm
 
 
 def shooting_det(spec: PotentialSpec, lam: float = 0.0) -> DeterminantValue:
@@ -161,29 +252,10 @@ def shooting_det(spec: PotentialSpec, lam: float = 0.0) -> DeterminantValue:
     The gauge's regularized tail action is taken at the tail point
     max(q_max, choose_split_point), the split point of improper_action, and
     one quadrature of Pi bridges it to the gauge's end.  Both sweeps run
-    through LSODA; a solver failure raises AccuracyError.
+    through LSODA; a solver failure, or a P beyond double range at the tail
+    point, raises AccuracyError.
     """
     work = spec.with_shift(lam)
-    P, dP, d2P = work.value, work.deriv, work.deriv2
-
-    def pi(q):
-        return math.sqrt(P(q))
-
-    # the gauged sweep runs from q_max down to where P drops to order one
-    q_cut = 0.0 if P(0.0) >= _PLAIN_THRESHOLD else turning_point(work, _PLAIN_THRESHOLD)
-    q_max = _choose_q_max(work, max(1.0, q_cut))
-
-    # initialization at q_max: w through second order, ell through ell_2
-    p0 = P(q_max)
-    w_init = (-math.sqrt(p0) - dP(q_max) / (4.0 * p0)
-              - d2P(q_max) / (8.0 * p0**1.5)
-              + 5.0 * dP(q_max) ** 2 / (32.0 * p0**2.5))
-    tail_int, _ = quad(lambda q: dP(q) ** 2 / P(q) ** 2.5, q_max, np.inf,
-                       epsabs=1e-14, epsrel=1e-12, limit=200)
-    ell2 = -dP(q_max) / (8.0 * p0**1.5) + tail_int / 32.0
-    a0 = math.exp(ell2)
-    bh0 = w_init / math.sqrt(p0) * a0
-
     uu, vv, cc, NN, MM = work.u, work.v, work.lam, work.N, work.M
 
     def rhs_gauged(q, y):
@@ -194,20 +266,10 @@ def shooting_det(spec: PotentialSpec, lam: float = 0.0) -> DeterminantValue:
         s = root * (a + bh)
         return s + r * a, s - r * bh
 
-    a_c, bh_c = _sweep(rhs_gauged, q_max, q_cut, (a0, bh0))
+    def rhs_plain(q, y):
+        return y[1], (uu * q**NN + vv * q**MM + cc) * y[0]
 
-    if q_cut > 0.0:
-        def rhs_plain(q, y):
-            return y[1], (uu * q**NN + vv * q**MM + cc) * y[0]
-
-        y0, dy0 = _sweep(rhs_plain, q_cut, 0.0, (a_c, pi(q_cut) * bh_c))
-    else:
-        y0, dy0 = a_c, pi(0.0) * bh_c
-
-    q_tail = max(q_max, choose_split_point(work))
-    bridge, _ = quad(pi, q_cut, q_tail, epsabs=1e-13, epsrel=1e-12, limit=400)
-    c_norm = -0.25 * math.log(P(q_cut)) + bridge + adaptive_tail(work, q_tail)
-
+    (y0,), (dy0,), (c_norm,) = _shoot(work, 0, rhs_gauged, rhs_plain)
     dplus = -dy0
     log_even = math.log(abs(dplus)) if dplus else -math.inf
     log_odd = math.log(abs(y0)) if y0 else -math.inf
@@ -422,59 +484,72 @@ def dilate_det(det: DeterminantValue, r: float, ref_spec: PotentialSpec) -> Dete
 # zeta values through determinant derivatives
 # --------------------------------------------------------------------------
 
+def _log_jet(y) -> list:
+    """The jet of log|y| to second order."""
+    d1 = y[1] / y[0]
+    return [math.log(abs(y[0])), d1, y[2] / y[0] - d1 * d1]
+
+
 @lru_cache(maxsize=4096)
-def _shoot_logs(spec: PotentialSpec, mu: float) -> tuple[float, float]:
-    d = shooting_det(spec, mu)
-    return d.log_abs_full, d.log_abs_skew
+def _log_det_jet(spec: PotentialSpec, mu: float) -> tuple[tuple, tuple]:
+    """Jets to second order in mu of log|D| and log|D+| - log|D-| for spec
+    shifted by mu, from one shot that integrates the mu-derivatives of the
+    solution alongside it.  Raises DomainError unless D+ and D- are both
+    positive, which holds below the ground state.
 
+    Pi = sqrt(P) and r = P'/(4P) carry the mu-dependence of the gauged
+    system; the plain sweep's sensitivities obey y1'' = P y1 + y and
+    y2'' = P y2 + 2 y1.
+    """
+    work = spec.with_shift(mu)
+    uu, vv, cc, NN, MM = work.u, work.v, work.lam, work.N, work.M
 
-def _stencil_derivative(fvals, delta: float, order: int) -> float:
-    fm2, fm1, f0, fp1, fp2 = fvals
-    if order == 1:
-        return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * delta)
-    if order == 2:
-        return (-(fp2 + fm2) + 16.0 * (fp1 + fm1) - 30.0 * f0) / (12.0 * delta**2)
-    raise DomainError("only first and second derivatives are supported")
+    def rhs_gauged(q, y):
+        a, bh, a1, bh1, a2, bh2 = y
+        p = uu * q**NN + vv * q**MM + cc
+        root = math.sqrt(p)
+        dp = NN * uu * q ** (NN - 1) + (MM * vv * q ** (MM - 1) if MM > 0 else 0.0)
+        r, r1, r2 = dp / (4.0 * p), -dp / (4.0 * p * p), dp / (2.0 * p**3)
+        pi1, pi2 = 0.5 / root, -0.25 / (root * p)
+        s = root * (a + bh)
+        s1 = pi1 * (a + bh) + root * (a1 + bh1)
+        s2 = pi2 * (a + bh) + 2.0 * pi1 * (a1 + bh1) + root * (a2 + bh2)
+        return (s + r * a, s - r * bh,
+                s1 + r1 * a + r * a1, s1 - r1 * bh - r * bh1,
+                s2 + r2 * a + 2.0 * r1 * a1 + r * a2, s2 - r2 * bh - 2.0 * r1 * bh1 - r * bh2)
 
+    def rhs_plain(q, y):
+        p = uu * q**NN + vv * q**MM + cc
+        return y[1], p * y[0], y[3], p * y[2] + y[0], y[5], p * y[4] + 2.0 * y[2]
 
-_STENCIL_TOL = 2e-5   # largest relative change between two stencil widths
+    psi, dpsi, c_norm = _shoot(work, 2, rhs_gauged, rhs_plain)
+    if not (psi[0] > 0.0 and dpsi[0] < 0.0):
+        raise DomainError("E must lie below the ground state")
+    log_odd, log_even = _log_jet(psi), _log_jet(dpsi)
+    full = tuple(float(2.0 * c + e + o) for c, e, o in zip(c_norm, log_even, log_odd))
+    skew = tuple(float(e - o) for e, o in zip(log_even, log_odd))
+    return full, skew
 
 
 def zeta_from_det(spec: PotentialSpec, s: int, E: float = 0.0, *,
                   skew: bool = False) -> ZetaValue:
-    """Z(s; E) = -(1/(s-1)!) d^s/dE^s log det(H - E) by central differences
-    of the shooting log-determinant in the spectral argument.
+    """Z(s; E) = -(1/(s-1)!) d^s/dE^s log det(H - E) for s = 1, 2; with
+    ``skew``, of log D+ - log D- instead, which gives the skew zeta.
 
-    Two stencil widths are compared; the width halves up to three times, and
-    a disagreement still beyond 2e-5 (relative above 1) raises an accuracy
-    error.
+    The derivatives come from one sensitivity shot (cached per spec and E):
+    the mu-derivatives of the recessive solution, of its WKB start and of the
+    normalization (bridge integrals of 1/(2 Pi) and -1/(4 Pi^3), tail series
+    term by term) are integrated with it, so the error is that of the shot
+    itself, LSODA's rtol 1e-11 and the 1e-8 WKB residual bound at q_max, not
+    that of a difference quotient.  s >= 3 raises DomainError up front, and so
+    does an E at or above the first Bohr-Sommerfeld excited level, or an E
+    above the ground state, where a parity determinant turns negative.
     """
-    if s < 1:
-        raise DomainError("s must be a positive integer")
-    lam0_est = bs_level(spec, 1.0)
-    if E >= 0.8 * lam0_est:
-        raise DomainError("E must lie safely below the ground state")
-    delta = min(0.04 * max(0.5, lam0_est), 0.2 * (0.8 * lam0_est - E) + 1e-9)
-    mu0 = -E
-    idx = 1 if skew else 0
-
-    def f(mu):
-        return _shoot_logs(spec, mu)[idx]
-
-    sign = -1.0 if s % 2 == 0 else 1.0   # (-1)^{s+1} from d/dE = -d/dmu
-    fact = math.factorial(s - 1)
-
-    def estimate(d):
-        vals = [f(mu0 + j * d) for j in (-2, -1, 0, 1, 2)]
-        return sign * _stencil_derivative(vals, d, s) / fact
-
-    z1 = estimate(delta)
-    for _ in range(3):
-        z2 = estimate(0.5 * delta)
-        err = abs(z1 - z2)
-        if err <= _STENCIL_TOL * max(1.0, abs(z2)):
-            return ZetaValue(s, E, z2, 0.0)
-        delta *= 0.5
-        z1 = z2
-    raise AccuracyError("finite-difference step failure in zeta_from_det",
-                        best_estimate=z2, err_est=err)
+    if s not in (1, 2):
+        raise DomainError("zeta_from_det takes s = 1 or 2")
+    if E >= bs_level(spec, 1.0):
+        raise DomainError("E must lie below the ground state")
+    full, skew_logs = _log_det_jet(spec, -E)
+    logs = skew_logs if skew else full
+    # d/dE = -d/dmu
+    return ZetaValue(s, E, logs[1] if s == 1 else -logs[2], 0.0)

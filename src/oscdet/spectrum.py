@@ -205,7 +205,9 @@ def _eigenvalues_cached(spec: PotentialSpec, count: int, tol: float) -> Spectrum
     # the bottom of the well so that a constant in V leaves it alone
     lam_top = bs_level(spec, count + 2)
     omega = math.sqrt(lam_top - spec.value(0.0)) / turning_point(spec, lam_top)
-    n = max(count + count % 2, 16)   # twice the levels of the even sector
+    # twice the levels of the even sector, and more states than the band's
+    # half-width N/2, whose diagonals the band storage slices
+    n = max(count + count % 2, 16, spec.N // 2 + 1)
     coarse, _ = _ritz_levels(spec, omega, n, count)
     for _ in range(_DOUBLINGS):
         n *= 2

@@ -156,6 +156,19 @@ def test_adaptive_tail_against_mpmath_head(v, q):
     assert abs(adaptive_tail(spec, q) - want) <= 1e-10
 
 
+@pytest.mark.parametrize("N,M,v,lam", [
+    (4, 2, 3.0, 0.0), (4, 2, 3.0, 0.7), (6, 4, 10.0, -0.4), (10, 8, 100.0, 0.0), (4, 0, 0.0, 0.0),
+])
+def test_adaptive_tail_lambda_derivatives_against_mpmath(N, M, v, lam):
+    # for N > 2 no lambda-dependent term reaches rho = -1, so the derivatives
+    # of the regularized tail are the convergent integrals of the derivatives
+    spec = PotentialSpec(N, M, 1.0, v, lam)
+    q = 1.3 * choose_split_point(spec)
+    for n, c, power in ((1, 0.5, -0.5), (2, -0.25, -1.5)):
+        want = float(mp.quad(lambda t: c * (t**N + v * t**M + lam) ** power, [q, mp.inf]))
+        assert abs(adaptive_tail(spec, q, lam_deriv=n) - want) <= 1e-12, (n, want)
+
+
 def test_improper_action_bc4():
     for v in (0.5, 1.0, 2.0):
         a = improper_action(PotentialSpec.trinomial(4, 2, v, 0.0))

@@ -59,6 +59,14 @@ def test_det_harmonic(capsys):
     assert payload["value"]["full"] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, which RFC 8259 does not allow."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_det_beyond_double_range(capsys):
     import jsonschema
 
@@ -66,10 +74,42 @@ def test_det_beyond_double_range(capsys):
 
     code, out = run_cli(capsys, "det", "--spec", "6 4 1 10000 0")
     assert code == 0
-    payload = json.loads(out)
+    payload = _strict_json(out)
     jsonschema.validate(payload, schemas.DET_SCHEMA)
     assert all(math.isfinite(x) for x in payload["log_abs"].values())
-    assert payload["value"]["full"] == math.inf
+    assert payload["value"]["full"] is None
+    assert payload["value"]["skew"] == pytest.approx(math.exp(payload["log_abs"]["skew"]))
+
+
+def test_det_at_an_eigenvalue_is_strict_json(capsys):
+    import jsonschema
+
+    from oscdet import schemas
+
+    # lambda = -1 is the ground state of q^2: log D+ = -inf
+    code, out = run_cli(capsys, "det", "--spec", "2 0 1 0 0", "--shift", "-1")
+    assert code == 0
+    payload = _strict_json(out)
+    jsonschema.validate(payload, schemas.DET_SCHEMA)
+    assert payload["log_abs"]["even"] is None and payload["log_abs"]["full"] is None
+    assert payload["value"]["full"] == 0.0
+    assert payload["log_abs"]["odd"] == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+
+
+def test_det_tail_point_beyond_double_range(capsys):
+    # u = 1e-300 puts the tail point near 2e150, where u q^4 overflows
+    code, out = run_cli(capsys, "det", "--spec", "4 2 1e-300 1 0")
+    assert code == 3
+    payload = _strict_json(out)
+    assert payload["error"] == "AccuracyError"
+    assert "double range" in payload["message"] and "\n" not in payload["message"]
+
+
+def test_spectrum_basis_wider_than_count(capsys):
+    # N/2 = 20 band diagonals and 8 levels: the basis must hold the band;
+    # an exception would escape run_cli as a traceback
+    code, _ = run_cli(capsys, "spectrum", "--spec", "40 2 1 1 0", "--count", "8")
+    assert code in (0, 3)
 
 
 def test_spectrum_csv_schema(capsys):

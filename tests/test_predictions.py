@@ -2,13 +2,12 @@ import math
 
 import pytest
 
-from oscdet.actions import level_one_log_correction, binomial_action
+from oscdet.actions import binomial_action
 from oscdet.errors import DomainError
 from oscdet.potential import symanzik_map
 from oscdet.predictions import (
     VerifyConfig,
     measure_point,
-    predict_det_asymptotic,
     predict_det_ratio_g,
     predict_Z1,
     verify,
@@ -68,20 +67,6 @@ def test_predict_det_ratio_anomalous_extra_power():
     base = 2.0 * binomial_action(1.0, v, 6.0, 2.0).value
     want = base - (v / 12.0) * math.log(v)
     assert predict_det_ratio_g(6, 2, g, 0.0) == pytest.approx(want, rel=1e-13)
-
-
-def test_predict_det_asymptotic_forms():
-    v, lam = 3.0, 0.8
-    # (4,2): action plus (N/(N-2)) A_1
-    want = -v**1.5 / 3.0 + 2.0 * level_one_log_correction(lam, v)
-    assert predict_det_asymptotic(4, 2, v, lam) == pytest.approx(want, rel=1e-13)
-    # M != 2: lambda-free
-    a = predict_det_asymptotic(8, 4, v, 0.0)
-    b = predict_det_asymptotic(8, 4, v, lam)
-    assert a == b
-    # anomalous (6,4) carries -log v through the closed anomalous action
-    got = predict_det_asymptotic(6, 4, v, 0.0)
-    assert got == pytest.approx(binomial_action(1.0, v, 6.0, 4.0).value, rel=1e-14)
 
 
 def test_measure_point_routes_consistent():

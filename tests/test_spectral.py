@@ -275,6 +275,64 @@ def test_zeta_from_det_skew_matches_accelerated_sum():
     assert z_det.value == pytest.approx(z_sum.value, abs=1e-5)
 
 
+def test_zeta_from_det_harmonic_closed_forms():
+    # pi/4 and pi^2/8 on q^2; the ladders of 2.5 q^2 below, at and above E = 0
+    q2 = PotentialSpec.uncoupled(2, 1.0)
+    assert zeta_from_det(q2, 1, skew=True).value == pytest.approx(math.pi / 4.0, rel=1e-9)
+    assert zeta_from_det(q2, 2).value == pytest.approx(math.pi**2 / 8.0, rel=1e-9)
+    spec = PotentialSpec.uncoupled(2, 2.5)
+    for E in (0.0, -1.3, 0.6):
+        assert zeta_from_det(spec, 2, E).value == pytest.approx(
+            harmonic_zeta_full(2, E, 2.5).value, rel=1e-9)
+        for s in (1, 2):
+            assert zeta_from_det(spec, s, E, skew=True).value == pytest.approx(
+                harmonic_zeta_skew(s, E, 2.5).value, rel=1e-9)
+
+
+def test_zeta_from_det_ground_state_guard():
+    q2 = PotentialSpec.uncoupled(2, 1.0)
+    # above the ground state 1, below the first excited level 3
+    with pytest.raises(DomainError):
+        zeta_from_det(q2, 2, 1.5)
+    with pytest.raises(DomainError):
+        zeta_from_det(q2, 3)
+    # close below the ground state, and below the ground state 101 of q^2 + 100
+    for spec, E in ((q2, 0.9), (PotentialSpec.uncoupled(2, 1.0, 100.0), 90.0)):
+        assert zeta_from_det(spec, 2, E).value == pytest.approx(
+            harmonic_zeta_full(2, E - spec.lam, 1.0).value, rel=1e-9)
+
+
+@pytest.mark.parametrize("N,M,g", [(8, 6, 1e-4), (10, 8, 1e-3), (10, 8, 1e-4)])
+def test_zeta_from_det_on_small_g_partners(N, M, g):
+    # q^N + v q^M with v = g^{-(M+2)/(N+2)}: |log D| up to 1e9 at g = 1e-4
+    spec = PotentialSpec.trinomial(N, M, g ** (-(M + 2) / (N + 2)))
+    assert zeta_from_det(spec, 1).value == pytest.approx(
+        zeta_full(spec, 1, count=512).value, rel=1e-8)
+    assert zeta_from_det(spec, 1, skew=True).value == pytest.approx(
+        zeta_skew(spec, 1, count=384).value, rel=1e-8)
+    assert zeta_from_det(spec, 2).value == pytest.approx(
+        zeta_full(spec, 2, count=512).value, rel=1e-8)
+
+
+def test_zeta_from_det_one_shot_per_point(monkeypatch):
+    # z1, zp1 and z2 of one point: one gauged and one plain sweep of the
+    # six-component sensitivity system, and nothing else
+    sizes = []
+    real = spectral.odeint
+
+    def counting(func, y0, t, **kwargs):
+        sizes.append(len(y0))
+        return real(func, y0, t, **kwargs)
+
+    monkeypatch.setattr(spectral, "odeint", counting)
+    spectral._log_det_jet.cache_clear()
+    spec = PotentialSpec.trinomial(4, 2, 464.0)
+    zeta_from_det(spec, 1)
+    zeta_from_det(spec, 1, skew=True)
+    zeta_from_det(spec, 2)
+    assert sizes == [6, 6]
+
+
 # --------------------------------------------------------------------------
 # dilation
 # --------------------------------------------------------------------------
