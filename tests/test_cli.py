@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscdet.actions import binomial_action
 from oscdet.cli import main
@@ -279,3 +283,42 @@ def test_fig2_emission_small_grid(tmp_path, capsys):
     code, _ = run_cli(capsys, "fig2", "--families", "4",
                       "--grid", "1e-1,3e-2", "--outdir", str(tmp_path))
     assert (tmp_path / "fig2_left.csv").read_text().splitlines() == left
+
+
+@pytest.mark.parametrize("argv", (["spectrum", "--spec", "4 2 1 1e60 0"],
+                                  ["zeta", "--spec", "4 2 1 1e300 0", "--s", "2"]))
+def test_turning_point_far_below_one_exit_three(capsys, argv):
+    # the levels are found (not "below the potential minimum"), and the
+    # absolute tolerance on levels near 1e30 or 1e150 is out of reach
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert "tolerance" in _strict_json(out)["message"]
+
+
+@st.composite
+def _fuzz_spec(draw):
+    N = draw(st.sampled_from(range(2, 11, 2)))
+    M = draw(st.sampled_from(range(0, N, 2)))
+    u = 10.0 ** draw(st.floats(-6.0, 6.0))
+    v = draw(st.one_of(st.just(0.0), st.floats(-6.0, 300.0).map(lambda e: 10.0 ** e)))
+    lam = draw(st.floats(-5.0, 5.0))
+    return f"{N} {M} {u!r} {v!r} {lam!r}"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(spec=_fuzz_spec(), command=st.sampled_from(("spectrum", "zeta")),
+       s=st.sampled_from((1, 2, 3)), skew=st.booleans(), count=st.integers(1, 32))
+def test_cli_fuzz_exits_with_a_documented_code(spec, command, s, skew, count):
+    argv = [command, "--spec", spec, "--count", str(count)]
+    if command == "zeta":
+        argv += ["--s", str(s)] + (["--skew"] if skew else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue().startswith("{"):
+        _strict_json(out.getvalue())

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.linalg import eig_banded
 
+from oscdet import spectrum
 from oscdet.errors import AccuracyError, DomainError
 from oscdet.potential import PotentialSpec, symanzik_map
 from oscdet.spectral import zeta_full
-from oscdet.spectrum import _ritz_levels, eigenvalues
+from oscdet.spectrum import _ritz_levels, _sector_band, bs_level, eigenvalues
 
 # frozen from a dense-mesh run (h -> h/2 -> h/4, double Richardson) done
 # independently of this solver before it was written
@@ -50,6 +53,92 @@ def test_err_est_covers_a_doubled_basis():
         finer, _ = _ritz_levels(spec, res.params.omega, 2 * res.params.n, len(res))
         err = np.array([e.err_est for e in res.entries])
         assert np.all(np.abs(finer - res.values()) <= err)
+
+
+def _csr_sector_band(spec, omega, n, parity):
+    """Reference band: Horner's rule on sparse matrices of x^2."""
+    half = spec.N // 2
+    m = np.arange(parity, 2 * (n + half), 2, dtype=float)
+    off = 0.5 * np.sqrt((m[:-1] + 1.0) * (m[:-1] + 2.0))
+    x2 = scipy.sparse.diags([off, m + 0.5, off], [-1, 0, 1], format="csr")
+    coef = np.zeros(half + 1)
+    coef[half] += spec.u * omega ** (-half)
+    coef[spec.M // 2] += spec.v * omega ** (-(spec.M // 2))
+    coef[1] -= omega
+    coef[0] += spec.lam
+    eye = scipy.sparse.identity(len(m), format="csr")
+    poly = coef[half] * eye
+    for c in coef[-2::-1]:
+        poly = poly @ x2 + c * eye
+    band = np.zeros((half + 1, n))
+    for d in range(half + 1):
+        band[d, :n - d] = poly.diagonal(-d)[:n - d]
+    band[0] += omega * (2.0 * m[:n] + 1.0)
+    return band
+
+
+@pytest.mark.parametrize("spec", (PotentialSpec(4, 2, 1e-3, 1.0, 0.0), PotentialSpec.uncoupled(6, 1.0),
+                                  PotentialSpec(10, 4, 2.0, 3.0, -0.5), PotentialSpec(8, 6, 1.0, 1e3, 1.0),
+                                  PotentialSpec.uncoupled(2, 2.5)))
+def test_sector_band_matches_sparse_horner(spec):
+    for n, parity in ((6, 0), (40, 1), (512, 0)):
+        want = _csr_sector_band(spec, 1.7, n, parity)
+        np.testing.assert_allclose(_sector_band(spec, 1.7, n, parity), want, rtol=1e-14, atol=0.0)
+
+
+# near-harmonic spectra, where the solver's rounding sets err_est, and pure
+# and coupled anharmonic ones, where the basis doubling does
+ROUNDING_SPECS = (PotentialSpec(4, 2, 1e-2, 1.0, 0.0), PotentialSpec(4, 2, 1e-3, 1.0, 0.0),
+                  PotentialSpec(4, 2, 1e-4, 1.0, 0.0), PotentialSpec(6, 2, 1e-2, 1.0, 0.0),
+                  PotentialSpec.uncoupled(6, 1.0), PotentialSpec.trinomial(4, 2, 1.0))
+
+
+@pytest.mark.parametrize("count", (128, 256))
+@pytest.mark.parametrize("spec", ROUNDING_SPECS)
+def test_err_est_covers_the_solvers_rounding(spec, count):
+    # a basis frequency moved in its last digits changes the levels only
+    # through rounding; eps * ||H||_1 alone fell short by up to 3.65 times
+    res = eigenvalues(spec, count, 1e-6)
+    err = np.array([e.err_est for e in res.entries])
+    for factor in (1.0 - 1e-14, 1.0 + 1e-14):
+        moved, _ = _ritz_levels(spec, res.params.omega * factor, res.params.n, count)
+        assert np.all(np.abs(moved - res.values()) <= err)
+
+
+@pytest.mark.parametrize("count", (128, 256))
+@pytest.mark.parametrize("spec", ROUNDING_SPECS)
+def test_ritz_levels_match_bisection(spec, count):
+    res = eigenvalues(spec, count, 1e-6)
+    n, omega = res.params.n, res.params.omega
+    err = np.array([e.err_est for e in res.entries])
+    values, _ = _ritz_levels(spec, omega, n, count)
+    for parity in (0, 1):
+        levels = (count + 1 - parity) // 2
+        bisection = eig_banded(_sector_band(spec, omega, n, parity), lower=True,
+                               eigvals_only=True, select="i", select_range=(0, levels - 1))
+        assert np.all(np.abs(values[parity::2] - bisection) <= err[parity::2])
+
+
+def test_ritz_levels_take_every_level_of_a_block(monkeypatch):
+    # the all-level driver is 4-9 times faster than bisection on these blocks
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return eig_banded(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eig_banded", spy)
+    _ritz_levels(PotentialSpec.trinomial(4, 2, 1.0), 1.3, 64, 10)
+    assert len(calls) == 2
+    assert all("select" not in kwargs and "select_range" not in kwargs for kwargs in calls)
+
+
+@pytest.mark.parametrize("v", (1e20, 1e40, 1e60))
+def test_bs_level_with_a_turning_point_far_below_one(v):
+    # q^4 + v q^2 at large v is harmonic near the origin; Bohr-Sommerfeld is
+    # exact there, so level 1 is 3 sqrt(v) with its turning point near v^(-1/4)
+    assert bs_level(PotentialSpec.trinomial(4, 2, v), 1) == pytest.approx(3.0 * math.sqrt(v),
+                                                                        rel=1e-9)
 
 
 def test_monotone_in_coupling():
