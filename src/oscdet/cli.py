@@ -162,8 +162,8 @@ def cmd_poles(args):
 
 def cmd_det(args):
     spec = _spec_from_args(args)
-    if args.harmonic or (spec.N == 2 and spec.v == 0.0):
-        d = harmonic_det(spec.u, spec.lam + args.shift)
+    if spec.N == 2:   # u q^2 + v + lam: the constant joins the shift
+        d = harmonic_det(spec.u, spec.v + spec.lam + args.shift)
     else:
         d = shooting_det(spec, args.shift)
     out = {
@@ -297,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_arguments(p)
     p.add_argument("--shift", type=float, default=0.0,
                    help="additional constant added to the potential")
-    p.add_argument("--harmonic", action="store_true",
-                   help="force the closed harmonic form (N = 2)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_det)
 

@@ -16,14 +16,7 @@ from dataclasses import dataclass, field, fields
 from .actions import binomial_action
 from .errors import DomainError
 from .potential import PotentialSpec, classify, symanzik_map
-from .spectral import (
-    dilate_det,
-    harmonic_det,
-    shooting_det,
-    zeta_from_det,
-    zeta_full,
-    zeta_skew,
-)
+from .spectral import det_jet, dilate_det, harmonic_det, zeta_full, zeta_skew
 from .special_functions import CATALAN, EULER_GAMMA, LOG2, digamma
 
 _PI = math.pi
@@ -135,21 +128,24 @@ class PointMeasurement:
 def measure_point(N: int, g: float, *, count: int = 256, tol: float = 1e-6) -> PointMeasurement:
     """Measure the M = 2 family q^2 + g q^N at one coupling.
 
-    s >= 1 zeta values and determinant data come from the shooting
-    determinant of the Symanzik partner q^N + v q^2 (exact eigenvalue
-    correspondence E_k(g) = v^{-1/2} lam_k(v)); the regular quantities are
-    also summed directly over the computed spectrum of q^2 + g q^N.
+    s >= 1 zeta values and determinant data come from one sensitivity shot
+    of the Symanzik partner q^N + v q^2 (exact eigenvalue correspondence
+    E_k(g) = v^{-1/2} lam_k(v)); the regular quantities are also summed
+    directly over the computed spectrum of q^2 + g q^N.
     """
     v, _ = symanzik_map(2, N, g, 0.0)
     root = math.sqrt(v)
     spec_v = PotentialSpec.trinomial(N, 2, v)
 
-    z1 = root * zeta_from_det(spec_v, 1, 0.0).value
-    zp1_det = root * zeta_from_det(spec_v, 1, 0.0, skew=True).value
-    z2_det = v * zeta_from_det(spec_v, 2, 0.0).value
+    # one sensitivity shot of the partner: its determinants at E = 0 and the
+    # mu-derivatives of log D and log D+ - log D-, which give Z(1), Z^P(1), Z(2)
+    det, full, skew = det_jet(spec_v, 0.0)
+    z1 = root * full[0]
+    zp1_det = root * skew[0]
+    z2_det = v * -full[1]
 
     # determinant data at E = 0, dilated back to the spectrum of q^2 + g q^N
-    d0 = dilate_det(shooting_det(spec_v, 0.0), v**-0.5, spec_v)
+    d0 = dilate_det(det, v**-0.5, spec_v)
     ratio0 = d0.log_abs_full - _LOG_SQRT2
     skew_ratio0 = d0.log_abs_skew - _HARMONIC_SKEW0
     slope = -z1 + 0.5 * (EULER_GAMMA + LOG2)

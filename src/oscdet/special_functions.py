@@ -36,16 +36,6 @@ class Jet1:
     def zero() -> "Jet1":
         return Jet1(0.0, 0.0)
 
-    def __add__(self, other: "Jet1") -> "Jet1":
-        return Jet1(self.value + other.value, self.deriv + other.deriv)
-
-    def scaled(self, c: float) -> "Jet1":
-        return Jet1(c * self.value, c * self.deriv)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0.0 and self.deriv == 0.0
-
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)

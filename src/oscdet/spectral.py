@@ -20,7 +20,11 @@ from one shot of the sensitivity equations: the first and second
 mu-derivatives of (A, Bhat) and of (Psi, Psi') are integrated in the same
 LSODA pass as the solution, and the WKB start, the bridge quadrature and the
 tail series are differentiated with them, so no difference quotient and no
-step width enters (``zeta_from_det``).
+step width enters.  One routine (``_shoot``) does all shooting: the plain
+shot of ``shooting_det`` integrates the first two components of the
+sensitivity system, and the sensitivity shot (``det_jet``) returns its
+determinants next to the derivatives, so one shot per coupling serves both
+the determinant and the zetas (``zeta_from_det``, ``measure_point``).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .actions import adaptive_tail, choose_split_point
 from .errors import AccuracyError, DivergenceError, DomainError
 from .potential import PotentialSpec, classify
 from .spectrum import (
-    DEFAULT_MAX_COUNT,
+    MAX_COUNT,
     SpectrumResult,
     bs_level,
     bs_tail,
@@ -190,57 +194,92 @@ def _jet_div(f, g) -> list:
     return h
 
 
-def _shoot(work: PotentialSpec, order: int, rhs_gauged, rhs_plain):
-    """Jets of psi(0), psi'(0) and the normalization c_norm of the recessive
-    solution, integrated with its first ``order`` (0 or 2) mu-derivatives.
+def _shoot(work: PotentialSpec, order: int):
+    """The parity determinants of ``work`` and the jets of psi(0), psi'(0)
+    and the normalization c_norm of the recessive solution, integrated with
+    its first ``order`` (0 or 2) mu-derivatives.
 
     The states of both sweeps interleave the jets, (A, Bhat, dA, dBhat, ...)
-    and (psi, psi', dpsi, dpsi', ...).  The gauged sweep runs from the WKB
-    matching point q_max down to q_cut, where P drops to order one, and the
-    plain sweep on to the origin.  At q_max, A and Bhat take the WKB form
+    and (psi, psi', dpsi, dpsi', ...), so the order-0 system is the first two
+    components of the order-2 one.  Pi = sqrt(P) and r = P'/(4P) carry the
+    mu-dependence of the gauged system; the plain sweep's sensitivities obey
+    y1'' = P y1 + y and y2'' = P y2 + 2 y1.  The gauged sweep runs from the
+    WKB matching point q_max down to q_cut, where P drops to order one, and
+    the plain sweep on to the origin.  At q_max, A and Bhat take the WKB form
     (log-derivative w through second order, amplitude exp(ell_2));
     c_norm = -1/4 log P(q_cut) + int_{q_cut}^{q_tail} Pi + adaptive_tail at
     the tail point q_tail = max(q_max, choose_split_point).  q_cut, q_max and
-    q_tail are held fixed under mu: log D does not depend on them.
+    q_tail are held fixed under mu: log D does not depend on them.  A P, or a
+    term of the shot, beyond double range raises AccuracyError.
     """
     P, dP, d2P = work.value, work.deriv, work.deriv2
-    q_cut = 0.0 if P(0.0) >= _PLAIN_THRESHOLD else turning_point(work, _PLAIN_THRESHOLD)
-    q_max = _choose_q_max(work, max(1.0, q_cut))
-    q_tail = max(q_max, choose_split_point(work))
+    uu, vv, cc, NN, MM = work.u, work.v, work.lam, work.N, work.M
+
+    def rhs_gauged(q, y):
+        p = uu * q**NN + vv * q**MM + cc
+        root = math.sqrt(p)
+        dp = NN * uu * q ** (NN - 1) + (MM * vv * q ** (MM - 1) if MM > 0 else 0.0)
+        r = dp / (4.0 * p)
+        s = root * (y[0] + y[1])
+        if not order:
+            return s + r * y[0], s - r * y[1]
+        a, bh, a1, bh1, a2, bh2 = y
+        r1, r2 = -dp / (4.0 * p * p), dp / (2.0 * p**3)
+        pi1, pi2 = 0.5 / root, -0.25 / (root * p)
+        s1 = pi1 * (a + bh) + root * (a1 + bh1)
+        s2 = pi2 * (a + bh) + 2.0 * pi1 * (a1 + bh1) + root * (a2 + bh2)
+        return (s + r * a, s - r * bh,
+                s1 + r1 * a + r * a1, s1 - r1 * bh - r * bh1,
+                s2 + r2 * a + 2.0 * r1 * a1 + r * a2, s2 - r2 * bh - 2.0 * r1 * bh1 - r * bh2)
+
+    def rhs_plain(q, y):
+        p = uu * q**NN + vv * q**MM + cc
+        if not order:
+            return y[1], p * y[0]
+        return y[1], p * y[0], y[3], p * y[2] + y[0], y[5], p * y[4] + 2.0 * y[2]
+
     try:
-        p_tail = P(q_tail)
+        q_cut = 0.0 if P(0.0) >= _PLAIN_THRESHOLD else turning_point(work, _PLAIN_THRESHOLD)
+        q_max = _choose_q_max(work, max(1.0, q_cut))
+        q_tail = max(q_max, choose_split_point(work))
+        if not math.isfinite(P(q_tail)):
+            raise AccuracyError(f"P is beyond double range at the tail point q = {q_tail:.3g}")
+        p0, dp0, d2p0, p_cut = P(q_max), dP(q_max), d2P(q_max), P(q_cut)
+        root0 = [_root(p0, n) for n in range(order + 1)]
+        w, ell, c_norm = [], [], []
+        for n in range(order + 1):
+            w.append(-root0[n] - _inverse_power(dp0 / 4.0, p0, 1.0, n)
+                     - _inverse_power(d2p0 / 8.0, p0, 1.5, n)
+                     + _inverse_power(5.0 * dp0**2 / 32.0, p0, 2.5, n))
+            tail_int, _ = quad(lambda q: _inverse_power(dP(q) ** 2, P(q), 2.5, n), q_max, np.inf,
+                               epsabs=1e-14, epsrel=1e-12, limit=200)
+            ell.append(_inverse_power(-dp0 / 8.0, p0, 1.5, n) + tail_int / 32.0)
+            bridge, _ = quad(lambda q: _root(P(q), n), q_cut, q_tail,
+                             epsabs=1e-13, epsrel=1e-12, limit=400)
+            log_cut = math.log(p_cut) if n == 0 else _inverse_power(1.0, p_cut, 1.0, n - 1)
+            c_norm.append(-0.25 * log_cut + bridge + adaptive_tail(work, q_tail, lam_deriv=n))
+        # A = exp(ell), Bhat = w A / Pi at q_max
+        a0 = [math.exp(ell[0])]
+        if order:
+            a0 += [a0[0] * ell[1], a0[0] * (ell[2] + ell[1] ** 2)]
+        bh0 = _jet_mul(_jet_div(w, root0), a0)
+
+        ys = _sweep(rhs_gauged, q_max, q_cut, [c for pair in zip(a0, bh0) for c in pair])
+        dys = _jet_mul([_root(p_cut, n) for n in range(order + 1)], ys[1::2])
+        ys = [c for pair in zip(ys[0::2], dys) for c in pair]
+        if q_cut > 0.0:
+            ys = _sweep(rhs_plain, q_cut, 0.0, ys)
     except OverflowError:
-        p_tail = math.inf
-    if not math.isfinite(p_tail):
-        raise AccuracyError(f"P is beyond double range at the tail point q = {q_tail:.3g}")
+        raise AccuracyError("P, or a term of the shot, is beyond double range") from None
+    psi, dpsi = ys[0::2], ys[1::2]
 
-    p0, dp0, d2p0, p_cut = P(q_max), dP(q_max), d2P(q_max), P(q_cut)
-    root0 = [_root(p0, n) for n in range(order + 1)]
-    w, ell, c_norm = [], [], []
-    for n in range(order + 1):
-        w.append(-root0[n] - _inverse_power(dp0 / 4.0, p0, 1.0, n)
-                 - _inverse_power(d2p0 / 8.0, p0, 1.5, n)
-                 + _inverse_power(5.0 * dp0**2 / 32.0, p0, 2.5, n))
-        tail_int, _ = quad(lambda q: _inverse_power(dP(q) ** 2, P(q), 2.5, n), q_max, np.inf,
-                           epsabs=1e-14, epsrel=1e-12, limit=200)
-        ell.append(_inverse_power(-dp0 / 8.0, p0, 1.5, n) + tail_int / 32.0)
-        bridge, _ = quad(lambda q: _root(P(q), n), q_cut, q_tail,
-                         epsabs=1e-13, epsrel=1e-12, limit=400)
-        log_cut = math.log(p_cut) if n == 0 else _inverse_power(1.0, p_cut, 1.0, n - 1)
-        c_norm.append(-0.25 * log_cut + bridge + adaptive_tail(work, q_tail, lam_deriv=n))
-
-    # A = exp(ell), Bhat = w A / Pi at q_max
-    a0 = [math.exp(ell[0])]
-    if order:
-        a0 += [a0[0] * ell[1], a0[0] * (ell[2] + ell[1] ** 2)]
-    bh0 = _jet_mul(_jet_div(w, root0), a0)
-
-    ys = _sweep(rhs_gauged, q_max, q_cut, [c for pair in zip(a0, bh0) for c in pair])
-    dys = _jet_mul([_root(p_cut, n) for n in range(order + 1)], ys[1::2])
-    ys = [c for pair in zip(ys[0::2], dys) for c in pair]
-    if q_cut > 0.0:
-        ys = _sweep(rhs_plain, q_cut, 0.0, ys)
-    return ys[0::2], ys[1::2], c_norm
+    # D- = psi(0), D+ = -psi'(0); the skew is formed before c_norm is added
+    log_even = math.log(abs(dpsi[0])) if dpsi[0] else -math.inf
+    log_odd = math.log(abs(psi[0])) if psi[0] else -math.inf
+    det = DeterminantValue(c_norm[0] + log_even, float(np.sign(-dpsi[0])),
+                           c_norm[0] + log_odd, float(np.sign(psi[0])),
+                           log_even - log_odd, "shooting")
+    return det, psi, dpsi, c_norm
 
 
 def shooting_det(spec: PotentialSpec, lam: float = 0.0) -> DeterminantValue:
@@ -252,30 +291,10 @@ def shooting_det(spec: PotentialSpec, lam: float = 0.0) -> DeterminantValue:
     The gauge's regularized tail action is taken at the tail point
     max(q_max, choose_split_point), the split point of improper_action, and
     one quadrature of Pi bridges it to the gauge's end.  Both sweeps run
-    through LSODA; a solver failure, or a P beyond double range at the tail
-    point, raises AccuracyError.
+    through LSODA; a solver failure, or a P beyond double range before the
+    tail point, raises AccuracyError.
     """
-    work = spec.with_shift(lam)
-    uu, vv, cc, NN, MM = work.u, work.v, work.lam, work.N, work.M
-
-    def rhs_gauged(q, y):
-        a, bh = y
-        p = uu * q**NN + vv * q**MM + cc
-        root = math.sqrt(p)
-        r = (NN * uu * q ** (NN - 1) + (MM * vv * q ** (MM - 1) if MM > 0 else 0.0)) / (4.0 * p)
-        s = root * (a + bh)
-        return s + r * a, s - r * bh
-
-    def rhs_plain(q, y):
-        return y[1], (uu * q**NN + vv * q**MM + cc) * y[0]
-
-    (y0,), (dy0,), (c_norm,) = _shoot(work, 0, rhs_gauged, rhs_plain)
-    dplus = -dy0
-    log_even = math.log(abs(dplus)) if dplus else -math.inf
-    log_odd = math.log(abs(y0)) if y0 else -math.inf
-    return DeterminantValue(c_norm + log_even, float(np.sign(dplus)),
-                            c_norm + log_odd, float(np.sign(y0)),
-                            log_even - log_odd, "shooting")
+    return _shoot(spec.with_shift(lam), 0)[0]
 
 
 # --------------------------------------------------------------------------
@@ -287,7 +306,8 @@ def harmonic_det(v: float, lam: float) -> DeterminantValue:
 
     Parity spectra sqrt(v)(4k + a), a = 1, 3, are Hurwitz ladders, so each
     zeta-regularized parity determinant is an explicit Gamma expression;
-    eigenvalues of the full problem give determinant zero.
+    eigenvalues of the full problem give determinant zero, and a log Gamma
+    beyond double range raises AccuracyError.
     """
     if v <= 0.0:
         raise DomainError("v must be positive")
@@ -299,7 +319,12 @@ def harmonic_det(v: float, lam: float) -> DeterminantValue:
         if x <= 0.0 and x == round(x):
             out[name] = (-math.inf, 0.0)
             continue
-        lg, sg = log_gamma(x)
+        try:
+            lg, sg = log_gamma(x)
+        except OverflowError:
+            lg = math.inf
+        if lg == math.inf:
+            raise AccuracyError(f"log Gamma({x:.3g}) is beyond double range")
         out[name] = ((0.5 - x) * base + _HALF_LOG_2PI - lg, sg)
     return DeterminantValue(out["even"][0], out["even"][1],
                             out["odd"][0], out["odd"][1],
@@ -324,8 +349,8 @@ def zeta_full(spec: PotentialSpec, s: int, E: float = 0.0, *,
     """sum_k (lam_k - E)^{-s}: head over computed levels plus a tail over the
     Bohr-Sommerfeld levels (``bs_tail``).
 
-    The eigenvalue count doubles, up to DEFAULT_MAX_COUNT, until the tail is
-    at most a tenth of the total.
+    The eigenvalue count doubles, up to MAX_COUNT, until the tail is at most
+    a tenth of the total.
     """
     if s < 1:
         raise DomainError("s must be a positive integer")
@@ -348,11 +373,11 @@ def zeta_full(spec: PotentialSpec, s: int, E: float = 0.0, *,
         frac = abs(tail) / abs(total)
         if frac <= _TAIL_CAP:
             return ZetaValue(s, E, float(total), float(frac))
-        if count >= DEFAULT_MAX_COUNT:
+        if count >= MAX_COUNT:
             raise AccuracyError(
                 f"tail fraction {frac:.3f} above {_TAIL_CAP} at the count cap",
                 best_estimate=total, err_est=abs(tail))
-        count = min(2 * count, DEFAULT_MAX_COUNT)
+        count = min(2 * count, MAX_COUNT)
 
 
 def _alternating_sum(terms) -> tuple[float, float]:
@@ -484,51 +509,27 @@ def dilate_det(det: DeterminantValue, r: float, ref_spec: PotentialSpec) -> Dete
 # zeta values through determinant derivatives
 # --------------------------------------------------------------------------
 
-def _log_jet(y) -> list:
-    """The jet of log|y| to second order."""
+def _log_derivs(y) -> tuple[float, float]:
+    """The first two derivatives of log|y| from the jet of y."""
     d1 = y[1] / y[0]
-    return [math.log(abs(y[0])), d1, y[2] / y[0] - d1 * d1]
+    return d1, y[2] / y[0] - d1 * d1
 
 
 @lru_cache(maxsize=4096)
-def _log_det_jet(spec: PotentialSpec, mu: float) -> tuple[tuple, tuple]:
-    """Jets to second order in mu of log|D| and log|D+| - log|D-| for spec
-    shifted by mu, from one shot that integrates the mu-derivatives of the
-    solution alongside it.  Raises DomainError unless D+ and D- are both
-    positive, which holds below the ground state.
-
-    Pi = sqrt(P) and r = P'/(4P) carry the mu-dependence of the gauged
-    system; the plain sweep's sensitivities obey y1'' = P y1 + y and
-    y2'' = P y2 + 2 y1.
+def det_jet(spec: PotentialSpec, mu: float) -> tuple[DeterminantValue, tuple, tuple]:
+    """The parity determinants of spec shifted by mu, and the first two
+    mu-derivatives of log|D| and of log|D+| - log|D-|, from one shot that
+    integrates the mu-derivatives of the solution alongside it.  Raises
+    DomainError unless D+ and D- are both positive, which holds below the
+    ground state.
     """
-    work = spec.with_shift(mu)
-    uu, vv, cc, NN, MM = work.u, work.v, work.lam, work.N, work.M
-
-    def rhs_gauged(q, y):
-        a, bh, a1, bh1, a2, bh2 = y
-        p = uu * q**NN + vv * q**MM + cc
-        root = math.sqrt(p)
-        dp = NN * uu * q ** (NN - 1) + (MM * vv * q ** (MM - 1) if MM > 0 else 0.0)
-        r, r1, r2 = dp / (4.0 * p), -dp / (4.0 * p * p), dp / (2.0 * p**3)
-        pi1, pi2 = 0.5 / root, -0.25 / (root * p)
-        s = root * (a + bh)
-        s1 = pi1 * (a + bh) + root * (a1 + bh1)
-        s2 = pi2 * (a + bh) + 2.0 * pi1 * (a1 + bh1) + root * (a2 + bh2)
-        return (s + r * a, s - r * bh,
-                s1 + r1 * a + r * a1, s1 - r1 * bh - r * bh1,
-                s2 + r2 * a + 2.0 * r1 * a1 + r * a2, s2 - r2 * bh - 2.0 * r1 * bh1 - r * bh2)
-
-    def rhs_plain(q, y):
-        p = uu * q**NN + vv * q**MM + cc
-        return y[1], p * y[0], y[3], p * y[2] + y[0], y[5], p * y[4] + 2.0 * y[2]
-
-    psi, dpsi, c_norm = _shoot(work, 2, rhs_gauged, rhs_plain)
+    det, psi, dpsi, c_norm = _shoot(spec.with_shift(mu), 2)
     if not (psi[0] > 0.0 and dpsi[0] < 0.0):
         raise DomainError("E must lie below the ground state")
-    log_odd, log_even = _log_jet(psi), _log_jet(dpsi)
-    full = tuple(float(2.0 * c + e + o) for c, e, o in zip(c_norm, log_even, log_odd))
-    skew = tuple(float(e - o) for e, o in zip(log_even, log_odd))
-    return full, skew
+    odd, even = _log_derivs(psi), _log_derivs(dpsi)
+    full = tuple(float(2.0 * c + e + o) for c, e, o in zip(c_norm[1:], even, odd))
+    skew = tuple(float(e - o) for e, o in zip(even, odd))
+    return det, full, skew
 
 
 def zeta_from_det(spec: PotentialSpec, s: int, E: float = 0.0, *,
@@ -536,20 +537,21 @@ def zeta_from_det(spec: PotentialSpec, s: int, E: float = 0.0, *,
     """Z(s; E) = -(1/(s-1)!) d^s/dE^s log det(H - E) for s = 1, 2; with
     ``skew``, of log D+ - log D- instead, which gives the skew zeta.
 
-    The derivatives come from one sensitivity shot (cached per spec and E):
-    the mu-derivatives of the recessive solution, of its WKB start and of the
-    normalization (bridge integrals of 1/(2 Pi) and -1/(4 Pi^3), tail series
-    term by term) are integrated with it, so the error is that of the shot
-    itself, LSODA's rtol 1e-11 and the 1e-8 WKB residual bound at q_max, not
-    that of a difference quotient.  s >= 3 raises DomainError up front, and so
-    does an E at or above the first Bohr-Sommerfeld excited level, or an E
-    above the ground state, where a parity determinant turns negative.
+    The derivatives come from one sensitivity shot (``det_jet``, cached per
+    spec and E): the mu-derivatives of the recessive solution, of its WKB
+    start and of the normalization (bridge integrals of 1/(2 Pi) and
+    -1/(4 Pi^3), tail series term by term) are integrated with it, so the
+    error is that of the shot itself, LSODA's rtol 1e-11 and the 1e-8 WKB
+    residual bound at q_max, not that of a difference quotient.  s >= 3
+    raises DomainError up front, and so does an E at or above the first
+    Bohr-Sommerfeld excited level, or an E above the ground state, where a
+    parity determinant turns negative.
     """
     if s not in (1, 2):
         raise DomainError("zeta_from_det takes s = 1 or 2")
     if E >= bs_level(spec, 1.0):
         raise DomainError("E must lie below the ground state")
-    full, skew_logs = _log_det_jet(spec, -E)
+    _, full, skew_logs = det_jet(spec, -E)
     logs = skew_logs if skew else full
     # d/dE = -d/dmu
-    return ZetaValue(s, E, logs[1] if s == 1 else -logs[2], 0.0)
+    return ZetaValue(s, E, logs[0] if s == 1 else -logs[1], 0.0)

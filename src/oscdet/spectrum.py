@@ -33,7 +33,7 @@ from scipy.optimize import brentq
 from .errors import AccuracyError, DomainError
 from .potential import PotentialSpec
 
-DEFAULT_MAX_COUNT = 512
+MAX_COUNT = 512
 _DOUBLINGS = 3   # the basis grows to at most 8 times its first size
 
 
@@ -58,9 +58,6 @@ class SpectrumResult:
 
     def values(self) -> np.ndarray:
         return np.array([e.value for e in self.entries])
-
-    def parity_values(self, parity: str) -> np.ndarray:
-        return np.array([e.value for e in self.entries if e.parity == parity])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -125,8 +122,14 @@ def bs_level(spec: PotentialSpec, k: float) -> float:
     makes these levels the tail of products and sums over high levels of
     coupled potentials (``bs_tail``), where a local power-law fit
     extrapolates with a curvature bias through the crossover region.
+    A level that rounds onto V(0), as above a huge constant, raises
+    AccuracyError.
     """
-    return spec.value(_increasing_root(_level_count(spec), k, rtol=1e-12))
+    level = spec.value(_increasing_root(_level_count(spec), k, rtol=1e-12))
+    if level <= spec.value(0.0):
+        raise AccuracyError(f"level {k:g} rounds onto V(0) = {spec.value(0.0):.3g}: "
+                            "no tolerance on the levels is reachable in double precision")
+    return level
 
 
 def bs_tail(spec: PotentialSpec, K: int, f, df) -> float:
@@ -194,8 +197,7 @@ def _ritz_levels(spec: PotentialSpec, omega: float, n: int,
     return values, norm
 
 
-def eigenvalues(spec: PotentialSpec, count: int, tol: float = 1e-6,
-                max_count: int = DEFAULT_MAX_COUNT) -> SpectrumResult:
+def eigenvalues(spec: PotentialSpec, count: int, tol: float = 1e-6) -> SpectrumResult:
     """First ``count`` eigenvalues with parity labels and error estimates.
 
     ``err_est`` is the change of each level when the basis doubles, floored
@@ -208,8 +210,8 @@ def eigenvalues(spec: PotentialSpec, count: int, tol: float = 1e-6,
     """
     if count < 1:
         raise DomainError("count must be positive")
-    if count > max_count:
-        raise DomainError(f"count {count} exceeds the configured cap {max_count}")
+    if count > MAX_COUNT:
+        raise DomainError(f"count {count} exceeds the cap {MAX_COUNT}")
     tol = float(tol)
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tolerance {tol} must be positive and finite")

@@ -57,10 +57,15 @@ def test_zeta_divergent_exit_code(capsys):
 
 
 def test_det_harmonic(capsys):
-    code, out = run_cli(capsys, "det", "--spec", "2 0 1.0 0.0 0.0", "--harmonic")
+    code, out = run_cli(capsys, "det", "--spec", "2 0 1.0 0.0 0.0")
     assert code == 0
     payload = json.loads(out)
+    assert payload["method"] == "closed-harmonic"
     assert payload["value"]["full"] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    # the N = 2 closed form takes the constant whichever slot it is written in
+    logs = [json.loads(run_cli(capsys, "det", "--spec", spec, "--shift", "0.5")[1])["log_abs"]
+            for spec in ("2 0 1 0 3", "2 0 1 3 0", "2 0 1 1 2")]
+    assert logs[0] == logs[1] == logs[2]
 
 
 def _strict_json(text):
@@ -107,6 +112,16 @@ def test_det_tail_point_beyond_double_range(capsys):
     payload = _strict_json(out)
     assert payload["error"] == "AccuracyError"
     assert "double range" in payload["message"] and "\n" not in payload["message"]
+
+
+@pytest.mark.parametrize("spec", ("6 2 1 1e200 0", "4 0 1 6.4e163 0",
+                                  "2 0 1e-14 1e300 0", "2 0 1e-300 1e200 0"))
+def test_det_terms_beyond_double_range(capsys, spec):
+    # p^2.5 of the WKB bound, c / p^(beta+n) and dp^2 of the shot's start, and
+    # log Gamma of the harmonic ladder at lambda/sqrt(u) = 1e307 and inf
+    code, out = run_cli(capsys, "det", "--spec", spec)
+    assert code == 3
+    assert "double range" in _strict_json(out)["message"]
 
 
 def test_spectrum_basis_wider_than_count(capsys):
@@ -286,10 +301,13 @@ def test_fig2_emission_small_grid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", (["spectrum", "--spec", "4 2 1 1e60 0"],
-                                  ["zeta", "--spec", "4 2 1 1e300 0", "--s", "2"]))
+                                  ["zeta", "--spec", "4 2 1 1e300 0", "--s", "2"],
+                                  ["spectrum", "--spec", "4 0 1 6.4e163 0", "--count", "24"],
+                                  ["zeta", "--spec", "4 0 1 6.4e163 0", "--s", "2"]))
 def test_turning_point_far_below_one_exit_three(capsys, argv):
     # the levels are found (not "below the potential minimum"), and the
-    # absolute tolerance on levels near 1e30 or 1e150 is out of reach
+    # absolute tolerance on levels near 1e30 or 1e150, or on levels that
+    # round onto a constant of 6.4e163, is out of reach
     code, out = run_cli(capsys, *argv)
     assert code == 3
     assert "tolerance" in _strict_json(out)["message"]
@@ -306,10 +324,15 @@ def _fuzz_spec(draw):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(spec=_fuzz_spec(), command=st.sampled_from(("spectrum", "zeta")),
-       s=st.sampled_from((1, 2, 3)), skew=st.booleans(), count=st.integers(1, 32))
-def test_cli_fuzz_exits_with_a_documented_code(spec, command, s, skew, count):
-    argv = [command, "--spec", spec, "--count", str(count)]
+@given(spec=_fuzz_spec(), command=st.sampled_from(("spectrum", "zeta", "det")),
+       s=st.sampled_from((1, 2, 3)), skew=st.booleans(), count=st.integers(1, 32),
+       shift=st.floats(-5.0, 5.0))
+def test_cli_fuzz_exits_with_a_documented_code(spec, command, s, skew, count, shift):
+    argv = [command, "--spec", spec]
+    if command == "det":
+        argv += ["--shift", repr(shift)]
+    else:
+        argv += ["--count", str(count)]
     if command == "zeta":
         argv += ["--s", str(s)] + (["--skew"] if skew else [])
     out, err = io.StringIO(), io.StringIO()
@@ -318,7 +341,8 @@ def test_cli_fuzz_exits_with_a_documented_code(spec, command, s, skew, count):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 1, 2, 3)
+    # 1 is reserved for failed verdicts, which none of these commands has
+    assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     if out.getvalue().startswith("{"):
         _strict_json(out.getvalue())

@@ -10,6 +10,7 @@ from oscdet import spectral
 from oscdet.cli import main
 from oscdet.errors import AccuracyError, DivergenceError, DomainError
 from oscdet.potential import PotentialSpec
+from oscdet.predictions import measure_point
 from oscdet.special_functions import CATALAN
 from oscdet.spectral import (
     det_ratio,
@@ -243,7 +244,8 @@ def test_zeta_full_tail_fraction_invariant():
 
 def parity_zeta(spec, parity, s, *, count, tol):
     """Plain partial sum over one parity sector (no tail model)."""
-    lam = eigenvalues(spec, count, tol).parity_values(parity)
+    lam = np.array([e.value for e in eigenvalues(spec, count, tol).entries
+                    if e.parity == parity])
     return float(np.sum(lam ** (-float(s))))
 
 
@@ -316,7 +318,8 @@ def test_zeta_from_det_on_small_g_partners(N, M, g):
 
 def test_zeta_from_det_one_shot_per_point(monkeypatch):
     # z1, zp1 and z2 of one point: one gauged and one plain sweep of the
-    # six-component sensitivity system, and nothing else
+    # six-component sensitivity system, and nothing else; measure_point reads
+    # its determinant from the same shot, with no two-component sweep
     sizes = []
     real = spectral.odeint
 
@@ -325,12 +328,29 @@ def test_zeta_from_det_one_shot_per_point(monkeypatch):
         return real(func, y0, t, **kwargs)
 
     monkeypatch.setattr(spectral, "odeint", counting)
-    spectral._log_det_jet.cache_clear()
+    spectral.det_jet.cache_clear()
     spec = PotentialSpec.trinomial(4, 2, 464.0)
     zeta_from_det(spec, 1)
     zeta_from_det(spec, 1, skew=True)
     zeta_from_det(spec, 2)
     assert sizes == [6, 6]
+
+    sizes.clear()
+    spectral.det_jet.cache_clear()
+    measure_point(4, 1e-3)
+    assert sizes == [6, 6]
+
+
+@pytest.mark.parametrize("N,g", [(4, 3e-4), (4, 1e-4), (6, 1e-4), (6, 1e-5)])
+def test_det_jet_determinant_matches_shooting_det(N, g):
+    # the six-component shot's determinant against the two-component shot
+    spec = PotentialSpec.trinomial(N, 2, g ** (-4.0 / (N + 2)))
+    jet, _, _ = spectral.det_jet(spec, 0.0)
+    shot = shooting_det(spec)
+    assert jet.log_abs_even == pytest.approx(shot.log_abs_even, rel=1e-9)
+    assert jet.log_abs_odd == pytest.approx(shot.log_abs_odd, rel=1e-9)
+    assert jet.log_abs_skew == pytest.approx(shot.log_abs_skew, abs=1e-9)
+    assert (jet.sign_even, jet.sign_odd) == (shot.sign_even, shot.sign_odd) == (1.0, 1.0)
 
 
 # --------------------------------------------------------------------------

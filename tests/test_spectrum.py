@@ -158,9 +158,6 @@ def test_err_est_positive_and_bounded():
 def test_count_cap():
     with pytest.raises(DomainError):
         eigenvalues(PotentialSpec.uncoupled(2, 1.0), 1000, 1e-6)
-    # explicit override allows more
-    res = eigenvalues(PotentialSpec.uncoupled(2, 1.0), 600, 1e-4, max_count=1024)
-    assert len(res) == 600
 
 
 def test_unreachable_tolerance_carries_best_estimate():
