@@ -35,7 +35,6 @@ from .potential import (
 )
 from .predictions import (
     PredictionReport,
-    VerifyConfig,
     predict_det_ratio_g,
     predict_Z1,
     verify,

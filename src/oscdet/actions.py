@@ -59,9 +59,9 @@ def binomial_action_s(u: float, v: float, N: float, M: float, s: float) -> float
     a_s = (M * (1.0 - 2.0 * s) + 2.0) / (2.0 * (N - M))
     b_s = (N * (1.0 - 2.0 * s) + 2.0) / (2.0 * (N - M))
     if _is_near_nonpositive_int(a_s):
-        raise PoleError(f"Gamma({a_s}) pole in the M-factor", factor="first")
+        raise PoleError(f"Gamma({a_s}) pole in the M-factor")
     if _is_near_nonpositive_int(-b_s):
-        raise PoleError(f"Gamma({-b_s}) pole in the N-factor", factor="second")
+        raise PoleError(f"Gamma({-b_s}) pole in the N-factor")
     if s - 0.5 <= 0.0 and (s - 0.5) == round(s - 0.5):
         return 0.0  # reciprocal Gamma zero
     l1, s1 = log_gamma(a_s)

@@ -2,7 +2,8 @@
 predictions, the verification harness, and the two figure datasets.
 
 All numeric output is emitted with repr round-tripping so repeated runs
-with the same configuration are byte-identical.
+with the same arguments are byte-identical.  ``verify`` and ``fig2`` take
+a coupling grid and nothing else that changes what is measured.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -21,13 +21,7 @@ from .actions import binomial_action, improper_action, trinomial_action_asymptot
 from .errors import AccuracyError, DivergenceError, DomainError, TailPreconditionError
 from .mellin import contributing_poles, enumerate_poles
 from .potential import PotentialSpec, symanzik_map
-from .predictions import (
-    VerifyConfig,
-    fig2_rows,
-    predict_det_ratio_g,
-    predict_Z1,
-    verify,
-)
+from .predictions import GRID, fig2_rows, predict_det_ratio_g, predict_Z1, verify
 from .spectral import (
     harmonic_det,
     harmonic_zeta_full,
@@ -209,35 +203,17 @@ def cmd_predict(args):
     return 0
 
 
-def _config_from_args(args) -> VerifyConfig:
-    cfg = VerifyConfig.from_file(args.config) if args.config else VerifyConfig()
-    if args.grid and args.grid != "default":
-        try:
-            grid = tuple(float(x) for x in args.grid.split(","))
-        except ValueError as exc:
-            raise DomainError(f"bad --grid value: {exc}") from exc
-        cfg = replace(cfg, grid=grid)
-    if args.jobs != 1:
-        cfg = replace(cfg, jobs=args.jobs)
-    return cfg
-
-
-def _family_N(args) -> int:
-    """Accept either --N or the documented --family M,N form (M must be 2)."""
-    if getattr(args, "family", None):
-        try:
-            M, N = (int(x) for x in args.family.split(","))
-        except ValueError as exc:
-            raise DomainError(f"bad --family value: {exc}") from exc
-        if M != 2:
-            raise DomainError("the verification families are q^2 + g q^N (M = 2)")
-        return N
-    return args.N
+def _grid_from_args(args) -> tuple[float, ...]:
+    if not args.grid or args.grid == "default":
+        return GRID
+    try:
+        return tuple(float(x) for x in args.grid.split(","))
+    except ValueError as exc:
+        raise DomainError(f"bad --grid value: {exc}") from exc
 
 
 def cmd_verify(args):
-    cfg = _config_from_args(args)
-    report = verify(_family_N(args), cfg)
+    report = verify(args.N, _grid_from_args(args))
     if args.format == "csv":
         _emit_rows(report.to_csv_rows(), _out_path(args, "verify.csv"))
     else:
@@ -246,7 +222,7 @@ def cmd_verify(args):
 
 
 def cmd_fig2(args):
-    cfg = _config_from_args(args)
+    grid = _grid_from_args(args)
     outdir = args.outdir or os.environ.get(_OUTDIR_ENV) or "."
     os.makedirs(outdir, exist_ok=True)
     try:
@@ -254,7 +230,7 @@ def cmd_fig2(args):
     except ValueError as exc:
         raise DomainError(f"bad --families value: {exc}") from exc
     paths = [os.path.join(outdir, name) for name in ("fig2_left.csv", "fig2_right.csv")]
-    for path, rows in zip(paths, fig2_rows(families, cfg)):
+    for path, rows in zip(paths, fig2_rows(families, grid)):
         with open(path, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
     for path in paths:
@@ -321,19 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the prediction-vs-numerics harness")
     p.add_argument("--N", type=int, default=4)
-    p.add_argument("--family", help="M,N pair; equivalent to --N with M = 2")
     p.add_argument("--grid", help="comma-separated couplings, or 'default'")
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fig2", help="emit both figure datasets as CSV")
     p.add_argument("--families", default="4,6")
-    p.add_argument("--grid", help="comma-separated couplings")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--grid", help="comma-separated couplings, or 'default'")
     p.add_argument("--outdir")
     p.set_defaults(func=cmd_fig2)
 

@@ -8,10 +8,6 @@ class DomainError(ValueError):
 class PoleError(DomainError):
     """A closed-form expression was requested exactly at one of its poles."""
 
-    def __init__(self, message, factor=None):
-        super().__init__(message)
-        self.factor = factor
-
 
 class TailPreconditionError(ValueError):
     """The large-q series is not yet decreasing at the requested point.

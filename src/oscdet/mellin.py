@@ -3,10 +3,10 @@
 The transform of int_0^inf (q^N + v q^M + lam)^{1/2-s} dq in the coupling v
 is a ratio of three Gamma factors; its poles form three arithmetic
 progressions whose residues encode the large-v expansion.  This module
-enumerates the progressions in exact rational arithmetic, applies the two
-selection rules that keep only non-vanishing contributions as the
-perturbative coupling goes to zero, and evaluates the residue contributions
-independently of the action_integrals closed forms.
+enumerates the progressions in exact rational arithmetic, names the two
+poles that survive the selection rules (the non-vanishing contributions as
+the perturbative coupling goes to zero), and evaluates the residue
+contributions independently of the action_integrals closed forms.
 """
 
 from __future__ import annotations
@@ -83,17 +83,6 @@ def _raw_pole(N: int, M: int, source: str, n: int) -> tuple[Fraction, bool]:
         return Fraction(-(n * N + 1), M), False
     mu = Fraction(1, 2) + Fraction(1, N)
     return Fraction(N, N - M) * (mu - n), True
-
-
-def satisfies_selection(pole: MellinPole, N: int, M: int) -> bool:
-    """sigma(s) < 0 on the convergence side and d_g <= 0 at s = 0.
-
-    Mobile poles run to -infinity as s grows, so they always pass the first
-    rule; fixed poles pass it only when they sit left of the contour.
-    """
-    if not pole.mobile and pole.sigma0 >= 0:
-        return False
-    return pole.sigma0 >= Fraction(-1, M)
 
 
 def enumerate_poles(N: int, M: int, window=(-3, 3)) -> list[MellinPole]:

@@ -4,14 +4,15 @@ Predictions assemble the closed large-v forms of the determinant
 prefactors and the small-g law for the resolvent trace; the harness
 measures the same quantities from raw numerics (shooting determinants on
 the rescaled side, eigenvalue sums on the direct side) over a decreasing
-coupling grid and grades the residual trends.
+coupling grid and grades the residual trends.  The grid is the only input
+besides the family; the verdict thresholds are fixed module constants.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .actions import binomial_action
 from .errors import DomainError
@@ -25,55 +26,23 @@ _LOG_SQRT2 = 0.5 * math.log(2.0)
 _HARMONIC0 = harmonic_det(1.0, 0.0)
 _HARMONIC_SKEW0 = _HARMONIC0.log_abs_skew
 
+GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)   # default couplings
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Frozen thresholds for the pass/fail verdicts (calibrated once)."""
+# frozen thresholds for the pass/fail verdicts (calibrated once)
+_Z1_ABS_MAX = 0.05          # |Z_g(1) - prediction| at the smallest g
+_SLOPE_REL_MAX = 0.02       # E-slope relative deviation at _SLOPE_CHECK_G
+_SLOPE_CHECK_G = 1e-3
+_ROUTE_FLAG_TOL = 1e-4      # shooting vs product-determinant discrepancy
 
-    grid: tuple[float, ...] = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
-    z1_abs_max: float = 0.05          # |Z_g(1) - prediction| at the smallest g
-    slope_rel_max: float = 0.02       # E-slope relative deviation at slope_check_g
-    slope_check_g: float = 1e-3
-    route_flag_tol: float = 1e-4      # shooting vs product-determinant discrepancy
-    spectrum_count: int = 256
-    spectrum_tol: float = 1e-6
-    jobs: int = 1
 
-    def __post_init__(self):
-        if not self.grid or not all(math.isfinite(g) and g > 0.0 for g in self.grid):
-            raise DomainError("grid couplings must be positive and finite")
-        if self.spectrum_count < 1:
-            raise DomainError("spectrum_count must be at least 1")
-        if not (math.isfinite(self.spectrum_tol) and self.spectrum_tol > 0.0):
-            raise DomainError("spectrum_tol must be positive and finite")
-        if self.jobs < 1:
-            raise DomainError("jobs must be at least 1")
-
-    @staticmethod
-    def from_file(path) -> "VerifyConfig":
-        """key=value overrides, '#' comments allowed."""
-        known = {f.name for f in fields(VerifyConfig)}
-        overrides = {}
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if key not in known:
-                    raise DomainError(f"unknown config key {key!r} in {path}")
-                try:
-                    if key == "grid":
-                        overrides[key] = tuple(float(x) for x in value.split(","))
-                    elif key in ("spectrum_count", "jobs"):
-                        overrides[key] = int(value)
-                    else:
-                        overrides[key] = float(value)
-                except ValueError as exc:
-                    raise DomainError(f"bad value for config key {key!r}: {exc}") from exc
-        return VerifyConfig(**overrides)
+def _check_grid(grid) -> list[float]:
+    """The couplings largest first; each must be positive, finite and
+    distinct (the trend verdicts are strict)."""
+    if not grid or not all(math.isfinite(g) and g > 0.0 for g in grid):
+        raise DomainError("grid couplings must be positive and finite")
+    if len(set(grid)) != len(grid):
+        raise DomainError("grid couplings must be distinct")
+    return sorted(grid, reverse=True)
 
 
 def predict_det_ratio_g(N: int, M: int, g: float, E: float) -> float:
@@ -204,7 +173,7 @@ class PredictionReport:
             yield row
 
 
-def verify(N: int, config: VerifyConfig | None = None) -> PredictionReport:
+def verify(N: int, grid=GRID) -> PredictionReport:
     """Run the full comparison for the family q^2 + g q^N.
 
     Measures each grid point, forms residuals against the closed
@@ -212,9 +181,8 @@ def verify(N: int, config: VerifyConfig | None = None) -> PredictionReport:
     residual with a final absolute gate, monotone regular limits, and the
     determinant-ratio slope/value trends.
     """
-    cfg = config or VerifyConfig()
-    grid = sorted(cfg.grid, reverse=True)
-    points = measure_grid(N, cfg)
+    grid = _check_grid(grid)
+    points = measure_grid(N, grid)
 
     predicted = {
         "z1": [predict_Z1(N, g) for g in grid],
@@ -239,27 +207,27 @@ def verify(N: int, config: VerifyConfig | None = None) -> PredictionReport:
 
     abs_z1 = [abs(r) for r in residuals["z1"]]
     slope_rel = [abs(r / q) for r, q in zip(residuals["slope"], predicted["slope"])]
-    islope = min(range(len(grid)), key=lambda i: abs(grid[i] - cfg.slope_check_g))
+    islope = min(range(len(grid)), key=lambda i: abs(grid[i] - _SLOPE_CHECK_G))
     ratio_g = [abs(r) * g for r, g in zip(residuals["ratio0"], grid)]
 
     verdicts = {
         "z1_monotone": _monotone_decreasing(abs_z1),
-        "z1_final": abs_z1[-1] <= cfg.z1_abs_max,
+        "z1_final": abs_z1[-1] <= _Z1_ABS_MAX,
         "zp1_regular": _monotone_decreasing([abs(r) for r in residuals["zp1"]]),
         "z2_regular": _monotone_decreasing([abs(r) for r in residuals["z2"]]),
         "zp2_regular": _monotone_decreasing([abs(r) for r in residuals["zp2"]]),
         "skew_det_stable": _monotone_decreasing([abs(r) for r in residuals["skew_ratio0"]]),
         "slope_trend": (_monotone_decreasing(slope_rel[:islope + 1])
-                        and slope_rel[islope] <= cfg.slope_rel_max),
+                        and slope_rel[islope] <= _SLOPE_REL_MAX),
         "ratio0_trend": _monotone_decreasing(ratio_g),
     }
 
     notes = []
     for p in points:
-        if abs(p.zp1_det - p.zp1) > cfg.route_flag_tol:
+        if abs(p.zp1_det - p.zp1) > _ROUTE_FLAG_TOL:
             notes.append(f"g={p.g:g}: skew-zeta route discrepancy "
                          f"{abs(p.zp1_det - p.zp1):.2e}")
-        if abs(p.z2_det - p.z2) > cfg.route_flag_tol:
+        if abs(p.z2_det - p.z2) > _ROUTE_FLAG_TOL:
             notes.append(f"g={p.g:g}: s=2 zeta route discrepancy "
                          f"{abs(p.z2_det - p.z2):.2e}")
 
@@ -268,36 +236,24 @@ def verify(N: int, config: VerifyConfig | None = None) -> PredictionReport:
                             verdicts=verdicts, notes=notes)
 
 
-def measure_grid(N: int, config: VerifyConfig) -> list[PointMeasurement]:
-    """measure_point at every coupling of the grid, largest first; ``jobs``
-    worker processes when above one, with results in grid order."""
-    args = [(N, g, config.spectrum_count, config.spectrum_tol)
-            for g in sorted(config.grid, reverse=True)]
-    if config.jobs == 1:
-        return [_measure_for_pool(a) for a in args]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(_measure_for_pool, args))
-
-
-def _measure_for_pool(args):
-    N, g, count, tol = args
-    return measure_point(N, g, count=count, tol=tol)
+def measure_grid(N: int, grid) -> list[PointMeasurement]:
+    """measure_point at every coupling of the grid, largest first."""
+    return [measure_point(N, g) for g in _check_grid(grid)]
 
 
 # --------------------------------------------------------------------------
 # Fig. 2 datasets
 # --------------------------------------------------------------------------
 
-def fig2_rows(families=(4, 6), config: VerifyConfig | None = None):
+def fig2_rows(families=(4, 6), grid=GRID):
     """Rows of both Fig. 2 datasets, header first, from one measurement of
     each (N, g): family,N,g,v,inv_v,ZP1,Z2,ZP2 (left) and
     family,N,g,log_g,Z1,Z1_predicted (right)."""
-    cfg = config or VerifyConfig()
+    grid = _check_grid(grid)
     left = [["family", "N", "g", "v", "inv_v", "ZP1", "Z2", "ZP2"]]
     right = [["family", "N", "g", "log_g", "Z1", "Z1_predicted"]]
     for N in families:
-        for p in measure_grid(N, cfg):
+        for p in measure_grid(N, grid):
             left.append([f"q2+gq{N}", str(N), repr(p.g), repr(p.v), repr(1.0 / p.v),
                          repr(p.zp1), repr(p.z2), repr(p.zp2)])
             right.append([f"q2+gq{N}", str(N), repr(p.g), repr(math.log(p.g)),

@@ -14,7 +14,7 @@ import pytest
 from oscdet.actions import binomial_action, choose_split_point, improper_action
 from oscdet.mellin import asymptotic_total, contributing_poles
 from oscdet.potential import PotentialSpec, symanzik_map
-from oscdet.predictions import VerifyConfig, verify
+from oscdet.predictions import verify
 from oscdet.special_functions import CATALAN
 from oscdet.spectral import (
     harmonic_det,
@@ -37,7 +37,7 @@ def verify_reports():
     reports = {}
     for N in (4, 6):
         t0 = time.perf_counter()
-        reports[N] = (verify(N, VerifyConfig()), time.perf_counter() - t0)
+        reports[N] = (verify(N), time.perf_counter() - t0)
     return reports
 
 

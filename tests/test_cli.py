@@ -187,9 +187,6 @@ def test_domain_error_exit_two(capsys):
         main(["spectrum", "--spec", "3 2 1.0 1.0 0.0"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--family", "4,2"])   # M must be 2
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
         main(["verify", "--grid", "abc"])
     assert exc.value.code == 2
 
@@ -213,38 +210,25 @@ def test_nonpositive_tolerance_exit_two(capsys):
         _exit_two_without_traceback(capsys, "spectrum", "--spec", "4 0 1 0 0", "--tol", tol)
 
 
-def test_unknown_config_key_exit_two(tmp_path, capsys):
-    config = tmp_path / "verify.cfg"
-    config.write_text("# thresholds\nspectrum_cout = 64\n")
-    err = _exit_two_without_traceback(capsys, "verify", "--config", str(config))
-    assert "spectrum_cout" in err
-
-
-@pytest.mark.parametrize("command, config", [
+@pytest.mark.parametrize("command, message", [
     ("fig2 --families 4,x", ""),
-    ("fig2 --jobs 0", ""),
-    ("verify --jobs 0", ""),
     ("verify --grid 0.1,-1", ""),
     ("verify --grid 0.1,0", ""),
     ("verify --grid 0.1,nan", ""),
     ("verify --grid 0.1,inf", ""),
-    ("verify --config {}", "spectrum_count = 0"),
-    ("verify --config {}", "spectrum_tol = 0"),
-    ("verify --config {}", "spectrum_tol = nan"),
-    ("verify --config {}", "jobs = 0"),
-    ("fig2 --config {}", "grid = 1e-1, -1e-2"),
+    ("verify --grid 1e-2,1e-2", "distinct"),
+    ("verify --grid 1e-2,1e-3,1e-2", "distinct"),
+    ("fig2 --grid 1e-2,1e-2", "distinct"),
+    ("fig2 --grid 1e-1,-1e-2", "positive"),
 ])
-def test_bad_verify_input_exit_two_before_measuring(command, config, tmp_path, capsys,
-                                                    monkeypatch):
+def test_bad_verify_input_exit_two_before_measuring(command, message, capsys, monkeypatch):
     import oscdet.predictions as predictions
 
     def refuse(*args, **kwargs):
         raise AssertionError("a point was measured before the input was checked")
 
     monkeypatch.setattr(predictions, "measure_point", refuse)
-    path = tmp_path / "verify.cfg"
-    path.write_text(config + "\n")
-    _exit_two_without_traceback(capsys, *command.format(path).split())
+    assert message in _exit_two_without_traceback(capsys, *command.split())
 
 
 def test_fig2_measures_each_point_once(tmp_path, capsys, monkeypatch):
@@ -265,14 +249,6 @@ def test_fig2_measures_each_point_once(tmp_path, capsys, monkeypatch):
     assert sorted(calls) == [(4, 3e-2), (4, 1e-1), (6, 3e-2), (6, 1e-1)]
     right = (tmp_path / "fig2_right.csv").read_text().splitlines()
     assert right[1] == f"q2+gq4,4,0.1,{math.log(0.1)!r},1.0,{predict_Z1(4, 0.1)!r}"
-
-
-def test_verify_family_alias(capsys):
-    code, out = run_cli(capsys, "verify", "--family", "2,4",
-                        "--grid", "1e-1,3e-2,1e-2")
-    assert code in (0, 1)
-    payload = json.loads(out)
-    assert payload["family"] == {"N": 4, "M": 2}
 
 
 def test_output_file_and_determinism(tmp_path, capsys):
@@ -346,3 +322,29 @@ def test_cli_fuzz_exits_with_a_documented_code(spec, command, s, skew, count, sh
     assert "Traceback" not in err.getvalue()
     if out.getvalue().startswith("{"):
         _strict_json(out.getvalue())
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    # every `oscdet ...` line of README's CLI block, with fig2 writing to tmp_path
+    import re
+    import shlex
+    from pathlib import Path
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    outputs = {}
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)[1:]
+        if argv[0] == "fig2":
+            argv[argv.index("--outdir") + 1] = str(tmp_path)
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, line
+        outputs[line.split("#")[0].strip()] = out
+    assert len(outputs) == 10
+    assert json.loads(outputs["oscdet action   --N 4 --M 2 --u 1 --v 1"])["value"] == \
+        pytest.approx(-1.0 / 3.0, rel=1e-12)
+    assert json.loads(outputs['oscdet det      --spec "2 0 1.0 0.0 0.0"'])["value"]["full"] == \
+        pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert json.loads(outputs["oscdet zeta     --harmonic --s 2"])["value"] == \
+        pytest.approx(math.pi**2 / 8.0, rel=1e-12)
+    assert (tmp_path / "fig2_left.csv").exists() and (tmp_path / "fig2_right.csv").exists()

@@ -7,11 +7,11 @@ from oscdet.mellin import (
     FIRST,
     SECOND,
     THIRD,
+    MellinPole,
     assemble_asymptotics,
     asymptotic_total,
     contributing_poles,
     enumerate_poles,
-    satisfies_selection,
 )
 
 
@@ -64,6 +64,17 @@ def test_contributing_flags():
     leading, subleading = contributing_poles(8, 4)
     assert not leading.is_confluent
     assert not subleading.is_confluent
+
+
+def satisfies_selection(pole: MellinPole, N: int, M: int) -> bool:
+    """sigma(s) < 0 on the convergence side and d_g <= 0 at s = 0.
+
+    Mobile poles run to -infinity as s grows, so they always pass the first
+    rule; fixed poles pass it only when they sit left of the contour.
+    """
+    if not pole.mobile and pole.sigma0 >= 0:
+        return False
+    return pole.sigma0 >= Fraction(-1, M)
 
 
 def test_selection_scan_exactly_two_locations():

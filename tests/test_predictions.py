@@ -6,7 +6,6 @@ from oscdet.actions import binomial_action
 from oscdet.errors import DomainError
 from oscdet.potential import symanzik_map
 from oscdet.predictions import (
-    VerifyConfig,
     measure_point,
     predict_det_ratio_g,
     predict_Z1,
@@ -79,9 +78,7 @@ def test_measure_point_routes_consistent():
 
 
 def test_verify_truncated_grid_structure():
-    cfg = VerifyConfig(grid=(1e-1, 3e-2, 1e-2), spectrum_count=128,
-                       spectrum_tol=1e-6)
-    report = verify(4, cfg)
+    report = verify(4, (1e-1, 3e-2, 1e-2))
     assert report.family == (4, 2)
     assert report.grid == [1e-1, 3e-2, 1e-2]
     for key in ("z1", "zp1", "z2", "zp2", "slope", "ratio0", "skew_ratio0"):
@@ -103,14 +100,3 @@ def test_verify_truncated_grid_structure():
     rows = list(report.to_csv_rows())
     assert rows[0][0] == "g"
     assert len(rows) == 4
-
-
-def test_verify_config_file_round_trip(tmp_path):
-    path = tmp_path / "cfg"
-    path.write_text("# comment\ngrid = 1e-1, 1e-2\nz1_abs_max = 0.07\n"
-                    "spectrum_count = 64\n")
-    cfg = VerifyConfig.from_file(path)
-    assert cfg.grid == (1e-1, 1e-2)
-    assert cfg.z1_abs_max == 0.07
-    assert cfg.spectrum_count == 64
-    assert cfg.slope_rel_max == 0.02  # untouched default

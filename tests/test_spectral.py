@@ -64,6 +64,24 @@ def test_harmonic_scaling_identity():
             assert direct.log_abs_skew == pytest.approx(mapped.log_abs_skew, abs=1e-12)
 
 
+@pytest.mark.parametrize("v", [0.25, 1.0, 4.0])
+def test_harmonic_det_against_mpmath(v):
+    # log det of the ladder sqrt(v)(4k + a + w) is -d/ds of its zeta at s = 0:
+    # log(4 sqrt v) zeta_H(0, x) - zeta_H'(0, x), x = (a + w)/4; 50 digits
+    # beyond the x log x size of the logs, so the oracle skew keeps them all
+    r = math.sqrt(v)
+    for lam in (-0.9 * r, -0.5 * r, 0.0, 0.3 * r, 1.0, 3.0, 10.0, 38 * r, 39 * r,
+                40 * r, 1e2, 1e3, 1e5, 1e7, 1e10, 1e14, 1e17, 1e30, 1e60, 1e124):
+        got = harmonic_det(v, lam)
+        with mp.workdps(50 + max(0, int(math.log10(abs(lam) + 1.0)))):
+            base = mp.log(4 * mp.sqrt(v))
+            even, odd = (base * mp.zeta(0, x) - mp.zeta(0, x, 1)
+                         for x in ((a + mp.mpf(lam) / mp.sqrt(v)) / 4 for a in (1, 3)))
+            for value, want in ((got.log_abs_even, even), (got.log_abs_odd, odd),
+                                (got.log_abs_skew, even - odd)):
+                assert abs(value - want) <= 1e-13 * abs(want), (v, lam, value, want)
+
+
 # --------------------------------------------------------------------------
 # shooting determinants
 # --------------------------------------------------------------------------
