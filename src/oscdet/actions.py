@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import DomainError, PoleError, TailPreconditionError
+from .errors import AccuracyError, DomainError, PoleError, TailPreconditionError
 from .potential import (
     PotentialSpec,
     beta_coefficients,
@@ -95,6 +95,7 @@ def binomial_action(u: float, v: float, N: float, M: float) -> ActionValue:
 
     Dispatches on (N+2)/(2(N-M)): the Eulerian closed form when it is not a
     positive integer, the anomalous finite-part form at level j otherwise.
+    A value beyond double range raises AccuracyError.
     """
     if not (N > M >= 0):
         raise DomainError("need N > M >= 0")
@@ -102,9 +103,17 @@ def binomial_action(u: float, v: float, N: float, M: float) -> ActionValue:
         raise DomainError("need u, v > 0")
     jr = (N + 2.0) / (2.0 * (N - M))
     j = round(jr)
-    if abs(jr - j) < 1e-9 and j >= 1:
-        return anomalous_binomial_action(u, v, N, M, j)
-    return ActionValue(binomial_action_s(u, v, N, M, 0.0), "closed-normal", None, Jet1.zero())
+    try:
+        if abs(jr - j) < 1e-9 and j >= 1:
+            action = anomalous_binomial_action(u, v, N, M, j)
+        else:
+            action = ActionValue(binomial_action_s(u, v, N, M, 0.0), "closed-normal", None,
+                                 Jet1.zero())
+    except OverflowError:
+        action = None
+    if action is None or not math.isfinite(action.value):
+        raise AccuracyError(f"the action of {u!r} q^{N} + {v!r} q^{M} is beyond double range")
+    return action
 
 
 def _suggest_tail_point(spec: PotentialSpec, target: float) -> float:
@@ -181,14 +190,20 @@ def choose_split_point(spec: PotentialSpec) -> float:
 def improper_action(spec: PotentialSpec, tol: float = 1e-9,
                     split_q: float | None = None) -> ActionValue:
     """int_0^inf Pi dq = quadrature on [0, Q] + regularized tail from Q,
-    each to tol / 10."""
+    each to tol / 10.  A value, or a Pi on the way, beyond double range
+    raises AccuracyError."""
     _check_positive_momentum(spec)
-    q_split = choose_split_point(spec) if split_q is None else split_q
-    head, _ = quad(_momentum(spec), 0.0, q_split,
-                   epsabs=tol / 10.0, epsrel=1e-12, limit=200)
-    tail = adaptive_tail(spec, q_split, tol / 10.0)
+    try:
+        q_split = choose_split_point(spec) if split_q is None else split_q
+        head, _ = quad(_momentum(spec), 0.0, q_split,
+                       epsabs=tol / 10.0, epsrel=1e-12, limit=200)
+        value = head + adaptive_tail(spec, q_split, tol / 10.0)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise AccuracyError(f"the action of {spec.to_text()!r} is beyond double range")
     residue = beta_coefficients(spec, -1).residue()
-    return ActionValue(head + tail, "numeric-regularized", None, residue)
+    return ActionValue(value, "numeric-regularized", None, residue)
 
 
 def level_one_log_correction(lam: float, v: float) -> float:

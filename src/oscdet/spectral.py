@@ -222,6 +222,7 @@ def _shoot(work: PotentialSpec, order: int):
     uu, vv, cc, NN, MM = work.u, work.v, work.lam, work.N, work.M
 
     def rhs_gauged(q, y):
+        y = y.tolist()   # Python floats index and unpack faster than numpy scalars
         p = uu * q**NN + vv * q**MM + cc
         root = math.sqrt(p)
         dp = NN * uu * q ** (NN - 1) + (MM * vv * q ** (MM - 1) if MM > 0 else 0.0)
@@ -239,6 +240,7 @@ def _shoot(work: PotentialSpec, order: int):
                 s2 + r2 * a + 2.0 * r1 * a1 + r * a2, s2 - r2 * bh - 2.0 * r1 * bh1 - r * bh2)
 
     def rhs_plain(q, y):
+        y = y.tolist()
         p = uu * q**NN + vv * q**MM + cc
         if not order:
             return y[1], p * y[0]

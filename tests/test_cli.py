@@ -220,6 +220,9 @@ def test_nonpositive_tolerance_exit_two(capsys):
     ("verify --grid 1e-2,1e-3,1e-2", "distinct"),
     ("fig2 --grid 1e-2,1e-2", "distinct"),
     ("fig2 --grid 1e-1,-1e-2", "positive"),
+    ("fig2 --families 4,3 --grid 1e-2,1e-3", "N=3"),
+    ("fig2 --families 6,2 --grid 1e-2,1e-3", "M=2"),
+    ("verify --N 5 --grid 1e-2,1e-3", "N=5"),
 ])
 def test_bad_verify_input_exit_two_before_measuring(command, message, capsys, monkeypatch):
     import oscdet.predictions as predictions
@@ -289,6 +292,14 @@ def test_turning_point_far_below_one_exit_three(capsys, argv):
     assert "tolerance" in _strict_json(out)["message"]
 
 
+@pytest.mark.parametrize("method", ("closed", "numeric", "asymptotic"))
+def test_action_beyond_double_range_exit_three(capsys, method):
+    # -v^(3/2)/3 at v = 1e300 is beyond double range
+    code, out = run_cli(capsys, "action", "--spec", "4 2 1 1e300 0", "--method", method)
+    assert code == 3
+    assert "double range" in _strict_json(out)["message"]
+
+
 @st.composite
 def _fuzz_spec(draw):
     N = draw(st.sampled_from(range(2, 11, 2)))
@@ -300,17 +311,26 @@ def _fuzz_spec(draw):
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(spec=_fuzz_spec(), command=st.sampled_from(("spectrum", "zeta", "det")),
+@given(spec=_fuzz_spec(),
+       command=st.sampled_from(("spectrum", "zeta", "det", "action", "poles", "predict")),
        s=st.sampled_from((1, 2, 3)), skew=st.booleans(), count=st.integers(1, 32),
-       shift=st.floats(-5.0, 5.0))
-def test_cli_fuzz_exits_with_a_documented_code(spec, command, s, skew, count, shift):
-    argv = [command, "--spec", spec]
+       shift=st.floats(-5.0, 5.0), method=st.sampled_from(("closed", "numeric", "asymptotic")))
+def test_cli_fuzz_exits_with_a_documented_code(spec, command, s, skew, count, shift, method):
+    N, M, u, _, lam = spec.split()
+    if command == "poles":
+        argv = [command, "--N", N, "--M", M]
+    elif command == "predict":
+        argv = [command, "--N", N, "--g", u, "--E", lam]
+    else:
+        argv = [command, "--spec", spec]
     if command == "det":
         argv += ["--shift", repr(shift)]
-    else:
+    elif command in ("spectrum", "zeta"):
         argv += ["--count", str(count)]
     if command == "zeta":
         argv += ["--s", str(s)] + (["--skew"] if skew else [])
+    if command == "action":
+        argv += ["--method", method]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -77,6 +77,16 @@ def test_measure_point_routes_consistent():
     assert p.slope == pytest.approx(-p.z1 + 0.5 * (EULER_GAMMA + LOG2), abs=1e-12)
 
 
+@pytest.mark.parametrize("N", (4, 6))
+@pytest.mark.parametrize("g", (1e-1, 1e-4))
+def test_measure_point_default_count_matches_512_levels(N, g):
+    # the second-order Bohr-Sommerfeld tail of Z(2) carries levels 64 and up
+    low, high = measure_point(N, g, count=64), measure_point(N, g, count=512)
+    assert low.z2 == pytest.approx(high.z2, abs=1e-10)
+    assert low.zp1 == pytest.approx(high.zp1, abs=1e-13)
+    assert low.zp2 == pytest.approx(high.zp2, abs=1e-13)
+
+
 def test_verify_truncated_grid_structure():
     report = verify(4, (1e-1, 3e-2, 1e-2))
     assert report.family == (4, 2)

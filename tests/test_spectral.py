@@ -171,6 +171,16 @@ def test_shooting_matches_product_ratios():
             assert shoot == pytest.approx(product, rel=1e-5), (spec, lam)
 
 
+@pytest.mark.parametrize("spec", (PotentialSpec.uncoupled(6, 1.0), PotentialSpec.trinomial(4, 2, 1.0)))
+def test_det_ratio_tail_matches_shooting_to_1e8(spec):
+    # with the second-order level count and the -F'(K)/12 end term the product
+    # route agrees with shooting far below the 1e-5 of the test above
+    d0 = shooting_det(spec, 0.0)
+    for lam in (0.5, 1.0, 2.0):
+        shoot = math.exp(shooting_det(spec, lam).log_abs_full - d0.log_abs_full)
+        assert det_ratio(spec, lam, count=256) == pytest.approx(shoot, rel=1e-8), lam
+
+
 def test_skew_ratio_routes_agree():
     spec = PotentialSpec.uncoupled(4, 1.0)
     d0 = shooting_det(spec, 0.0)
@@ -286,6 +296,13 @@ def test_zeta_from_det_matches_zeta_full():
         z_det = zeta_from_det(spec, s, 0.0)
         z_sum = zeta_full(spec, s, 0.0)
         assert z_det.value == pytest.approx(z_sum.value, abs=1e-5), (spec, s)
+
+
+def test_zeta_full_at_eight_levels_matches_zeta_from_det():
+    # 8 levels of q^4 and a Bohr-Sommerfeld tail that carries 0.4% of Z(2)
+    spec = PotentialSpec.uncoupled(4, 1.0)
+    z_sum = zeta_full(spec, 2, count=8)
+    assert z_sum.value == pytest.approx(zeta_from_det(spec, 2).value, abs=1e-7)
 
 
 def test_zeta_from_det_skew_matches_accelerated_sum():

@@ -141,6 +141,22 @@ def test_bs_level_with_a_turning_point_far_below_one(v):
                                                                         rel=1e-9)
 
 
+def test_bs_level_second_order_against_ritz():
+    # Dunham's second-order count: level 63 of q^4 to 1.7e-10 (8.8e-6 at first order)
+    spec = PotentialSpec.uncoupled(4, 1.0)
+    ritz = eigenvalues(spec, 64, 1e-9).values()[63]
+    assert bs_level(spec, 63) == pytest.approx(ritz, rel=1e-9)
+
+
+@pytest.mark.parametrize("v", (1e-3, 1.0, 7.5))
+def test_bs_level_exact_for_harmonic(v):
+    # the second-order term vanishes for V'' constant
+    for spec in (PotentialSpec.uncoupled(2, v, 0.3), PotentialSpec(2, 0, v, 4.0, 0.0)):
+        for k in (1, 2, 17, 64, 513):
+            want = math.sqrt(v) * (2 * k + 1) + spec.value(0.0)
+            assert bs_level(spec, k) == pytest.approx(want, rel=1e-12)
+
+
 def test_monotone_in_coupling():
     values = []
     for v in (0.5, 1.0, 2.0, 4.0):
