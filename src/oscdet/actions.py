@@ -179,12 +179,15 @@ def choose_split_point(spec: PotentialSpec) -> float:
 
     Head and tail cancel and each grows like q^{N/2+1}, so a larger q loses
     digits: for q^10 + 100 q^8 at x = 0.05 (q = 44.7) each is 1.4e9 and
-    their sum misses the closed form by 5e-7.
+    their sum misses the closed form by 5e-7.  A root bracket beyond double
+    range raises AccuracyError.
     """
     if expansion_parameter(spec, 1.0) <= 0.2:
         return 1.0
-    return brentq(lambda q: expansion_parameter(spec, q) - 0.2,
-                  1.0, _suggest_tail_point(spec, 0.2))
+    q_hi = _suggest_tail_point(spec, 0.2)
+    if not math.isfinite(q_hi):
+        raise AccuracyError(f"the tail point of {spec.to_text()!r} is beyond double range")
+    return brentq(lambda q: expansion_parameter(spec, q) - 0.2, 1.0, q_hi)
 
 
 def improper_action(spec: PotentialSpec, tol: float = 1e-9,

@@ -59,6 +59,14 @@ class PotentialSpec:
             out += self.M * (self.M - 1) * self.v * q ** (self.M - 2)
         return out
 
+    def deriv3(self, q):
+        out = 0.0
+        if self.N > 2:
+            out += self.N * (self.N - 1) * (self.N - 2) * self.u * q ** (self.N - 3)
+        if self.M > 2:
+            out += self.M * (self.M - 1) * (self.M - 2) * self.v * q ** (self.M - 3)
+        return out
+
     def with_shift(self, dlam: float) -> "PotentialSpec":
         return replace(self, lam=self.lam + dlam)
 

@@ -12,8 +12,12 @@ Both components stay O(1) all the way down, nodes of Psi pass through
 A = 0 with their sign intact, and the boundary data at the origin are the
 parity determinants.  The other mode decays in the gauge at rate 2 sqrt(P),
 so the system is stiff where P is large; scipy's LSODA (``odeint``) switches
-to its BDF branch there, and its steps follow how fast P varies rather than
-1/sqrt(P) (Petzold, SIAM J. Sci. Stat. Comput. 4 (1983) 136).
+to its BDF branch there, with the system's exact Jacobian, and its steps
+follow how fast P varies rather than 1/sqrt(P) (Petzold, SIAM J. Sci. Stat.
+Comput. 4 (1983) 136).  The sweep starts from the WKB series through third
+order; the odd orders are total derivatives (Voros, Ann. Inst. H. Poincare
+A 39 (1983) 211), so the third costs no quadrature, and it lets the sweep
+start twice as near the origin, inside the stiff regime.
 
 Zeta values at s = 1, 2 are mu-derivatives of log det(H + mu).  They come
 from one shot of the sensitivity equations: the first and second
@@ -131,21 +135,24 @@ class ZetaValue:
 # --------------------------------------------------------------------------
 
 def _wkb_next_correction(work: PotentialSpec, q: float) -> float:
-    """Bound on w2/Pi, the relative size of the second log-derivative
-    correction: the magnitudes of the two terms of w2 are added, so the
-    bound does not vanish where the terms cancel."""
+    """Bound on |y3|/Pi, the relative size of the last log-derivative
+    correction of the start: the magnitudes of the three terms of y3 are
+    added, so the bound does not vanish where the terms cancel."""
     p = work.value(q)
-    dp = work.deriv(q)
-    d2p = work.deriv2(q)
-    w2 = abs(d2p) / (8.0 * p**1.5) + 5.0 * dp * dp / (32.0 * p**2.5)
-    return w2 / math.sqrt(p)
+    b1, b2, b3 = work.deriv(q) / p, work.deriv2(q) / p, work.deriv3(q) / p
+    y3 = (abs(b3) / 16.0 + 9.0 * abs(b1 * b2) / 32.0 + 15.0 * abs(b1) ** 3 / 64.0) / p
+    return y3 / math.sqrt(p)
 
 
 def _choose_q_max(work: PotentialSpec, q: float) -> float:
     """WKB matching point: the first q * 1.2^k, k = 0, 1, ..., where the
-    WKB residual bound is at most 1e-8.  The regularized tail is taken
-    farther out, where improper_action takes it (``choose_split_point``)."""
-    while _wkb_next_correction(work, q) > 1e-8:
+    bound on |y3|/Pi is at most 5e-10.  The start then misses at most 1e-10
+    of log A (the tail integral of y4, 8e-12 in the median) on q^N + v q^M + lam,
+    N <= 10, v <= 1e6; matching nearer the origin leaves more of the sweep in
+    LSODA's non-stiff branch and costs more steps, not fewer.  The
+    regularized tail is taken farther out, where improper_action takes it
+    (``choose_split_point``)."""
+    while _wkb_next_correction(work, q) > 5e-10:
         q *= 1.2
     return q
 
@@ -157,16 +164,26 @@ _MXSTEP = 10000          # LSODA's default of 500 is below the 540-860 steps of
                          # the stiff sweeps (q^4 + v q^2 at v = 464 to 10^6)
 
 
-def _sweep(rhs, q0: float, q1: float, y0) -> np.ndarray:
-    """Integrate y' = rhs(q, y) from q0 to q1 with LSODA; a solver failure
-    is an accuracy error, not a warning."""
+def _sweep(rhs, q0: float, q1: float, y0, jac=None) -> np.ndarray:
+    """Integrate y' = rhs(q, y) from q0 to q1 with LSODA, with the Jacobian
+    ``jac`` if given; a solver failure is an accuracy error, not a warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ODEintWarning)
-        ys, info = odeint(rhs, y0, [q0, q1], tfirst=True, rtol=_RTOL, atol=_ATOL,
+        ys, info = odeint(rhs, y0, [q0, q1], Dfun=jac, tfirst=True, rtol=_RTOL, atol=_ATOL,
                           mxstep=_MXSTEP, full_output=True)
     if info["message"] != "Integration successful.":
         raise AccuracyError(f"shooting integrator failed: {info['message']}")
     return ys[-1]
+
+
+def _quad(f, a: float, b: float, **tols) -> float:
+    """int_a^b f with scipy's quad; a failed or non-finite quadrature is an
+    accuracy error, not a warning."""
+    out = quad(f, a, b, full_output=1, **tols)
+    if len(out) > 3 or not math.isfinite(out[0]):
+        reason = " ".join(out[3].split(".")[0].split()) if len(out) > 3 else "non-finite value"
+        raise AccuracyError(f"shot quadrature failed: {reason}")
+    return out[0]
 
 
 # A jet is the list [f, df/dmu, ..., d^n f/dmu^n], mu the constant term of P.
@@ -174,16 +191,19 @@ def _sweep(rhs, q0: float, q1: float, y0) -> np.ndarray:
 # outputs stay bit-stable: a change in the last bit of a sweep's start moves
 # LSODA's steps, and log D by up to 4e-10 relative (q^4).
 
-def _inverse_power(c: float, p: float, beta: float, n: int) -> float:
-    """d^n/dmu^n of c P^{-beta} at P = p: c (-beta) ... (-beta-n+1) / p^(beta+n)."""
+def _power_jet(value: float, p: float, beta: float, n: int) -> float:
+    """d^n/dmu^n of a term c P^{-beta}, c free of mu, whose value at P = p is
+    ``value``: value (-beta) ... (-beta-n+1) / p^n.  The caller forms the
+    value from P'/P, P''/P, ..., which stay in double range where P^beta
+    would not."""
     for j in range(n):
-        c *= -beta - j
-    return c / p ** (beta + n)
+        value *= (-beta - j) / p
+    return value
 
 
 def _root(p: float, n: int) -> float:
     """d^n/dmu^n of sqrt(P) at P = p."""
-    return math.sqrt(p) if n == 0 else _inverse_power(0.5, p, 0.5, n - 1)
+    return _power_jet(math.sqrt(p), p, -0.5, n)
 
 
 def _jet_mul(f, g) -> list:
@@ -208,29 +228,43 @@ def _shoot(work: PotentialSpec, order: int):
     The states of both sweeps interleave the jets, (A, Bhat, dA, dBhat, ...)
     and (psi, psi', dpsi, dpsi', ...), so the order-0 system is the first two
     components of the order-2 one.  Pi = sqrt(P) and r = P'/(4P) carry the
-    mu-dependence of the gauged system; the plain sweep's sensitivities obey
-    y1'' = P y1 + y and y2'' = P y2 + 2 y1.  The gauged sweep runs from the
-    WKB matching point q_max down to q_cut, where P drops to order one, and
-    the plain sweep on to the origin.  At q_max, A and Bhat take the WKB form
-    (log-derivative w through second order, amplitude exp(ell_2));
-    c_norm = -1/4 log P(q_cut) + int_{q_cut}^{q_tail} Pi + adaptive_tail at
-    the tail point q_tail = max(q_max, choose_split_point).  q_cut, q_max and
-    q_tail are held fixed under mu: log D does not depend on them.  A P, or a
-    term of the shot, beyond double range raises AccuracyError.
+    mu-dependence of the gauged system, whose Jacobian is block
+    lower-triangular in the jets, [[J0], [J1, J0], [J2, 2 J1, J0]] with
+    J0 = [[Pi + r, Pi], [Pi, Pi - r]] and J1, J2 its mu-derivatives; LSODA
+    gets it exactly.  The plain sweep's sensitivities obey y1'' = P y1 + y
+    and y2'' = P y2 + 2 y1.  The gauged sweep runs from the WKB matching
+    point q_max down to q_cut, where P drops to order one, and the plain
+    sweep on to the origin.  At q_max, A and Bhat take the WKB form: the
+    log-derivative w = y0 + y1 + y2 + y3 through third order, and the
+    amplitude exp(ell) with ell = -int_{q_max}^inf (y2 + y3).  The odd order
+    is a total derivative, y3 = -(1/2) (y2/y0)', so it adds the boundary
+    term (1/2) y2/Pi at q_max to ell and no quadrature; y2's, by parts
+    P'/(8 P^{3/2}) - (1/32) int P'^2/P^{5/2}, is taken in t = q_max/q on
+    [0, 1].  c_norm = -1/4 log P(q_cut) + int_{q_cut}^{q_tail} Pi +
+    adaptive_tail at the tail point q_tail = max(q_max, choose_split_point).
+    The mu-derivatives of that bridge integrand peak where P is smallest,
+    so it is taken in t, q = q_cut + scale sinh t, which is linear across
+    the peak and logarithmic beyond; scale is q_cut, or the q where P is
+    2 P(0) when q_cut = 0.  q_cut, q_max and
+    q_tail are held fixed under mu: log D does not depend on them.  A P, a
+    term of the shot or a quadrature beyond double range, or a quadrature
+    that does not converge, raises AccuracyError.
     """
-    P, dP, d2P = work.value, work.deriv, work.deriv2
+    P, dP, d2P, d3P = work.value, work.deriv, work.deriv2, work.deriv3
     uu, vv, cc, NN, MM = work.u, work.v, work.lam, work.N, work.M
+    nu, mv = NN * uu, MM * vv
 
     def rhs_gauged(q, y):
-        y = y.tolist()   # Python floats index and unpack faster than numpy scalars
         p = uu * q**NN + vv * q**MM + cc
         root = math.sqrt(p)
-        dp = NN * uu * q ** (NN - 1) + (MM * vv * q ** (MM - 1) if MM > 0 else 0.0)
+        dp = nu * q ** (NN - 1) + (mv * q ** (MM - 1) if MM > 0 else 0.0)
         r = dp / (4.0 * p)
-        s = root * (y[0] + y[1])
         if not order:
-            return s + r * y[0], s - r * y[1]
-        a, bh, a1, bh1, a2, bh2 = y
+            a, bh = y.tolist()   # Python floats unpack faster than numpy scalars
+            s = root * (a + bh)
+            return s + r * a, s - r * bh
+        a, bh, a1, bh1, a2, bh2 = y.tolist()
+        s = root * (a + bh)
         r1, r2 = -dp / (4.0 * p * p), dp / (2.0 * p**3)
         pi1, pi2 = 0.5 / root, -0.25 / (root * p)
         s1 = pi1 * (a + bh) + root * (a1 + bh1)
@@ -239,11 +273,29 @@ def _shoot(work: PotentialSpec, order: int):
                 s1 + r1 * a + r * a1, s1 - r1 * bh - r * bh1,
                 s2 + r2 * a + 2.0 * r1 * a1 + r * a2, s2 - r2 * bh - 2.0 * r1 * bh1 - r * bh2)
 
+    def jac_gauged(q, y):
+        # the coefficients of rhs_gauged, which inlines them: it is the hot loop
+        p = uu * q**NN + vv * q**MM + cc
+        root = math.sqrt(p)
+        dp = nu * q ** (NN - 1) + (mv * q ** (MM - 1) if MM > 0 else 0.0)
+        r = dp / (4.0 * p)
+        if not order:
+            return np.array([[root + r, root], [root, root - r]])
+        r1, r2 = -dp / (4.0 * p * p), dp / (2.0 * p**3)
+        pi1, pi2 = 0.5 / root, -0.25 / (root * p)
+        return np.array([[root + r, root, 0.0, 0.0, 0.0, 0.0],
+                         [root, root - r, 0.0, 0.0, 0.0, 0.0],
+                         [pi1 + r1, pi1, root + r, root, 0.0, 0.0],
+                         [pi1, pi1 - r1, root, root - r, 0.0, 0.0],
+                         [pi2 + r2, pi2, 2.0 * (pi1 + r1), 2.0 * pi1, root + r, root],
+                         [pi2, pi2 - r2, 2.0 * pi1, 2.0 * (pi1 - r1), root, root - r]])
+
     def rhs_plain(q, y):
-        y = y.tolist()
         p = uu * q**NN + vv * q**MM + cc
         if not order:
-            return y[1], p * y[0]
+            psi, dpsi = y.tolist()
+            return dpsi, p * psi
+        y = y.tolist()
         return y[1], p * y[0], y[3], p * y[2] + y[0], y[5], p * y[4] + 2.0 * y[2]
 
     try:
@@ -252,19 +304,33 @@ def _shoot(work: PotentialSpec, order: int):
         q_tail = max(q_max, choose_split_point(work))
         if not math.isfinite(P(q_tail)):
             raise AccuracyError(f"P is beyond double range at the tail point q = {q_tail:.3g}")
-        p0, dp0, d2p0, p_cut = P(q_max), dP(q_max), d2P(q_max), P(q_cut)
+        p0, dp0, d2p0, d3p0, p_cut = P(q_max), dP(q_max), d2P(q_max), d3P(q_max), P(q_cut)
         root0 = [_root(p0, n) for n in range(order + 1)]
+        scale = q_cut or turning_point(work, 2.0 * p_cut)
+        t_tail = math.asinh((q_tail - q_cut) / scale)
+        # the WKB terms c P^{-beta} at q_max as (value, beta): y1, y2 and y3
+        # of w, and y2's boundary term and (1/2) y2/Pi of ell
+        b1, b2, b3, root = dp0 / p0, d2p0 / p0, d3p0 / p0, root0[0]
+        w_terms = ((-b1 / 4.0, 1.0), (-b2 / (8.0 * root), 1.5),
+                   (5.0 * b1 * b1 / (32.0 * root), 2.5), (-b3 / (16.0 * p0), 2.0),
+                   (9.0 * b1 * b2 / (32.0 * p0), 3.0), (-15.0 * b1**3 / (64.0 * p0), 4.0))
+        ell_terms = ((-b1 / (8.0 * root), 1.5), (-b2 / (16.0 * p0), 2.0),
+                     (5.0 * b1 * b1 / (64.0 * p0), 3.0))
         w, ell, c_norm = [], [], []
         for n in range(order + 1):
-            w.append(-root0[n] - _inverse_power(dp0 / 4.0, p0, 1.0, n)
-                     - _inverse_power(d2p0 / 8.0, p0, 1.5, n)
-                     + _inverse_power(5.0 * dp0**2 / 32.0, p0, 2.5, n))
-            tail_int, _ = quad(lambda q: _inverse_power(dP(q) ** 2, P(q), 2.5, n), q_max, np.inf,
-                               epsabs=1e-14, epsrel=1e-12, limit=200)
-            ell.append(_inverse_power(-dp0 / 8.0, p0, 1.5, n) + tail_int / 32.0)
-            bridge, _ = quad(lambda q: _root(P(q), n), q_cut, q_tail,
-                             epsabs=1e-13, epsrel=1e-12, limit=400)
-            log_cut = math.log(p_cut) if n == 0 else _inverse_power(1.0, p_cut, 1.0, n - 1)
+            w.append(-root0[n] + sum(_power_jet(c, p0, beta, n) for c, beta in w_terms))
+
+            def tail_integrand(t):   # P'^2/P^{5/2} dq with q = q_max/t
+                q = q_max / t
+                p = P(q)
+                return _power_jet((dP(q) / p) ** 2 / math.sqrt(p), p, 2.5, n) * q * q / q_max
+
+            tail_int = _quad(tail_integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
+            ell.append(sum(_power_jet(c, p0, beta, n) for c, beta in ell_terms) + tail_int / 32.0)
+            bridge = _quad(lambda t: _root(P(q_cut + scale * math.sinh(t)), n)
+                           * scale * math.cosh(t), 0.0, t_tail,
+                           epsabs=1e-13, epsrel=1e-12, limit=400)
+            log_cut = math.log(p_cut) if n == 0 else _power_jet(1.0 / p_cut, p_cut, 1.0, n - 1)
             c_norm.append(-0.25 * log_cut + bridge + adaptive_tail(work, q_tail, lam_deriv=n))
         # A = exp(ell), Bhat = w A / Pi at q_max
         a0 = [math.exp(ell[0])]
@@ -272,7 +338,8 @@ def _shoot(work: PotentialSpec, order: int):
             a0 += [a0[0] * ell[1], a0[0] * (ell[2] + ell[1] ** 2)]
         bh0 = _jet_mul(_jet_div(w, root0), a0)
 
-        ys = _sweep(rhs_gauged, q_max, q_cut, [c for pair in zip(a0, bh0) for c in pair])
+        ys = _sweep(rhs_gauged, q_max, q_cut, [c for pair in zip(a0, bh0) for c in pair],
+                    jac_gauged)
         dys = _jet_mul([_root(p_cut, n) for n in range(order + 1)], ys[1::2])
         ys = [c for pair in zip(ys[0::2], dys) for c in pair]
         if q_cut > 0.0:
@@ -294,13 +361,13 @@ def shooting_det(spec: PotentialSpec, lam: float = 0.0) -> DeterminantValue:
     """Parity determinants of -d^2/dq^2 + u q^N + v q^M + (spec.lam + lam).
 
     The recessive solution is normalized at the WKB matching point q_max by
-    its WKB form (including the first two log-derivative corrections, which
-    keep q_max moderate) and integrated inward; D- = Psi(0), D+ = -Psi'(0).
-    The gauge's regularized tail action is taken at the tail point
-    max(q_max, choose_split_point), the split point of improper_action, and
-    one quadrature of Pi bridges it to the gauge's end.  Both sweeps run
-    through LSODA; a solver failure, or a P beyond double range before the
-    tail point, raises AccuracyError.
+    its WKB form (including the first three log-derivative corrections,
+    which keep q_max moderate) and integrated inward; D- = Psi(0),
+    D+ = -Psi'(0).  The gauge's regularized tail action is taken at the tail
+    point max(q_max, choose_split_point), the split point of
+    improper_action, and one quadrature of Pi bridges it to the gauge's end.
+    Both sweeps run through LSODA; a solver or quadrature failure, or a P
+    beyond double range before the tail point, raises AccuracyError.
     """
     return _shoot(spec.with_shift(lam), 0)[0]
 
@@ -558,8 +625,11 @@ def zeta_from_det(spec: PotentialSpec, s: int, E: float = 0.0, *,
     spec and E): the mu-derivatives of the recessive solution, of its WKB
     start and of the normalization (bridge integrals of 1/(2 Pi) and
     -1/(4 Pi^3), tail series term by term) are integrated with it, so the
-    error is that of the shot itself, LSODA's rtol 1e-11 and the 1e-8 WKB
-    residual bound at q_max, not that of a difference quotient.  s >= 3
+    error is that of the shot itself, LSODA's rtol 1e-11 and the
+    third-order WKB start at q_max, not that of a difference quotient.  The
+    bridge integrals are taken in a variable that resolves their peak at
+    q_cut, also on strongly coupled partners, and a quadrature that does
+    not converge raises AccuracyError rather than a warning.  s >= 3
     raises DomainError up front, and so does an E at or above the first
     Bohr-Sommerfeld excited level, or an E above the ground state, where a
     parity determinant turns negative.

@@ -2,9 +2,10 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscdet.actions import binomial_action
@@ -114,14 +115,27 @@ def test_det_tail_point_beyond_double_range(capsys):
     assert "double range" in payload["message"] and "\n" not in payload["message"]
 
 
-@pytest.mark.parametrize("spec", ("6 2 1 1e200 0", "4 0 1 6.4e163 0",
+@pytest.mark.parametrize("spec", ("6 2 1 1e200 0", "4 0 1e-300 1e300 0",
                                   "2 0 1e-14 1e300 0", "2 0 1e-300 1e200 0"))
 def test_det_terms_beyond_double_range(capsys, spec):
-    # p^2.5 of the WKB bound, c / p^(beta+n) and dp^2 of the shot's start, and
-    # log Gamma of the harmonic ladder at lambda/sqrt(u) = 1e307 and inf
+    # dp^2 of the shot's start, a tail point (4 v / u)^(1/4) beyond double
+    # range, and log Gamma of the harmonic ladder at lambda/sqrt(u) = 1e307 and inf
     code, out = run_cli(capsys, "det", "--spec", spec)
     assert code == 3
     assert "double range" in _strict_json(out)["message"]
+
+
+def test_det_of_a_huge_constant_is_finite(capsys):
+    # q^4 + C, C = 6.4e163: the WKB start is formed from P'/P, P''/P and
+    # P'''/P, so no power of P leaves double range.  At this C, log D is its
+    # leading large-lambda term -c_0 Gamma(-3/4) C^(3/4), with
+    # c_0 = Gamma(1/4) / (2 sqrt(4 pi)), and the skew is (1/2) log C
+    code, out = run_cli(capsys, "det", "--spec", "4 0 1 6.4e163 0")
+    assert code == 0
+    log_abs = _strict_json(out)["log_abs"]
+    c_0 = math.gamma(0.25) / (2.0 * math.sqrt(4.0 * math.pi))
+    assert log_abs["full"] == pytest.approx(-c_0 * math.gamma(-0.75) * 6.4e163**0.75, rel=1e-12)
+    assert log_abs["skew"] == pytest.approx(0.5 * math.log(6.4e163), rel=1e-12)
 
 
 def test_spectrum_basis_wider_than_count(capsys):
@@ -310,7 +324,22 @@ def _fuzz_spec(draw):
     return f"{N} {M} {u!r} {v!r} {lam!r}"
 
 
+def _case(spec, command, method="closed", shift=0.0):
+    return example(spec=spec, command=command, s=1, skew=False, count=1, shift=shift,
+                   method=method)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
+# the random draws rarely overflow action: these do, on each of its routes,
+# the last with its tail point beyond double range; and a det at strong
+# coupling, where the shot starts nearest the origin
+@_case("4 2 1 1e300 0", "action", "closed")
+@_case("4 2 1 1e300 0", "action", "numeric")
+@_case("4 2 1 1e300 0", "action", "asymptotic")
+@_case("2 0 0.006 3e182 1", "action", "numeric")
+@_case("8 6 6e-05 4e162 -5", "action", "asymptotic")
+@_case("4 0 1e-300 1e300 0", "action", "numeric")
+@_case("4 2 1 1e6 0", "det")
 @given(spec=_fuzz_spec(),
        command=st.sampled_from(("spectrum", "zeta", "det", "action", "poles", "predict")),
        s=st.sampled_from((1, 2, 3)), skew=st.booleans(), count=st.integers(1, 32),
@@ -342,6 +371,20 @@ def test_cli_fuzz_exits_with_a_documented_code(spec, command, s, skew, count, sh
     assert "Traceback" not in err.getvalue()
     if out.getvalue().startswith("{"):
         _strict_json(out.getvalue())
+
+
+def test_verify_at_strong_coupling_is_quiet(capsys):
+    # the partners q^4 + v q^2 at g = 1e-8, 1e-9 have v = 1e5.3, 1e6: the
+    # s = 2 bridge integrand peaks at q_cut, and both zeta routes must agree
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", "--N", "4", "--grid", "1e-8,1e-9"])
+    captured = capsys.readouterr()
+    assert caught == [] and captured.err == ""
+    payload = json.loads(captured.out)
+    assert not any("zeta route discrepancy" in note for note in payload["notes"])
+    assert code in (0, 1)
+    assert payload["measured"]["z2"] == pytest.approx([math.pi**2 / 8.0] * 2, rel=1e-6)
 
 
 def test_readme_cli_examples_run(tmp_path, capsys):

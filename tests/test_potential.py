@@ -195,3 +195,7 @@ def test_value_and_derivatives():
         assert spec.deriv(x) == pytest.approx(fd, rel=1e-8)
         fd2 = (spec.deriv(x + h) - spec.deriv(x - h)) / (2 * h)
         assert spec.deriv2(x) == pytest.approx(fd2, rel=1e-7)
+    for spec in (spec, PotentialSpec.trinomial(8, 6, 3.0, 0.5), PotentialSpec.uncoupled(2, 1.0)):
+        for x in (0.3, 1.1, 2.4):
+            fd3 = (spec.deriv2(x + h) - spec.deriv2(x - h)) / (2 * h)
+            assert spec.deriv3(x) == pytest.approx(fd3, rel=1e-7, abs=1e-7)

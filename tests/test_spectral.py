@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -87,13 +88,14 @@ def test_harmonic_det_against_mpmath(v):
 # --------------------------------------------------------------------------
 
 def test_shooting_reproduces_harmonic():
-    for lam in (0.0, 0.5, 1.0):
-        got = shooting_det(PotentialSpec.uncoupled(2, 1.0), lam)
-        want = harmonic_det(1.0, lam)
-        assert got.method == "shooting"
-        assert got.full == pytest.approx(want.full, rel=1e-6)
-        assert got.even == pytest.approx(want.even, rel=1e-6)
-        assert got.odd == pytest.approx(want.odd, rel=1e-6)
+    # the third-order WKB start leaves LSODA's rtol as the error
+    for v in (0.5, 1.0, 2.0, 4.0):
+        for lam in (0.0, 0.5, 0.625, 1.0, 1.875, 3.125, 4.375):
+            got = shooting_det(PotentialSpec.uncoupled(2, v), lam)
+            want = harmonic_det(v, lam)
+            assert got.method == "shooting"
+            assert abs(got.log_abs_even - want.log_abs_even) <= 5e-10, (v, lam)
+            assert abs(got.log_abs_odd - want.log_abs_odd) <= 5e-10, (v, lam)
 
 
 def test_shooting_parity_combination_identities():
@@ -127,6 +129,87 @@ def test_shooting_integrator_failure_is_an_accuracy_error(monkeypatch, capsys):
         assert main(["det", "--spec", "4 0 1.0 0.0 0.0"]) == 3
     assert caught == []
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_shot_quadrature_failure_is_an_accuracy_error(monkeypatch, capsys):
+    # quad's full_output form: a fourth item is its warning message
+    def failing_quad(func, a, b, **kwargs):
+        return 0.0, 1.0, {}, "The maximum number of subdivisions (50) has been achieved.\n"
+
+    monkeypatch.setattr(spectral, "quad", failing_quad)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(AccuracyError, match="maximum number of subdivisions"):
+            shooting_det(PotentialSpec.uncoupled(4, 1.0), 0.0)
+        assert main(["det", "--spec", "4 0 1.0 0.0 0.0"]) == 3
+    assert caught == []
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", (0, 2))
+def test_gauged_sweep_jacobian_is_exact(monkeypatch, order):
+    # the gauged system is linear, y' = J(q) y, so column j of J is rhs(q, e_j)
+    sweeps = []
+    real = spectral.odeint
+
+    def recording(func, y0, t, **kwargs):
+        if kwargs.get("Dfun") is not None:
+            sweeps.append((func, kwargs["Dfun"], len(y0), t))
+        return real(func, y0, t, **kwargs)
+
+    monkeypatch.setattr(spectral, "odeint", recording)
+    spectral._shoot(PotentialSpec.trinomial(4, 2, 464.0, 0.3), order)
+    (func, jac, n, (q_max, q_cut)), = sweeps
+    assert n == 2 * order + 2
+    for q in np.linspace(q_cut, q_max, 7):
+        want = np.column_stack([func(q, e) for e in np.eye(n)])
+        got = jac(q, np.ones(n))
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0), q
+
+
+@pytest.mark.parametrize("v", (1.0, 5.0))
+@pytest.mark.parametrize("N,M", [(4, 2), (6, 2), (6, 4), (8, 4), (8, 6), (10, 4), (10, 8)])
+def test_shooting_large_lambda_remainder_falls(N, M, v):
+    # a zeta-regularized determinant has no constant term at large lambda
+    # (Voros, Commun. Math. Phys. 110 (1987) 439): with the Weyl heat-trace
+    # terms c_j t^{alpha_j}, the remainder
+    #   C = log D - sum_{alpha_j < 0} (-c_j Gamma(alpha_j)) lam^{-alpha_j} - Z(0) log lam
+    # falls to 0.  alpha_j is exact, so alpha_1 = 0 of (10, 4) is left out.
+    spec = PotentialSpec.trinomial(N, M, v)
+    terms = []
+    j = 0
+    while (alpha := j * (1 - Fraction(M, N)) - Fraction(1, 2) - Fraction(1, N)) < 0:
+        c = (-v) ** j / math.factorial(j) * (2 / N) * math.gamma((M * j + 1) / N) \
+            / math.sqrt(4 * math.pi)
+        terms.append((float(alpha), -c * math.gamma(float(alpha))))
+        j += 1
+    z0 = zeta0_value(spec)
+    remainders = [abs(shooting_det(spec, lam).log_abs_full
+                      - sum(a * lam ** -alpha for alpha, a in terms) - z0 * math.log(lam))
+                  for lam in (1e6, 1e8, 1e10)]
+    assert remainders[0] > remainders[1] > remainders[2], remainders
+
+
+def test_shot_cost_guard(monkeypatch):
+    # LSODA's right-hand-side evaluations over the 36 interactive shots of the
+    # benchmark's determinants workload: N = 4, 6, 8, every M, v on four
+    # log-spaced points of [0.5, 50] and shifts on four of [0, 5]; the bound is
+    # 80% of the 34 442 that the second-order start without a Jacobian took
+    nfe = []
+    real = spectral.odeint
+
+    def counting(func, y0, t, **kwargs):
+        ys, info = real(func, y0, t, **kwargs)
+        nfe.append(int(info["nfe"][-1]))
+        return ys, info
+
+    monkeypatch.setattr(spectral, "odeint", counting)
+    shots = [(0.5 * 100.0 ** ((i + 0.5) / 4), 5.0 * (i + 0.5) / 4) for i in range(4)]
+    for N in (4, 6, 8):
+        for M in range(0, N, 2):
+            for v, shift in shots:
+                shooting_det(PotentialSpec.trinomial(N, M, v), shift)
+    assert sum(nfe) <= 27500
 
 
 def _bisect_sign(f, lo, hi, tol=1e-8):
@@ -349,6 +432,18 @@ def test_zeta_from_det_on_small_g_partners(N, M, g):
         zeta_skew(spec, 1, count=384).value, rel=1e-8)
     assert zeta_from_det(spec, 2).value == pytest.approx(
         zeta_full(spec, 2, count=512).value, rel=1e-8)
+
+
+@pytest.mark.parametrize("N,M,lam", [(4, 2, 0.0), (10, 8, 0.0), (4, 2, 100.0), (6, 4, 100.0)])
+def test_zeta_from_det_s2_at_strong_coupling(N, M, lam):
+    # on q^4 + 1e6 q^2 the bridge integrand of d^2/dmu^2, -1/(4 P^{3/2}),
+    # peaks at q_cut = 0.002, six decades below the tail point; with
+    # lam = 100 it peaks at the origin, with half width 0.01
+    spec = PotentialSpec(N, M, 1.0, 1e6, lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z_det = zeta_from_det(spec, 2).value
+    assert z_det == pytest.approx(zeta_full(spec, 2).value, rel=1e-5)
 
 
 def test_zeta_from_det_one_shot_per_point(monkeypatch):
