@@ -5,43 +5,44 @@ canonical recessive solution picks up hundreds of e-folds between the WKB
 matching point and the origin, and the interesting regimes push the
 determinants themselves far outside double range.
 
-The shooting evaluator integrates the recessive solution inward in a WKB
+The shooting evaluator carries the recessive solution inward in a WKB
 gauge: A = Psi e^{-phi}, Bhat = Psi' e^{-phi} / Pi with
 phi = -(1/4) log P + T(q), where T is the zeta-regularized tail action.
 Both components stay O(1) all the way down, nodes of Psi pass through
 A = 0 with their sign intact, and the boundary data at the origin are the
 parity determinants.  The other mode decays in the gauge at rate 2 sqrt(P),
-so the system is stiff where P is large; scipy's LSODA (``odeint``) switches
-to its BDF branch there, with the system's exact Jacobian, and its steps
-follow how fast P varies rather than 1/sqrt(P) (Petzold, SIAM J. Sci. Stat.
-Comput. 4 (1983) 136).  The sweep starts from the WKB series through third
-order; the odd orders are total derivatives (Voros, Ann. Inst. H. Poincare
-A 39 (1983) 211), so the third costs no quadrature, and it lets the sweep
-start twice as near the origin, inside the stiff regime.
+so the system is stiff where P is large.  Both sweeps are linear,
+y' = J(q) y, and are solved by piecewise Chebyshev collocation (Trefethen,
+Spectral Methods in MATLAB, SIAM 2000, ch. 6 and 13): every panel's
+propagator comes from one batched dense solve, which is implicit, so the
+stiff mode costs nothing, and the Chebyshev tail of the chained solution in
+each panel is the truncation estimate that bisects the panels it flags.
+The sweep starts from the WKB series through third order; the odd orders
+are total derivatives (Voros, Ann. Inst. H. Poincare A 39 (1983) 211), so
+the third costs no quadrature.
 
 Zeta values at s = 1, 2 are mu-derivatives of log det(H + mu).  They come
 from one shot of the sensitivity equations: the first and second
-mu-derivatives of (A, Bhat) and of (Psi, Psi') are integrated in the same
-LSODA pass as the solution, and the WKB start, the bridge quadrature and the
-tail series are differentiated with them, so no difference quotient and no
-step width enters.  One routine (``_shoot``) does all shooting: the plain
-shot of ``shooting_det`` integrates the first two components of the
-sensitivity system, and the sensitivity shot (``det_jet``) returns its
-determinants next to the derivatives, so one shot per coupling serves both
-the determinant and the zetas (``zeta_from_det``, ``measure_point``).
+mu-derivatives of the solution are propagated with it, through the same
+panel matrices, and the WKB start, the bridge quadrature and the tail
+series are differentiated with them, so no difference quotient and no step
+width enters.  One routine (``_shoot``) does all shooting: the plain shot
+of ``shooting_det`` propagates the solution alone, and the sensitivity shot
+(``det_jet``) returns its determinants next to the derivatives, so one shot
+per coupling serves both the determinant and the zetas (``zeta_from_det``,
+``measure_point``).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.special
-from scipy.integrate import ODEintWarning, odeint, quad
+from scipy.integrate import quad
 
 from .actions import adaptive_tail, choose_split_point
 from .errors import AccuracyError, DivergenceError, DomainError
@@ -148,32 +149,123 @@ def _choose_q_max(work: PotentialSpec, q: float) -> float:
     """WKB matching point: the first q * 1.2^k, k = 0, 1, ..., where the
     bound on |y3|/Pi is at most 5e-10.  The start then misses at most 1e-10
     of log A (the tail integral of y4, 8e-12 in the median) on q^N + v q^M + lam,
-    N <= 10, v <= 1e6; matching nearer the origin leaves more of the sweep in
-    LSODA's non-stiff branch and costs more steps, not fewer.  The
-    regularized tail is taken farther out, where improper_action takes it
-    (``choose_split_point``)."""
+    N <= 10, v <= 1e6.  The regularized tail is taken farther out, where
+    improper_action takes it (``choose_split_point``)."""
     while _wkb_next_correction(work, q) > 5e-10:
         q *= 1.2
     return q
 
 
 _PLAIN_THRESHOLD = 4.0   # drop the WKB gauge once P falls below this
-_RTOL = 1e-11            # LSODA tolerances of every sweep
-_ATOL = 1e-13
-_MXSTEP = 10000          # LSODA's default of 500 is below the 540-860 steps of
-                         # the stiff sweeps (q^4 + v q^2 at v = 464 to 10^6)
+
+# Chebyshev collocation of the sweeps (Trefethen, Spectral Methods in MATLAB,
+# SIAM 2000, ch. 6 and 13): the _K + 1 Chebyshev points from 1 down to -1,
+# their differentiation matrix, and the rows that give the last two Chebyshev
+# coefficients of a polynomial from its values there (T_k at point j is
+# cos(pi j k / _K))
+_K = 20
+_NODES = np.cos(np.pi * np.arange(_K + 1) / _K)
+_WEIGHTS = np.r_[2.0, np.ones(_K - 1), 2.0] * (-1.0) ** np.arange(_K + 1)
+_DIFF = np.outer(_WEIGHTS, 1.0 / _WEIGHTS) / (np.subtract.outer(_NODES, _NODES) + np.eye(_K + 1))
+_DIFF -= np.diag(_DIFF.sum(axis=1))
+_TAIL = np.linalg.inv(np.cos(np.pi * np.outer(np.arange(_K + 1), np.arange(_K + 1)) / _K))[-2:]
+_INTEGRATE = np.linalg.inv(_DIFF[1:, 1:])   # d/ds inverted from the start point
+_PANEL = 0.5             # first panel width, in t (gauged leg) or q (plain leg)
+_TAIL_TOL = 1e-12        # largest relative Chebyshev tail of a panel's solution
+_BUDGET = 4096           # panel solves of one leg, over all rounds, before the shot gives up
 
 
-def _sweep(rhs, q0: float, q1: float, y0, jac=None) -> np.ndarray:
-    """Integrate y' = rhs(q, y) from q0 to q1 with LSODA, with the Jacobian
-    ``jac`` if given; a solver failure is an accuracy error, not a warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ODEintWarning)
-        ys, info = odeint(rhs, y0, [q0, q1], Dfun=jac, tfirst=True, rtol=_RTOL, atol=_ATOL,
-                          mxstep=_MXSTEP, full_output=True)
-    if info["message"] != "Integration successful.":
-        raise AccuracyError(f"shooting integrator failed: {info['message']}")
-    return ys[-1]
+def _gauged_blocks(work: PotentialSpec, q_cut: float, scale: float, t, order: int) -> list:
+    """The gauged system in U = A + Bhat, V = A - Bhat at the points t,
+    q = q_cut + scale sinh t: dq/dt [[2 Pi, r], [r, 0]] with Pi = sqrt(P)
+    and r = P'/(4P), and its first ``order`` mu-derivatives."""
+    q, dq = q_cut + scale * np.sinh(t), scale * np.cosh(t)
+    p = work.value(q)
+    pi, r = np.sqrt(p), work.deriv(q) / (4.0 * p)
+    terms = ((pi, r), (0.5 / pi, -r / p), (-0.25 / (pi * p), 2.0 * r / p / p))
+    return [dq * np.array([[2.0 * d, e], [e, np.zeros_like(e)]]) for d, e in terms[:order + 1]]
+
+
+def _plain_blocks(work: PotentialSpec, q: np.ndarray, order: int) -> list:
+    """[[0, P], [1, 0]] at q, the plain system in (psi', psi), and its mu-derivatives."""
+    zero, one = np.zeros_like(q), np.ones_like(q)
+    return [np.array([[zero, work.value(q)], [one, zero]]),
+            np.array([[zero, one], [zero, zero]]), np.zeros((2, 2) + q.shape)][:order + 1]
+
+
+def _collocate(blocks, a: np.ndarray, b: np.ndarray, order: int) -> list:
+    """The propagators X0, ..., X_order of the jets over the panels
+    [a_i, b_i] (a_i the start), as values at the panel's Chebyshev points,
+    shape (panel, component, point, start).
+
+    ``blocks(x, order)`` gives J0, ..., J_order at the points x, each of
+    shape (2, 2) + x.shape, with J0[1][1] = 0.  X0 solves L X0 = 0 from the
+    unit starts, L = d/dx - J0, and the jets L X1 = J1 X0 and
+    L X2 = J2 X0 + 2 J1 X1 from zero starts.  The second component is its
+    start plus an integral of the first, so each panel solves one _K x _K
+    Schur complement for the first, the same for X0, X1 and X2."""
+    h = 0.5 * (a - b)[:, None]
+    J = [h * j for j in blocks(0.5 * (a + b)[:, None] + h * _NODES[1:], order)]
+    (j00, j01), (j10, _) = J[0][..., None]
+    schur = _DIFF[1:, 1:] - j00 * np.eye(_K) - j01 * _INTEGRATE * j10.transpose(0, 2, 1)
+
+    def solve(f, start):   # forcing f at points 1.._K, shape (panel, component, _K, start)
+        out = np.empty((len(a), 2, _K + 1, 2))
+        out[:, :, 0] = start
+        out[:, 0, 1:] = np.linalg.solve(schur, f[:, 0] - _DIFF[1:, :1] * start[0]
+                                        + j01 * (_INTEGRATE @ f[:, 1] + start[1]))
+        out[:, 1, 1:] = start[1] + _INTEGRATE @ (j10 * out[:, 0, 1:] + f[:, 1])
+        return out
+
+    def force(m, x):       # J_m x at points 1.._K
+        return np.einsum("ikpj,pkjc->pijc", J[m], x[:, :, 1:])
+
+    X = [solve(np.zeros((1, 2, _K, 2)), np.eye(2))]
+    if order:
+        X.append(solve(force(1, X[0]), np.zeros((2, 2))))
+        X.append(solve(force(2, X[0]) + 2.0 * force(1, X[1]), np.zeros((2, 2))))
+    return X
+
+
+@np.errstate(all="ignore")    # a non-finite value fails the tail test
+def _propagate(blocks, x0: float, x1: float, y: list) -> list:
+    """The jets y = [y0, ..., y_order] (2-vectors) of y0' = J0 y0,
+    y1' = J0 y1 + J1 y0, y2' = J0 y2 + 2 J1 y1 + J2 y0 carried from x0 to x1.
+
+    The leg is split into panels of width _PANEL, each collocated at _K + 1
+    Chebyshev points (``_collocate``), and the panel propagators are chained
+    from x0, block lower-triangular in the jets.  Every panel over which a
+    jet of the chained solution has a last-two Chebyshev coefficient above
+    _TAIL_TOL of the size of the solution there is bisected (an error in
+    y_m / y0 that later panels carry unchanged), and the leg solved again; the
+    estimate is not taken on the unit-start propagators, which leave the slow
+    manifold and excite the stiff layer of the gauged leg.  A leg that is
+    not resolved within _BUDGET panel solves raises AccuracyError."""
+    order = len(y) - 1
+    edges = np.linspace(x0, x1, max(1, math.ceil(abs(x1 - x0) / _PANEL)) + 1)
+    spent = 0
+    while True:
+        X = _collocate(blocks, edges[:-1], edges[1:], order)
+        n = len(X[0])
+        spent += n
+        # (panel, point, jet, component, jet, start): C(m, k) X_k in block (m, m - k)
+        props = np.zeros((n, _K + 1, order + 1, 2, order + 1, 2))
+        for m in range(order + 1):
+            for k in range(m + 1):
+                props[:, :, m, :, m - k] = math.comb(m, k) * X[k].transpose(0, 2, 1, 3)
+        props = props.reshape(n, _K + 1, 2 * order + 2, 2 * order + 2)
+        state, starts = np.concatenate(y), []
+        for step in props[:, -1]:
+            starts.append(state)
+            state = step @ state
+        vals = (props @ np.array(starts)[:, None, :, None]).reshape(n, _K + 1, order + 1, 2)
+        tail = np.abs(np.einsum("tj,pjmc->pmtc", _TAIL, vals)).max(axis=(1, 2, 3))
+        bad = ~(tail <= _TAIL_TOL * np.abs(vals[:, :, 0]).max(axis=(1, 2)))
+        if not bad.any():
+            return list(state.reshape(order + 1, 2))
+        if spent + n + bad.sum() > _BUDGET:
+            raise AccuracyError(f"shot propagator: a leg unresolved after {spent} panel solves")
+        edges = np.insert(edges, np.flatnonzero(bad) + 1, 0.5 * (edges[:-1] + edges[1:])[bad])
 
 
 def _quad(f, a: float, b: float, **tols) -> float:
@@ -188,8 +280,7 @@ def _quad(f, a: float, b: float, **tols) -> float:
 
 # A jet is the list [f, df/dmu, ..., d^n f/dmu^n], mu the constant term of P.
 # Each value (n = 0) keeps one fixed order of operations, so shooting_det's
-# outputs stay bit-stable: a change in the last bit of a sweep's start moves
-# LSODA's steps, and log D by up to 4e-10 relative (q^4).
+# outputs stay bit-stable.
 
 def _power_jet(value: float, p: float, beta: float, n: int) -> float:
     """d^n/dmu^n of a term c P^{-beta}, c free of mu, whose value at P = p is
@@ -222,81 +313,35 @@ def _jet_div(f, g) -> list:
 
 def _shoot(work: PotentialSpec, order: int):
     """The parity determinants of ``work`` and the jets of psi(0), psi'(0)
-    and the normalization c_norm of the recessive solution, integrated with
+    and the normalization c_norm of the recessive solution, propagated with
     its first ``order`` (0 or 2) mu-derivatives.
 
-    The states of both sweeps interleave the jets, (A, Bhat, dA, dBhat, ...)
-    and (psi, psi', dpsi, dpsi', ...), so the order-0 system is the first two
-    components of the order-2 one.  Pi = sqrt(P) and r = P'/(4P) carry the
-    mu-dependence of the gauged system, whose Jacobian is block
-    lower-triangular in the jets, [[J0], [J1, J0], [J2, 2 J1, J0]] with
-    J0 = [[Pi + r, Pi], [Pi, Pi - r]] and J1, J2 its mu-derivatives; LSODA
-    gets it exactly.  The plain sweep's sensitivities obey y1'' = P y1 + y
-    and y2'' = P y2 + 2 y1.  The gauged sweep runs from the WKB matching
-    point q_max down to q_cut, where P drops to order one, and the plain
-    sweep on to the origin.  At q_max, A and Bhat take the WKB form: the
-    log-derivative w = y0 + y1 + y2 + y3 through third order, and the
-    amplitude exp(ell) with ell = -int_{q_max}^inf (y2 + y3).  The odd order
-    is a total derivative, y3 = -(1/2) (y2/y0)', so it adds the boundary
-    term (1/2) y2/Pi at q_max to ell and no quadrature; y2's, by parts
+    Both legs run through one propagator (``_propagate``), which carries the
+    jets of a two-component state.  The gauged leg runs in t, with
+    q = q_cut + scale sinh t, from the WKB matching point q_max down to
+    q_cut, where P drops to order one; its state is U = A + Bhat and
+    V = A - Bhat, whose system is dq/dt [[2 Pi, r], [r, 0]] with
+    Pi = sqrt(P) and r = P'/(4P): U is the stiff mode, which the WKB start
+    leaves at -r V/(2 Pi), and V the slow one.  The plain leg carries
+    (psi', psi) with [[0, P], [1, 0]] from q_cut on to the origin; where the
+    gauge ends, psi'/psi above 1e4 Pi would lose A to rounding in U + V.  At
+    q_max, A and Bhat take the WKB form: the log-derivative
+    w = y0 + y1 + y2 + y3 through third order, and the amplitude exp(ell)
+    with ell = -int_{q_max}^inf (y2 + y3).  The odd order is a total
+    derivative, y3 = -(1/2) (y2/y0)', so it adds the boundary term
+    (1/2) y2/Pi at q_max to ell and no quadrature; y2's, by parts
     P'/(8 P^{3/2}) - (1/32) int P'^2/P^{5/2}, is taken in t = q_max/q on
     [0, 1].  c_norm = -1/4 log P(q_cut) + int_{q_cut}^{q_tail} Pi +
     adaptive_tail at the tail point q_tail = max(q_max, choose_split_point).
     The mu-derivatives of that bridge integrand peak where P is smallest,
-    so it is taken in t, q = q_cut + scale sinh t, which is linear across
-    the peak and logarithmic beyond; scale is q_cut, or the q where P is
-    2 P(0) when q_cut = 0.  q_cut, q_max and
-    q_tail are held fixed under mu: log D does not depend on them.  A P, a
-    term of the shot or a quadrature beyond double range, or a quadrature
-    that does not converge, raises AccuracyError.
+    so it is taken in the gauged leg's t, which is linear across the peak
+    and logarithmic beyond; scale is q_cut, or the q where P is 2 P(0) when
+    q_cut = 0.  q_cut, q_max and q_tail are held fixed under mu: log D does
+    not depend on them.  A P, a term of the shot or a quadrature beyond
+    double range, a quadrature that does not converge, or a leg the
+    propagator cannot resolve within its panel budget, raises AccuracyError.
     """
     P, dP, d2P, d3P = work.value, work.deriv, work.deriv2, work.deriv3
-    uu, vv, cc, NN, MM = work.u, work.v, work.lam, work.N, work.M
-    nu, mv = NN * uu, MM * vv
-
-    def rhs_gauged(q, y):
-        p = uu * q**NN + vv * q**MM + cc
-        root = math.sqrt(p)
-        dp = nu * q ** (NN - 1) + (mv * q ** (MM - 1) if MM > 0 else 0.0)
-        r = dp / (4.0 * p)
-        if not order:
-            a, bh = y.tolist()   # Python floats unpack faster than numpy scalars
-            s = root * (a + bh)
-            return s + r * a, s - r * bh
-        a, bh, a1, bh1, a2, bh2 = y.tolist()
-        s = root * (a + bh)
-        r1, r2 = -dp / (4.0 * p * p), dp / (2.0 * p**3)
-        pi1, pi2 = 0.5 / root, -0.25 / (root * p)
-        s1 = pi1 * (a + bh) + root * (a1 + bh1)
-        s2 = pi2 * (a + bh) + 2.0 * pi1 * (a1 + bh1) + root * (a2 + bh2)
-        return (s + r * a, s - r * bh,
-                s1 + r1 * a + r * a1, s1 - r1 * bh - r * bh1,
-                s2 + r2 * a + 2.0 * r1 * a1 + r * a2, s2 - r2 * bh - 2.0 * r1 * bh1 - r * bh2)
-
-    def jac_gauged(q, y):
-        # the coefficients of rhs_gauged, which inlines them: it is the hot loop
-        p = uu * q**NN + vv * q**MM + cc
-        root = math.sqrt(p)
-        dp = nu * q ** (NN - 1) + (mv * q ** (MM - 1) if MM > 0 else 0.0)
-        r = dp / (4.0 * p)
-        if not order:
-            return np.array([[root + r, root], [root, root - r]])
-        r1, r2 = -dp / (4.0 * p * p), dp / (2.0 * p**3)
-        pi1, pi2 = 0.5 / root, -0.25 / (root * p)
-        return np.array([[root + r, root, 0.0, 0.0, 0.0, 0.0],
-                         [root, root - r, 0.0, 0.0, 0.0, 0.0],
-                         [pi1 + r1, pi1, root + r, root, 0.0, 0.0],
-                         [pi1, pi1 - r1, root, root - r, 0.0, 0.0],
-                         [pi2 + r2, pi2, 2.0 * (pi1 + r1), 2.0 * pi1, root + r, root],
-                         [pi2, pi2 - r2, 2.0 * pi1, 2.0 * (pi1 - r1), root, root - r]])
-
-    def rhs_plain(q, y):
-        p = uu * q**NN + vv * q**MM + cc
-        if not order:
-            psi, dpsi = y.tolist()
-            return dpsi, p * psi
-        y = y.tolist()
-        return y[1], p * y[0], y[3], p * y[2] + y[0], y[5], p * y[4] + 2.0 * y[2]
 
     try:
         q_cut = 0.0 if P(0.0) >= _PLAIN_THRESHOLD else turning_point(work, _PLAIN_THRESHOLD)
@@ -316,9 +361,9 @@ def _shoot(work: PotentialSpec, order: int):
                    (9.0 * b1 * b2 / (32.0 * p0), 3.0), (-15.0 * b1**3 / (64.0 * p0), 4.0))
         ell_terms = ((-b1 / (8.0 * root), 1.5), (-b2 / (16.0 * p0), 2.0),
                      (5.0 * b1 * b1 / (64.0 * p0), 3.0))
-        w, ell, c_norm = [], [], []
+        dw, ell, c_norm = [], [], []
         for n in range(order + 1):
-            w.append(-root0[n] + sum(_power_jet(c, p0, beta, n) for c, beta in w_terms))
+            dw.append(sum(_power_jet(c, p0, beta, n) for c, beta in w_terms))
 
             def tail_integrand(t):   # P'^2/P^{5/2} dq with q = q_max/t
                 q = q_max / t
@@ -332,21 +377,25 @@ def _shoot(work: PotentialSpec, order: int):
                            epsabs=1e-13, epsrel=1e-12, limit=400)
             log_cut = math.log(p_cut) if n == 0 else _power_jet(1.0 / p_cut, p_cut, 1.0, n - 1)
             c_norm.append(-0.25 * log_cut + bridge + adaptive_tail(work, q_tail, lam_deriv=n))
-        # A = exp(ell), Bhat = w A / Pi at q_max
+        # A = exp(ell), and U = A + Bhat = (w + Pi) A / Pi at q_max
         a0 = [math.exp(ell[0])]
         if order:
             a0 += [a0[0] * ell[1], a0[0] * (ell[2] + ell[1] ** 2)]
-        bh0 = _jet_mul(_jet_div(w, root0), a0)
-
-        ys = _sweep(rhs_gauged, q_max, q_cut, [c for pair in zip(a0, bh0) for c in pair],
-                    jac_gauged)
-        dys = _jet_mul([_root(p_cut, n) for n in range(order + 1)], ys[1::2])
-        ys = [c for pair in zip(ys[0::2], dys) for c in pair]
+        u0 = _jet_mul(_jet_div(dw, root0), a0)
+        ys = _propagate(partial(_gauged_blocks, work, q_cut, scale),
+                        math.asinh((q_max - q_cut) / scale), 0.0,
+                        [np.array([u, 2.0 * a - u]) for u, a in zip(u0, a0)])
+        if not abs(ys[0].sum()) >= 1e-4 * abs(ys[0]).max():   # A = (U + V)/2 cancels
+            raise AccuracyError("psi is lost to rounding where the gauge ends: |Bhat/A| > 1e4")
+        # A = (U + V)/2, psi' = Pi Bhat = Pi (U - V)/2 at q_cut
+        dys = _jet_mul([_root(p_cut, n) for n in range(order + 1)],
+                       [0.5 * (y[0] - y[1]) for y in ys])
+        ys = [np.array([dy, 0.5 * (y[0] + y[1])]) for y, dy in zip(ys, dys)]
         if q_cut > 0.0:
-            ys = _sweep(rhs_plain, q_cut, 0.0, ys)
+            ys = _propagate(partial(_plain_blocks, work), q_cut, 0.0, ys)
     except OverflowError:
         raise AccuracyError("P, or a term of the shot, is beyond double range") from None
-    psi, dpsi = ys[0::2], ys[1::2]
+    dpsi, psi = [float(y[0]) for y in ys], [float(y[1]) for y in ys]
 
     # D- = psi(0), D+ = -psi'(0); the skew is formed before c_norm is added
     log_even = math.log(abs(dpsi[0])) if dpsi[0] else -math.inf
@@ -362,12 +411,13 @@ def shooting_det(spec: PotentialSpec, lam: float = 0.0) -> DeterminantValue:
 
     The recessive solution is normalized at the WKB matching point q_max by
     its WKB form (including the first three log-derivative corrections,
-    which keep q_max moderate) and integrated inward; D- = Psi(0),
-    D+ = -Psi'(0).  The gauge's regularized tail action is taken at the tail
-    point max(q_max, choose_split_point), the split point of
-    improper_action, and one quadrature of Pi bridges it to the gauge's end.
-    Both sweeps run through LSODA; a solver or quadrature failure, or a P
-    beyond double range before the tail point, raises AccuracyError.
+    which keep q_max moderate) and propagated inward by piecewise Chebyshev
+    collocation; D- = Psi(0), D+ = -Psi'(0).  The gauge's regularized tail
+    action is taken at the tail point max(q_max, choose_split_point), the
+    split point of improper_action, and one quadrature of Pi bridges it to
+    the gauge's end.  A panel the propagator cannot resolve at its panel cap,
+    a quadrature failure, or a P beyond double range before the tail point,
+    raises AccuracyError.
     """
     return _shoot(spec.with_shift(lam), 0)[0]
 
@@ -603,7 +653,7 @@ def _log_derivs(y) -> tuple[float, float]:
 def det_jet(spec: PotentialSpec, mu: float) -> tuple[DeterminantValue, tuple, tuple]:
     """The parity determinants of spec shifted by mu, and the first two
     mu-derivatives of log|D| and of log|D+| - log|D-|, from one shot that
-    integrates the mu-derivatives of the solution alongside it.  Raises
+    propagates the mu-derivatives of the solution alongside it.  Raises
     DomainError unless D+ and D- are both positive, which holds below the
     ground state.
     """
@@ -624,12 +674,12 @@ def zeta_from_det(spec: PotentialSpec, s: int, E: float = 0.0, *,
     The derivatives come from one sensitivity shot (``det_jet``, cached per
     spec and E): the mu-derivatives of the recessive solution, of its WKB
     start and of the normalization (bridge integrals of 1/(2 Pi) and
-    -1/(4 Pi^3), tail series term by term) are integrated with it, so the
-    error is that of the shot itself, LSODA's rtol 1e-11 and the
-    third-order WKB start at q_max, not that of a difference quotient.  The
-    bridge integrals are taken in a variable that resolves their peak at
-    q_cut, also on strongly coupled partners, and a quadrature that does
-    not converge raises AccuracyError rather than a warning.  s >= 3
+    -1/(4 Pi^3), tail series term by term) are propagated with it, so the
+    error is that of the shot itself, the collocation's Chebyshev tail of
+    1e-12 and the third-order WKB start at q_max, not that of a difference
+    quotient.  The bridge integrals are taken in a variable that resolves
+    their peak at q_cut, also on strongly coupled partners, and a quadrature
+    that does not converge raises AccuracyError rather than a warning.  s >= 3
     raises DomainError up front, and so does an E at or above the first
     Bohr-Sommerfeld excited level, or an E above the ground state, where a
     parity determinant turns negative.

@@ -77,6 +77,15 @@ def test_measure_point_routes_consistent():
     assert p.slope == pytest.approx(-p.z1 + 0.5 * (EULER_GAMMA + LOG2), abs=1e-12)
 
 
+@pytest.mark.parametrize("N,g", [(4, 1e-4), (4, 3e-4), (6, 1e-4), (8, 1e-4)])
+def test_partner_z2_matches_spectrum_route(N, g):
+    # Z(2) from the shot of the strongly coupled partner q^N + v q^2 against
+    # the 64 levels and Bohr-Sommerfeld tail of q^2 + g q^N: the partner's
+    # v = g^(-4/(N+2)) magnifies the shot's error in d^2 log D/dmu^2 by v
+    p = measure_point(N, g)
+    assert abs(p.z2_det - p.z2) <= 2e-10, (N, g, p.z2_det - p.z2)
+
+
 @pytest.mark.parametrize("N", (4, 6))
 @pytest.mark.parametrize("g", (1e-1, 1e-4))
 def test_measure_point_default_count_matches_512_levels(N, g):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import ODEintWarning
 
 from oscdet import spectral
 from oscdet.cli import main
@@ -88,14 +87,15 @@ def test_harmonic_det_against_mpmath(v):
 # --------------------------------------------------------------------------
 
 def test_shooting_reproduces_harmonic():
-    # the third-order WKB start leaves LSODA's rtol as the error
+    # the third-order WKB start leaves 1e-10 of log A, and the collocation
+    # less: within 1e-10 of the closed form
     for v in (0.5, 1.0, 2.0, 4.0):
         for lam in (0.0, 0.5, 0.625, 1.0, 1.875, 3.125, 4.375):
             got = shooting_det(PotentialSpec.uncoupled(2, v), lam)
             want = harmonic_det(v, lam)
             assert got.method == "shooting"
-            assert abs(got.log_abs_even - want.log_abs_even) <= 5e-10, (v, lam)
-            assert abs(got.log_abs_odd - want.log_abs_odd) <= 5e-10, (v, lam)
+            assert abs(got.log_abs_even - want.log_abs_even) <= 1e-10, (v, lam)
+            assert abs(got.log_abs_odd - want.log_abs_odd) <= 1e-10, (v, lam)
 
 
 def test_shooting_parity_combination_identities():
@@ -117,18 +117,30 @@ def test_shooting_returns_across_couplings():
 
 
 def test_shooting_integrator_failure_is_an_accuracy_error(monkeypatch, capsys):
-    def failing_odeint(func, y0, t, **kwargs):
-        warnings.warn("Excess work done on this call.", ODEintWarning)
-        return np.array([y0, y0]), {"message": "Excess work done on this call."}
-
-    monkeypatch.setattr(spectral, "odeint", failing_odeint)
+    # a leg the propagator cannot resolve within its panel budget: q^4 - 1e6
+    # oscillates about 4400 times between its turning point and the origin, and
+    # with no tolerance every panel is bisected until the budget is spent
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(AccuracyError, match="Excess work"):
+        assert main(["det", "--spec", "4 0 1.0 0.0 -1e6"]) == 3
+        monkeypatch.setattr(spectral, "_TAIL_TOL", 0.0)
+        with pytest.raises(AccuracyError, match="unresolved after"):
             shooting_det(PotentialSpec.uncoupled(4, 1.0), 0.0)
         assert main(["det", "--spec", "4 0 1.0 0.0 0.0"]) == 3
     assert caught == []
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_shooting_refuses_to_lose_psi_where_the_gauge_ends():
+    # on v q^2 the gauge ends at P = 4, where psi'/psi ~ v^(1/4) and Pi = 2,
+    # so A = (U + V)/2 keeps only the digits that |Bhat/A| leaves: at
+    # v = 1e15 the skew is still exact, at 1e30 it would be off by 1e-8
+    # and at 1e60 by 0.17, and the shot refuses instead
+    d = shooting_det(PotentialSpec.uncoupled(2, 1e15))
+    assert d.log_abs_skew == pytest.approx(harmonic_det(1e15, 0.0).log_abs_skew, abs=1e-10)
+    for v in (1e30, 1e60):
+        with pytest.raises(AccuracyError, match="lost to rounding"):
+            shooting_det(PotentialSpec.uncoupled(2, v))
 
 
 def test_shot_quadrature_failure_is_an_accuracy_error(monkeypatch, capsys):
@@ -147,24 +159,65 @@ def test_shot_quadrature_failure_is_an_accuracy_error(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("order", (0, 2))
-def test_gauged_sweep_jacobian_is_exact(monkeypatch, order):
-    # the gauged system is linear, y' = J(q) y, so column j of J is rhs(q, e_j)
-    sweeps = []
-    real = spectral.odeint
+def test_gauged_sweep_jacobian_is_exact(order):
+    # the collocation blocks against the coefficients of the linear systems:
+    # A' = (Pi + r) A + Pi Bhat, Bhat' = Pi A + (Pi - r) Bhat in U = A + Bhat,
+    # V = A - Bhat, times dq/dt, and (psi', psi)' = (P psi, psi'); their
+    # mu-derivatives against mpmath's
+    spec = PotentialSpec.trinomial(4, 2, 464.0, 0.3)
+    q_cut, scale, t = 0.05, 0.7, np.linspace(0.0, 2.5, 7)
+    q, dq = q_cut + scale * np.sinh(t), scale * np.cosh(t)
+    gauged = spectral._gauged_blocks(spec, q_cut, scale, t, order)
+    plain = spectral._plain_blocks(spec, q, order)
+    assert len(gauged) == len(plain) == order + 1
+    to_uv = mp.matrix([[1, 1], [1, -1]])
+    for i in range(len(q)):
+        x = mp.mpf(q[i])
 
-    def recording(func, y0, t, **kwargs):
-        if kwargs.get("Dfun") is not None:
-            sweeps.append((func, kwargs["Dfun"], len(y0), t))
-        return real(func, y0, t, **kwargs)
+        def entry(mu, j, k, gauge):
+            p = spec.u * x**4 + spec.v * x**2 + spec.lam + mu
+            if not gauge:
+                return [[0, p], [1, 0]][j][k]
+            pi, r = mp.sqrt(p), (4 * spec.u * x**3 + 2 * spec.v * x) / (4 * p)
+            ab = mp.matrix([[pi + r, pi], [pi, pi - r]])
+            return (mp.mpf(dq[i]) * to_uv * ab * to_uv**-1)[j, k]
 
-    monkeypatch.setattr(spectral, "odeint", recording)
-    spectral._shoot(PotentialSpec.trinomial(4, 2, 464.0, 0.3), order)
-    (func, jac, n, (q_max, q_cut)), = sweeps
-    assert n == 2 * order + 2
-    for q in np.linspace(q_cut, q_max, 7):
-        want = np.column_stack([func(q, e) for e in np.eye(n)])
-        got = jac(q, np.ones(n))
-        assert np.allclose(got, want, rtol=1e-14, atol=0.0), q
+        for n in range(order + 1):
+            for blocks, gauge in ((gauged, True), (plain, False)):
+                want = np.array([[float(mp.diff(lambda mu: entry(mu, j, k, gauge), 0, n))
+                                  for k in range(2)] for j in range(2)])
+                got = blocks[n][:, :, i]
+                assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * abs(want).max()), (n, q[i])
+
+
+def test_shooting_is_reproducible_under_a_last_bit_change():
+    # a one-ulp change of u moves log|D+-| by rounding, not by another mesh
+    for N, M, v in ((4, 0, 0.0), (4, 2, 1.0), (8, 4, 1.0), (6, 2, 464.0), (10, 8, 1e4)):
+        for lam in (0.0, 1.0, 4.4):
+            d = shooting_det(PotentialSpec(N, M, 1.0, v, 0.0), lam)
+            e = shooting_det(PotentialSpec(N, M, 1.0 + 2.0**-52, v, 0.0), lam)
+            for x, y in ((d.log_abs_even, e.log_abs_even), (d.log_abs_odd, e.log_abs_odd)):
+                assert abs(x - y) <= 1e-9 * abs(x), (N, M, v, lam, x, y)
+
+
+@pytest.mark.parametrize("lam,even,odd", [
+    (-5.0, -2.008010563273, -3.307123289087),
+    (-50.0, -17.53001981503, -16.72503212586),
+    (-400.0, -76.07512931839, -79.87863529122),
+    (-3000.0, -351.6009247465, -358.1569816347),
+])
+def test_shooting_negative_shifts_refine_or_refuse(lam, even, odd):
+    # q^4 + lam oscillates below its turning point, faster as lam falls: the
+    # panels there are bisected until the solution is resolved, or the shot
+    # raises AccuracyError; never a wrong value.  References from the shot
+    # integrated at a relative tolerance of 1e-13.
+    try:
+        d = shooting_det(PotentialSpec.uncoupled(4, 1.0), lam)
+    except AccuracyError:
+        return
+    assert (d.sign_even, d.sign_odd) == (-1.0, -1.0)
+    for got, want in ((d.log_abs_even, even), (d.log_abs_odd, odd)):
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (lam, got, want)
 
 
 @pytest.mark.parametrize("v", (1.0, 5.0))
@@ -191,25 +244,24 @@ def test_shooting_large_lambda_remainder_falls(N, M, v):
 
 
 def test_shot_cost_guard(monkeypatch):
-    # LSODA's right-hand-side evaluations over the 36 interactive shots of the
-    # benchmark's determinants workload: N = 4, 6, 8, every M, v on four
-    # log-spaced points of [0.5, 50] and shifts on four of [0, 5]; the bound is
-    # 80% of the 34 442 that the second-order start without a Jacobian took
-    nfe = []
-    real = spectral.odeint
+    # collocation panels over the 36 interactive shots of the benchmark's
+    # determinants workload: N = 4, 6, 8, every M, v on four log-spaced
+    # points of [0.5, 50] and shifts on four of [0, 5]; 310 panels in 62
+    # batched solves, one per leg, with no panel bisected
+    panels = []
+    real = spectral._collocate
 
-    def counting(func, y0, t, **kwargs):
-        ys, info = real(func, y0, t, **kwargs)
-        nfe.append(int(info["nfe"][-1]))
-        return ys, info
+    def counting(blocks, a, b, order):
+        panels.append(len(a))
+        return real(blocks, a, b, order)
 
-    monkeypatch.setattr(spectral, "odeint", counting)
+    monkeypatch.setattr(spectral, "_collocate", counting)
     shots = [(0.5 * 100.0 ** ((i + 0.5) / 4), 5.0 * (i + 0.5) / 4) for i in range(4)]
     for N in (4, 6, 8):
         for M in range(0, N, 2):
             for v, shift in shots:
                 shooting_det(PotentialSpec.trinomial(N, M, v), shift)
-    assert sum(nfe) <= 27500
+    assert sum(panels) <= 320 and len(panels) <= 64, (sum(panels), len(panels))
 
 
 def _bisect_sign(f, lo, hi, tol=1e-8):
@@ -447,28 +499,28 @@ def test_zeta_from_det_s2_at_strong_coupling(N, M, lam):
 
 
 def test_zeta_from_det_one_shot_per_point(monkeypatch):
-    # z1, zp1 and z2 of one point: one gauged and one plain sweep of the
-    # six-component sensitivity system, and nothing else; measure_point reads
-    # its determinant from the same shot, with no two-component sweep
-    sizes = []
-    real = spectral.odeint
+    # z1, zp1 and z2 of one point: one order-2 propagation per leg (gauged
+    # and plain), and nothing else; measure_point reads its determinant from
+    # the same shot, with no order-0 propagation
+    orders = []
+    real = spectral._propagate
 
-    def counting(func, y0, t, **kwargs):
-        sizes.append(len(y0))
-        return real(func, y0, t, **kwargs)
+    def counting(blocks, x0, x1, y):
+        orders.append(len(y) - 1)
+        return real(blocks, x0, x1, y)
 
-    monkeypatch.setattr(spectral, "odeint", counting)
+    monkeypatch.setattr(spectral, "_propagate", counting)
     spectral.det_jet.cache_clear()
     spec = PotentialSpec.trinomial(4, 2, 464.0)
     zeta_from_det(spec, 1)
     zeta_from_det(spec, 1, skew=True)
     zeta_from_det(spec, 2)
-    assert sizes == [6, 6]
+    assert orders == [2, 2]
 
-    sizes.clear()
+    orders.clear()
     spectral.det_jet.cache_clear()
     measure_point(4, 1e-3)
-    assert sizes == [6, 6]
+    assert orders == [2, 2]
 
 
 @pytest.mark.parametrize("N,g", [(4, 3e-4), (4, 1e-4), (6, 1e-4), (6, 1e-5)])
