@@ -49,8 +49,9 @@ def binomial_action_s(u: float, v: float, N: float, M: float, s: float) -> float
 
     Gamma(a_s) Gamma(-b_s) / ((N-M) Gamma(s-1/2)) u^{-a_s} v^{b_s} with
     a_s = (M(1-2s)+2)/(2(N-M)), b_s = (N(1-2s)+2)/(2(N-M)).  Raises
-    PoleError when either numerator Gamma sits at a pole; callers use that
-    to detect the anomalous configurations.
+    PoleError when either numerator Gamma sits at a pole; at s = 0 that is
+    an anomalous configuration, which binomial_action sends to the
+    finite-part form before it gets here.
     """
     if not (N > M >= 0):
         raise DomainError("need N > M >= 0")
@@ -120,7 +121,7 @@ def _suggest_tail_point(spec: PotentialSpec, target: float) -> float:
     """A q where expansion_parameter(spec, q) is at most target / 2."""
     return max((4.0 * spec.v / (target * spec.u)) ** (1.0 / (spec.N - spec.M)),
                (4.0 * abs(spec.lam) / (target * spec.u) + 1e-30) ** (1.0 / spec.N),
-               1.0)
+               spec.length())
 
 
 def adaptive_tail(spec: PotentialSpec, q: float, abs_tol: float = 1e-11,
@@ -173,21 +174,24 @@ def _check_positive_momentum(spec: PotentialSpec):
 
 
 def choose_split_point(spec: PotentialSpec) -> float:
-    """Split point of improper_action, and the tail point of shooting_det
-    when beyond its WKB matching point: the smallest q >= 1 where the tail
-    series converges with expansion parameter x <= 0.2.
+    """Split point of improper_action, and where shooting_det starts its walk
+    out to the WKB matching point: the smallest q at or beyond the length
+    u^{-1/(N+2)} (``PotentialSpec.length``) where the tail series converges
+    with expansion parameter x <= 0.2.
 
     Head and tail cancel and each grows like q^{N/2+1}, so a larger q loses
     digits: for q^10 + 100 q^8 at x = 0.05 (q = 44.7) each is 1.4e9 and
-    their sum misses the closed form by 5e-7.  A root bracket beyond double
+    their sum misses the closed form by 5e-7, and 1e8 q^2 split at q = 1, not
+    at its length 1e-2, misses it by 4e-8.  A root bracket beyond double
     range raises AccuracyError.
     """
-    if expansion_parameter(spec, 1.0) <= 0.2:
-        return 1.0
+    q_lo = spec.length()
+    if expansion_parameter(spec, q_lo) <= 0.2:
+        return q_lo
     q_hi = _suggest_tail_point(spec, 0.2)
     if not math.isfinite(q_hi):
         raise AccuracyError(f"the tail point of {spec.to_text()!r} is beyond double range")
-    return brentq(lambda q: expansion_parameter(spec, q) - 0.2, 1.0, q_hi)
+    return brentq(lambda q: expansion_parameter(spec, q) - 0.2, q_lo, q_hi, xtol=2e-12 * q_lo)
 
 
 def improper_action(spec: PotentialSpec, tol: float = 1e-9,

@@ -46,14 +46,10 @@ def _out_path(args, default_name):
 
 def _emit_rows(rows, path):
     if path is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            for row in rows:
-                writer.writerow(row)
+            csv.writer(fh, lineterminator="\n").writerows(rows)
         print(path)
 
 
@@ -229,12 +225,8 @@ def cmd_fig2(args):
         families = tuple(int(x) for x in args.families.split(","))
     except ValueError as exc:
         raise DomainError(f"bad --families value: {exc}") from exc
-    paths = [os.path.join(outdir, name) for name in ("fig2_left.csv", "fig2_right.csv")]
-    for path, rows in zip(paths, fig2_rows(families, grid)):
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-    for path in paths:
-        print(path)
+    for name, rows in zip(("fig2_left.csv", "fig2_right.csv"), fig2_rows(families, grid)):
+        _emit_rows(rows, os.path.join(outdir, name))
     return 0
 
 

@@ -67,6 +67,11 @@ class PotentialSpec:
             out += self.M * (self.M - 1) * (self.M - 2) * self.v * q ** (self.M - 3)
         return out
 
+    def length(self) -> float:
+        """u^{-1/(N+2)}, the length at which u q^N and the kinetic term
+        -d^2/dq^2 balance; 1 for u = 1."""
+        return self.u ** (-1.0 / (self.N + 2))
+
     def with_shift(self, dlam: float) -> "PotentialSpec":
         return replace(self, lam=self.lam + dlam)
 

@@ -32,7 +32,7 @@ GRID = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)   # default couplings
 _Z1_ABS_MAX = 0.05          # |Z_g(1) - prediction| at the smallest g
 _SLOPE_REL_MAX = 0.02       # E-slope relative deviation at _SLOPE_CHECK_G
 _SLOPE_CHECK_G = 1e-3
-_ROUTE_FLAG_TOL = 1e-4      # shooting vs product-determinant discrepancy
+_ROUTE_FLAG_TOL = 1e-4      # gap between the determinant and spectrum zeta routes
 
 
 def _check_grid(grid) -> list[float]:

@@ -19,14 +19,17 @@ stiff mode costs nothing, and the Chebyshev tail of the chained solution in
 each panel is the truncation estimate that bisects the panels it flags.
 The sweep starts from the WKB series through third order; the odd orders
 are total derivatives (Voros, Ann. Inst. H. Poincare A 39 (1983) 211), so
-the third costs no quadrature.
+the third costs no quadrature.  Nor does the normalization, the
+zeta-regularized action int Pi dq: by Liouville's formula it is half the
+log-determinant int tr J dt of the gauged leg's propagator, plus the
+regularized tail series at the WKB start.
 
 Zeta values at s = 1, 2 are mu-derivatives of log det(H + mu).  They come
 from one shot of the sensitivity equations: the first and second
 mu-derivatives of the solution are propagated with it, through the same
-panel matrices, and the WKB start, the bridge quadrature and the tail
-series are differentiated with them, so no difference quotient and no step
-width enters.  One routine (``_shoot``) does all shooting: the plain shot
+panel matrices, and the WKB start, the traces and the tail series are
+differentiated with them, so no difference quotient and no step width
+enters.  One routine (``_shoot``) does all shooting: the plain shot
 of ``shooting_det`` propagates the solution alone, and the sensitivity shot
 (``det_jet``) returns its determinants next to the derivatives, so one shot
 per coupling serves both the determinant and the zetas (``zeta_from_det``,
@@ -94,7 +97,7 @@ class DeterminantValue:
     log_abs_odd: float
     sign_odd: float
     log_abs_skew: float
-    method: str            # "product" | "closed-harmonic" | "shooting"
+    method: str            # "closed-harmonic" | "shooting"
 
     @property
     def log_abs_full(self) -> float:
@@ -149,8 +152,9 @@ def _choose_q_max(work: PotentialSpec, q: float) -> float:
     """WKB matching point: the first q * 1.2^k, k = 0, 1, ..., where the
     bound on |y3|/Pi is at most 5e-10.  The start then misses at most 1e-10
     of log A (the tail integral of y4, 8e-12 in the median) on q^N + v q^M + lam,
-    N <= 10, v <= 1e6.  The regularized tail is taken farther out, where
-    improper_action takes it (``choose_split_point``)."""
+    N <= 10, v <= 1e6.  The shot walks out from at least improper_action's
+    split point (``choose_split_point``), so its regularized tail series
+    converges there too."""
     while _wkb_next_correction(work, q) > 5e-10:
         q *= 1.2
     return q
@@ -171,7 +175,7 @@ _DIFF -= np.diag(_DIFF.sum(axis=1))
 _TAIL = np.linalg.inv(np.cos(np.pi * np.outer(np.arange(_K + 1), np.arange(_K + 1)) / _K))[-2:]
 _INTEGRATE = np.linalg.inv(_DIFF[1:, 1:])   # d/ds inverted from the start point
 _PANEL = 0.5             # first panel width, in t (gauged leg) or q (plain leg)
-_TAIL_TOL = 1e-12        # largest relative Chebyshev tail of a panel's solution
+_TAIL_TOL = 1e-12        # largest relative Chebyshev tail of a panel's solution and tr J
 _BUDGET = 4096           # panel solves of one leg, over all rounds, before the shot gives up
 
 
@@ -193,10 +197,12 @@ def _plain_blocks(work: PotentialSpec, q: np.ndarray, order: int) -> list:
             np.array([[zero, one], [zero, zero]]), np.zeros((2, 2) + q.shape)][:order + 1]
 
 
-def _collocate(blocks, a: np.ndarray, b: np.ndarray, order: int) -> list:
+def _collocate(blocks, a: np.ndarray, b: np.ndarray, order: int):
     """The propagators X0, ..., X_order of the jets over the panels
     [a_i, b_i] (a_i the start), as values at the panel's Chebyshev points,
-    shape (panel, component, point, start).
+    shape (panel, component, point, start); each panel's integrals of
+    tr J0, ..., tr J_order; and a flag on each panel where a tr J_m has a
+    last-two Chebyshev coefficient above _TAIL_TOL of its size there.
 
     ``blocks(x, order)`` gives J0, ..., J_order at the points x, each of
     shape (2, 2) + x.shape, with J0[1][1] = 0.  X0 solves L X0 = 0 from the
@@ -205,7 +211,11 @@ def _collocate(blocks, a: np.ndarray, b: np.ndarray, order: int) -> list:
     start plus an integral of the first, so each panel solves one _K x _K
     Schur complement for the first, the same for X0, X1 and X2."""
     h = 0.5 * (a - b)[:, None]
-    J = [h * j for j in blocks(0.5 * (a + b)[:, None] + h * _NODES[1:], order)]
+    J = [h * j for j in blocks(0.5 * (a + b)[:, None] + h * _NODES, order)]
+    trace = np.array([j[0, 0] + j[1, 1] for j in J])          # (jet, panel, point)
+    tail = np.abs(np.einsum("tj,mpj->mpt", _TAIL, trace)).max(axis=2)
+    unresolved = ~(tail <= _TAIL_TOL * np.abs(trace).max(axis=2)).all(axis=0)
+    J = [j[..., 1:] for j in J]
     (j00, j01), (j10, _) = J[0][..., None]
     schur = _DIFF[1:, 1:] - j00 * np.eye(_K) - j01 * _INTEGRATE * j10.transpose(0, 2, 1)
 
@@ -224,30 +234,35 @@ def _collocate(blocks, a: np.ndarray, b: np.ndarray, order: int) -> list:
     if order:
         X.append(solve(force(1, X[0]), np.zeros((2, 2))))
         X.append(solve(force(2, X[0]) + 2.0 * force(1, X[1]), np.zeros((2, 2))))
-    return X
+    return X, (trace[:, :, 1:] @ _INTEGRATE[-1]).T, unresolved
 
 
 @np.errstate(all="ignore")    # a non-finite value fails the tail test
-def _propagate(blocks, x0: float, x1: float, y: list) -> list:
+def _propagate(blocks, x0: float, x1: float, y: list) -> tuple[list, np.ndarray]:
     """The jets y = [y0, ..., y_order] (2-vectors) of y0' = J0 y0,
-    y1' = J0 y1 + J1 y0, y2' = J0 y2 + 2 J1 y1 + J2 y0 carried from x0 to x1.
+    y1' = J0 y1 + J1 y0, y2' = J0 y2 + 2 J1 y1 + J2 y0 carried from x0 to x1,
+    and the integrals of tr J0, ..., tr J_order from x0 to x1.
 
     The leg is split into panels of width _PANEL, each collocated at _K + 1
     Chebyshev points (``_collocate``), and the panel propagators are chained
     from x0, block lower-triangular in the jets.  Every panel over which a
     jet of the chained solution has a last-two Chebyshev coefficient above
     _TAIL_TOL of the size of the solution there is bisected (an error in
-    y_m / y0 that later panels carry unchanged), and the leg solved again; the
-    estimate is not taken on the unit-start propagators, which leave the slow
-    manifold and excite the stiff layer of the gauged leg.  A leg that is
-    not resolved within _BUDGET panel solves raises AccuracyError."""
+    y_m / y0 that later panels carry unchanged), as is every panel flagged
+    for its tr J_m, and the leg solved again; the estimate is not taken on
+    the unit-start propagators, which leave the slow manifold and excite the
+    stiff layer of the gauged leg.  A round that would take the leg beyond
+    _BUDGET panel solves raises AccuracyError before it is solved."""
     order = len(y) - 1
     edges = np.linspace(x0, x1, max(1, math.ceil(abs(x1 - x0) / _PANEL)) + 1)
     spent = 0
     while True:
-        X = _collocate(blocks, edges[:-1], edges[1:], order)
-        n = len(X[0])
+        n = len(edges) - 1
+        if spent + n > _BUDGET:
+            raise AccuracyError(f"shot propagator: a leg unresolved after {spent} panel solves"
+                                f" ({n} more needed, budget {_BUDGET})")
         spent += n
+        X, traces, bad = _collocate(blocks, edges[:-1], edges[1:], order)
         # (panel, point, jet, component, jet, start): C(m, k) X_k in block (m, m - k)
         props = np.zeros((n, _K + 1, order + 1, 2, order + 1, 2))
         for m in range(order + 1):
@@ -260,11 +275,9 @@ def _propagate(blocks, x0: float, x1: float, y: list) -> list:
             state = step @ state
         vals = (props @ np.array(starts)[:, None, :, None]).reshape(n, _K + 1, order + 1, 2)
         tail = np.abs(np.einsum("tj,pjmc->pmtc", _TAIL, vals)).max(axis=(1, 2, 3))
-        bad = ~(tail <= _TAIL_TOL * np.abs(vals[:, :, 0]).max(axis=(1, 2)))
+        bad |= ~(tail <= _TAIL_TOL * np.abs(vals[:, :, 0]).max(axis=(1, 2)))
         if not bad.any():
-            return list(state.reshape(order + 1, 2))
-        if spent + n + bad.sum() > _BUDGET:
-            raise AccuracyError(f"shot propagator: a leg unresolved after {spent} panel solves")
+            return list(state.reshape(order + 1, 2)), traces.sum(axis=0)
         edges = np.insert(edges, np.flatnonzero(bad) + 1, 0.5 * (edges[:-1] + edges[1:])[bad])
 
 
@@ -292,23 +305,10 @@ def _power_jet(value: float, p: float, beta: float, n: int) -> float:
     return value
 
 
-def _root(p: float, n: int) -> float:
-    """d^n/dmu^n of sqrt(P) at P = p."""
-    return _power_jet(math.sqrt(p), p, -0.5, n)
-
-
 def _jet_mul(f, g) -> list:
     """The jet of f g by the Leibniz rule."""
     return [sum(math.comb(n, k) * f[k] * g[n - k] for k in range(n + 1))
             for n in range(len(f))]
-
-
-def _jet_div(f, g) -> list:
-    """The jet of f / g: h_n = (f_n - sum_{k<n} C(n,k) h_k g_{n-k}) / g_0."""
-    h = []
-    for n in range(len(f)):
-        h.append((f[n] - sum(math.comb(n, k) * h[k] * g[n - k] for k in range(n))) / g[0])
-    return h
 
 
 def _shoot(work: PotentialSpec, order: int):
@@ -320,24 +320,24 @@ def _shoot(work: PotentialSpec, order: int):
     jets of a two-component state.  The gauged leg runs in t, with
     q = q_cut + scale sinh t, from the WKB matching point q_max down to
     q_cut, where P drops to order one; its state is U = A + Bhat and
-    V = A - Bhat, whose system is dq/dt [[2 Pi, r], [r, 0]] with
+    V = A - Bhat, whose system is J = dq/dt [[2 Pi, r], [r, 0]] with
     Pi = sqrt(P) and r = P'/(4P): U is the stiff mode, which the WKB start
-    leaves at -r V/(2 Pi), and V the slow one.  The plain leg carries
-    (psi', psi) with [[0, P], [1, 0]] from q_cut on to the origin; where the
-    gauge ends, psi'/psi above 1e4 Pi would lose A to rounding in U + V.  At
-    q_max, A and Bhat take the WKB form: the log-derivative
-    w = y0 + y1 + y2 + y3 through third order, and the amplitude exp(ell)
-    with ell = -int_{q_max}^inf (y2 + y3).  The odd order is a total
-    derivative, y3 = -(1/2) (y2/y0)', so it adds the boundary term
-    (1/2) y2/Pi at q_max to ell and no quadrature; y2's, by parts
-    P'/(8 P^{3/2}) - (1/32) int P'^2/P^{5/2}, is taken in t = q_max/q on
-    [0, 1].  c_norm = -1/4 log P(q_cut) + int_{q_cut}^{q_tail} Pi +
-    adaptive_tail at the tail point q_tail = max(q_max, choose_split_point).
-    The mu-derivatives of that bridge integrand peak where P is smallest,
-    so it is taken in the gauged leg's t, which is linear across the peak
-    and logarithmic beyond; scale is q_cut, or the q where P is 2 P(0) when
-    q_cut = 0.  q_cut, q_max and q_tail are held fixed under mu: log D does
-    not depend on them.  A P, a term of the shot or a quadrature beyond
+    leaves at -r V/(2 Pi), and V the slow one.  t is linear where P doubles
+    (scale is q_cut, or the q where P is 2 P(0) when q_cut = 0) and
+    logarithmic beyond.  The plain leg carries (psi', psi) with
+    [[0, P], [1, 0]] from q_cut on to the origin; where the gauge ends,
+    psi'/psi above 1e4 Pi would lose A to rounding in U + V.  At q_max, A and
+    Bhat take the WKB form: the log-derivative w = y0 + y1 + y2 + y3 through
+    third order, and the amplitude exp(ell) with ell = -int_{q_max}^inf
+    (y2 + y3).  The odd order is a total derivative, y3 = -(1/2) (y2/y0)',
+    so it adds the boundary term (1/2) y2/Pi at q_max to ell and no
+    quadrature; y2's, by parts P'/(8 P^{3/2}) - (1/32) int P'^2/P^{5/2}, is
+    taken in t = q_max/q on [0, 1], the shot's one quadrature.
+    c_norm = -1/4 log P(q_cut) + int_{q_cut}^{q_max} Pi + adaptive_tail at
+    q_max, which lies beyond improper_action's split point; the integral of
+    each mu-derivative Pi_m is minus half that of tr J_m over the leg, which
+    the propagator returns.  q_cut and q_max are held fixed under mu: log D
+    does not depend on them.  A P, a term of the shot or a quadrature beyond
     double range, a quadrature that does not converge, or a leg the
     propagator cannot resolve within its panel budget, raises AccuracyError.
     """
@@ -345,25 +345,22 @@ def _shoot(work: PotentialSpec, order: int):
 
     try:
         q_cut = 0.0 if P(0.0) >= _PLAIN_THRESHOLD else turning_point(work, _PLAIN_THRESHOLD)
-        q_max = _choose_q_max(work, max(1.0, q_cut))
-        q_tail = max(q_max, choose_split_point(work))
-        if not math.isfinite(P(q_tail)):
-            raise AccuracyError(f"P is beyond double range at the tail point q = {q_tail:.3g}")
+        q_max = _choose_q_max(work, max(q_cut, choose_split_point(work)))
+        if not math.isfinite(P(q_max)):
+            raise AccuracyError(f"P is beyond double range at the tail point q = {q_max:.3g}")
         p0, dp0, d2p0, d3p0, p_cut = P(q_max), dP(q_max), d2P(q_max), d3P(q_max), P(q_cut)
-        root0 = [_root(p0, n) for n in range(order + 1)]
         scale = q_cut or turning_point(work, 2.0 * p_cut)
-        t_tail = math.asinh((q_tail - q_cut) / scale)
         # the WKB terms c P^{-beta} at q_max as (value, beta): y1, y2 and y3
         # of w, and y2's boundary term and (1/2) y2/Pi of ell
-        b1, b2, b3, root = dp0 / p0, d2p0 / p0, d3p0 / p0, root0[0]
+        b1, b2, b3, root = dp0 / p0, d2p0 / p0, d3p0 / p0, math.sqrt(p0)
         w_terms = ((-b1 / 4.0, 1.0), (-b2 / (8.0 * root), 1.5),
                    (5.0 * b1 * b1 / (32.0 * root), 2.5), (-b3 / (16.0 * p0), 2.0),
                    (9.0 * b1 * b2 / (32.0 * p0), 3.0), (-15.0 * b1**3 / (64.0 * p0), 4.0))
         ell_terms = ((-b1 / (8.0 * root), 1.5), (-b2 / (16.0 * p0), 2.0),
                      (5.0 * b1 * b1 / (64.0 * p0), 3.0))
-        dw, ell, c_norm = [], [], []
+        ratio, ell, c_norm = [], [], []
         for n in range(order + 1):
-            dw.append(sum(_power_jet(c, p0, beta, n) for c, beta in w_terms))
+            ratio.append(sum(_power_jet(c / root, p0, beta + 0.5, n) for c, beta in w_terms))
 
             def tail_integrand(t):   # P'^2/P^{5/2} dq with q = q_max/t
                 q = q_max / t
@@ -372,27 +369,26 @@ def _shoot(work: PotentialSpec, order: int):
 
             tail_int = _quad(tail_integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
             ell.append(sum(_power_jet(c, p0, beta, n) for c, beta in ell_terms) + tail_int / 32.0)
-            bridge = _quad(lambda t: _root(P(q_cut + scale * math.sinh(t)), n)
-                           * scale * math.cosh(t), 0.0, t_tail,
-                           epsabs=1e-13, epsrel=1e-12, limit=400)
             log_cut = math.log(p_cut) if n == 0 else _power_jet(1.0 / p_cut, p_cut, 1.0, n - 1)
-            c_norm.append(-0.25 * log_cut + bridge + adaptive_tail(work, q_tail, lam_deriv=n))
-        # A = exp(ell), and U = A + Bhat = (w + Pi) A / Pi at q_max
+            c_norm.append(-0.25 * log_cut + adaptive_tail(work, q_max, lam_deriv=n))
+        # A = exp(ell), and U = A + Bhat = ratio A at q_max, ratio = (w + Pi)/Pi
         a0 = [math.exp(ell[0])]
         if order:
             a0 += [a0[0] * ell[1], a0[0] * (ell[2] + ell[1] ** 2)]
-        u0 = _jet_mul(_jet_div(dw, root0), a0)
-        ys = _propagate(partial(_gauged_blocks, work, q_cut, scale),
-                        math.asinh((q_max - q_cut) / scale), 0.0,
-                        [np.array([u, 2.0 * a - u]) for u, a in zip(u0, a0)])
+        u0 = _jet_mul(ratio, a0)
+        ys, traces = _propagate(partial(_gauged_blocks, work, q_cut, scale),
+                                math.asinh((q_max - q_cut) / scale), 0.0,
+                                [np.array([u, 2.0 * a - u]) for u, a in zip(u0, a0)])
         if not abs(ys[0].sum()) >= 1e-4 * abs(ys[0]).max():   # A = (U + V)/2 cancels
             raise AccuracyError("psi is lost to rounding where the gauge ends: |Bhat/A| > 1e4")
+        # tr J_m = 2 Pi_m dq/dt, so the leg, run inward, gives -2 int Pi_m dq
+        c_norm = [c - 0.5 * float(t) for c, t in zip(c_norm, traces)]
         # A = (U + V)/2, psi' = Pi Bhat = Pi (U - V)/2 at q_cut
-        dys = _jet_mul([_root(p_cut, n) for n in range(order + 1)],
+        dys = _jet_mul([_power_jet(math.sqrt(p_cut), p_cut, -0.5, n) for n in range(order + 1)],
                        [0.5 * (y[0] - y[1]) for y in ys])
         ys = [np.array([dy, 0.5 * (y[0] + y[1])]) for y, dy in zip(ys, dys)]
         if q_cut > 0.0:
-            ys = _propagate(partial(_plain_blocks, work), q_cut, 0.0, ys)
+            ys = _propagate(partial(_plain_blocks, work), q_cut, 0.0, ys)[0]
     except OverflowError:
         raise AccuracyError("P, or a term of the shot, is beyond double range") from None
     dpsi, psi = [float(y[0]) for y in ys], [float(y[1]) for y in ys]
@@ -412,12 +408,12 @@ def shooting_det(spec: PotentialSpec, lam: float = 0.0) -> DeterminantValue:
     The recessive solution is normalized at the WKB matching point q_max by
     its WKB form (including the first three log-derivative corrections,
     which keep q_max moderate) and propagated inward by piecewise Chebyshev
-    collocation; D- = Psi(0), D+ = -Psi'(0).  The gauge's regularized tail
-    action is taken at the tail point max(q_max, choose_split_point), the
-    split point of improper_action, and one quadrature of Pi bridges it to
-    the gauge's end.  A panel the propagator cannot resolve at its panel cap,
-    a quadrature failure, or a P beyond double range before the tail point,
-    raises AccuracyError.
+    collocation; D- = Psi(0), D+ = -Psi'(0).  The gauge's normalization, the
+    zeta-regularized action, is the regularized tail series at q_max plus
+    int Pi from the gauge's end to q_max, which the gauged leg's propagator
+    gives as half its log-determinant.  A panel the propagator cannot resolve
+    at its panel cap, a quadrature failure, or a P beyond double range at
+    q_max, raises AccuracyError.
     """
     return _shoot(spec.with_shift(lam), 0)[0]
 
@@ -673,13 +669,14 @@ def zeta_from_det(spec: PotentialSpec, s: int, E: float = 0.0, *,
 
     The derivatives come from one sensitivity shot (``det_jet``, cached per
     spec and E): the mu-derivatives of the recessive solution, of its WKB
-    start and of the normalization (bridge integrals of 1/(2 Pi) and
-    -1/(4 Pi^3), tail series term by term) are propagated with it, so the
-    error is that of the shot itself, the collocation's Chebyshev tail of
-    1e-12 and the third-order WKB start at q_max, not that of a difference
-    quotient.  The bridge integrals are taken in a variable that resolves
-    their peak at q_cut, also on strongly coupled partners, and a quadrature
-    that does not converge raises AccuracyError rather than a warning.  s >= 3
+    start and of the normalization (the integrals of 1/(2 Pi) and
+    -1/(4 Pi^3) from the traces of the leg's mu-derivative blocks, the tail
+    series term by term) are propagated with it, so the error is that of the
+    shot itself, the collocation's Chebyshev tail of 1e-12 and the
+    third-order WKB start at q_max, not that of a difference quotient.  The
+    traces peak at q_cut and are resolved there like the solution, also on
+    strongly coupled partners, and a quadrature that does not converge
+    raises AccuracyError rather than a warning.  s >= 3
     raises DomainError up front, and so does an E at or above the first
     Bohr-Sommerfeld excited level, or an E above the ground state, where a
     parity determinant turns negative.

@@ -185,6 +185,14 @@ def test_improper_action_matches_closed_forms_on_grid():
             assert numeric == pytest.approx(closed, abs=1e-7), (N, M, v)
 
 
+def test_improper_action_of_a_steep_power_keeps_its_tolerance():
+    # 1e8 q^2 has length 1e-2: splitting there, not at q = 1, keeps head and
+    # tail from cancelling down from +-5e3 to the action of 2.6e-8
+    numeric = improper_action(PotentialSpec(2, 0, 1e8, 1e-4, 0.0)).value
+    closed = binomial_action(1e8, 1e-4, 2.0, 0.0).value
+    assert abs(numeric - closed) <= 1e-9
+
+
 def test_improper_action_split_independence():
     spec = PotentialSpec.trinomial(4, 2, 1.0, 0.0)
     base = choose_split_point(spec)

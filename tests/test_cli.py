@@ -278,6 +278,26 @@ def test_output_file_and_determinism(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_verify_csv_to_a_file(tmp_path, capsys):
+    # --out writes the bytes stdout would carry and prints the path
+    argv = ["verify", "--N", "4", "--grid", "1e-1,3e-2", "--format", "csv"]
+    code, csv_text = run_cli(capsys, *argv)
+    path = tmp_path / "verify.csv"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (code, f"{path}\n")
+    assert path.read_text() == csv_text
+    assert csv_text.splitlines()[0].startswith("g,") and len(csv_text.splitlines()) == 3
+
+
+def test_spectrum_into_the_output_directory(tmp_path, capsys, monkeypatch):
+    argv = ["spectrum", "--spec", "4 0 1 0 0", "--count", "4"]
+    code, csv_text = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("OSCDET_OUTDIR", str(tmp_path))
+    path = tmp_path / "spectrum.csv"
+    assert run_cli(capsys, *argv) == (0, f"{path}\n")
+    assert path.read_text() == csv_text
+
+
 def test_fig2_emission_small_grid(tmp_path, capsys):
     code, out = run_cli(capsys, "fig2", "--families", "4",
                         "--grid", "1e-1,3e-2", "--outdir", str(tmp_path))

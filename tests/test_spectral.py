@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -98,6 +99,17 @@ def test_shooting_reproduces_harmonic():
             assert abs(got.log_abs_odd - want.log_abs_odd) <= 1e-10, (v, lam)
 
 
+def test_shooting_steep_harmonic_keeps_its_digits():
+    # v q^2 has length v^(-1/4): the shot's tail point and the span of its
+    # gauged leg scale with it, so the normalization does not cancel down
+    # from +-1.6e9 at v = 1e19, as it would with a tail point at q = 1
+    for v in (1e15, 1e18, 1e19):
+        got = shooting_det(PotentialSpec.uncoupled(2, v))
+        want = harmonic_det(v, 0.0)
+        assert abs(got.log_abs_even - want.log_abs_even) <= 1e-10, v
+        assert abs(got.log_abs_odd - want.log_abs_odd) <= 1e-10, v
+
+
 def test_shooting_parity_combination_identities():
     d = shooting_det(PotentialSpec.uncoupled(4, 1.0), 0.5)
     assert d.full == pytest.approx(d.even * d.odd, rel=1e-10)
@@ -190,6 +202,38 @@ def test_gauged_sweep_jacobian_is_exact(order):
                 assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * abs(want).max()), (n, q[i])
 
 
+@pytest.mark.parametrize("text", ("4 2 1 464 0", "6 2 1 1 5", "8 0 1 0 0", "10 4 1 1 1e10"))
+def test_gauged_leg_trace_integrates_the_momentum(monkeypatch, text):
+    # Liouville: tr J_m = 2 d^m Pi/dmu^m dq/dt, so half the integrals of the
+    # traces over the leg, run from q_max in to q_cut, are -int Pi,
+    # -int 1/(2 Pi) and int 1/(4 Pi^3) over [q_cut, q_max]; q_cut = 0 on
+    # 6 2 1 1 5, and q^10 + q^4 + 1e10 resolves its traces on more panels
+    # than its solution needs
+    legs = []
+    real = spectral._propagate
+
+    def spying(blocks, x0, x1, y):
+        out = real(blocks, x0, x1, y)
+        legs.append((blocks, x0, out[1]))
+        return out
+
+    monkeypatch.setattr(spectral, "_propagate", spying)
+    spec = PotentialSpec.from_text(text)
+    spectral._shoot(spec, 2)
+    blocks, t_max, traces = legs[0]
+    _, q_cut, scale = blocks.args   # q = q_cut + scale sinh t, t from t_max (q_max) to 0
+
+    def p(q):
+        return spec.u * q**spec.N + spec.v * q**spec.M + spec.lam
+
+    with mp.workdps(30):
+        points = [q_cut + scale * mp.sinh(mp.mpf(t_max) * k / 8) for k in range(9)]
+        for m, f in enumerate((lambda q: mp.sqrt(p(q)), lambda q: 1 / (2 * mp.sqrt(p(q))),
+                               lambda q: -1 / (4 * mp.sqrt(p(q)) ** 3))):
+            want = mp.quad(f, points)
+            assert abs(-0.5 * traces[m] - want) <= 1e-13 * abs(want), (m, traces[m], want)
+
+
 def test_shooting_is_reproducible_under_a_last_bit_change():
     # a one-ulp change of u moves log|D+-| by rounding, not by another mesh
     for N, M, v in ((4, 0, 0.0), (4, 2, 1.0), (8, 4, 1.0), (6, 2, 464.0), (10, 8, 1e4)):
@@ -262,6 +306,23 @@ def test_shot_cost_guard(monkeypatch):
             for v, shift in shots:
                 shooting_det(PotentialSpec.trinomial(N, M, v), shift)
     assert sum(panels) <= 320 and len(panels) <= 64, (sum(panels), len(panels))
+
+
+def test_shot_refuses_a_leg_beyond_its_budget_before_solving(monkeypatch, capsys):
+    # 1e-20 q^4 turns at q = 1.4e5, so the plain leg needs 2.8e5 panels of
+    # width 0.5 at the outset: the shot refuses before collocating them
+    real = spectral._collocate
+
+    def capped(blocks, a, b, order):
+        assert len(a) <= spectral._BUDGET, len(a)
+        return real(blocks, a, b, order)
+
+    monkeypatch.setattr(spectral, "_collocate", capped)
+    assert main(["det", "--spec", "4 0 1e-20 0 0"]) == 3
+    captured = capsys.readouterr()
+    message = json.loads(captured.out)["message"]
+    assert "unresolved after 0 panel solves" in message and "\n" not in message
+    assert captured.err == ""
 
 
 def _bisect_sign(f, lo, hi, tol=1e-8):
