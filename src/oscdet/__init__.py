@@ -15,8 +15,6 @@ from .errors import (
     AccuracyError,
     DivergenceError,
     DomainError,
-    PoleError,
-    TailPreconditionError,
 )
 from .mellin import (
     AsymptoticTerm,

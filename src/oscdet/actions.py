@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import AccuracyError, DomainError, PoleError, TailPreconditionError
+from .errors import AccuracyError, DomainError
 from .potential import (
     PotentialSpec,
     beta_coefficients,
@@ -35,10 +35,6 @@ class ActionValue:
     level: int | None      # anomaly level when closed-anomalous
     residue_used: Jet1
 
-    def __post_init__(self):
-        if self.method == "closed-anomalous" and self.residue_used.value == 0.0:
-            raise DomainError("anomalous closed form requires a nonzero residue")
-
 
 def _is_near_nonpositive_int(x: float, tol: float = 1e-9) -> bool:
     return x < 0.5 and abs(x - round(x)) < tol and round(x) <= 0
@@ -49,7 +45,7 @@ def binomial_action_s(u: float, v: float, N: float, M: float, s: float) -> float
 
     Gamma(a_s) Gamma(-b_s) / ((N-M) Gamma(s-1/2)) u^{-a_s} v^{b_s} with
     a_s = (M(1-2s)+2)/(2(N-M)), b_s = (N(1-2s)+2)/(2(N-M)).  Raises
-    PoleError when either numerator Gamma sits at a pole; at s = 0 that is
+    DomainError when either numerator Gamma sits at a pole; at s = 0 that is
     an anomalous configuration, which binomial_action sends to the
     finite-part form before it gets here.
     """
@@ -60,9 +56,9 @@ def binomial_action_s(u: float, v: float, N: float, M: float, s: float) -> float
     a_s = (M * (1.0 - 2.0 * s) + 2.0) / (2.0 * (N - M))
     b_s = (N * (1.0 - 2.0 * s) + 2.0) / (2.0 * (N - M))
     if _is_near_nonpositive_int(a_s):
-        raise PoleError(f"Gamma({a_s}) pole in the M-factor")
+        raise DomainError(f"Gamma({a_s}) pole in the M-factor")
     if _is_near_nonpositive_int(-b_s):
-        raise PoleError(f"Gamma({-b_s}) pole in the N-factor")
+        raise DomainError(f"Gamma({-b_s}) pole in the N-factor")
     if s - 0.5 <= 0.0 and (s - 0.5) == round(s - 0.5):
         return 0.0  # reciprocal Gamma zero
     l1, s1 = log_gamma(a_s)
@@ -81,8 +77,14 @@ def _odd_reciprocal_sum(j: int) -> float:
 
 
 def anomalous_binomial_action(u: float, v: float, N: float, M: float, j: int) -> ActionValue:
-    """Closed anomalous-branch value at level j (even the exponents may be real)."""
-    beta0 = residue_level_coefficient(j) * u ** (0.5 - j) * v**j
+    """Closed anomalous-branch value at level j (even the exponents may be real).
+
+    The residue u^{1/2-j} v^j is formed as (u^{(1/2-j)/j} v)^j, which
+    overflows or underflows only when the residue does; a residue below
+    double range raises AccuracyError."""
+    beta0 = residue_level_coefficient(j) * (u ** ((0.5 - j) / j) * v) ** j
+    if beta0 == 0.0:
+        raise AccuracyError(f"the residue of {u!r} q^{N} + {v!r} q^{M} is below double range")
     bracket = (-math.log(v) + _harmonic_number(j)
                + (2.0 * M / N) * (LOG2 + 0.5 * math.log(u) - _odd_reciprocal_sum(j - 1)))
     value = 2.0 * j * beta0 / (N + 2.0) * bracket
@@ -117,13 +119,6 @@ def binomial_action(u: float, v: float, N: float, M: float) -> ActionValue:
     return action
 
 
-def _suggest_tail_point(spec: PotentialSpec, target: float) -> float:
-    """A q where expansion_parameter(spec, q) is at most target / 2."""
-    return max((4.0 * spec.v / (target * spec.u)) ** (1.0 / (spec.N - spec.M)),
-               (4.0 * abs(spec.lam) / (target * spec.u) + 1e-30) ** (1.0 / spec.N),
-               spec.length())
-
-
 def adaptive_tail(spec: PotentialSpec, q: float, abs_tol: float = 1e-11,
                   lam_deriv: int = 0) -> float:
     """int_q^inf Pi dq with the zeta-regularized finite-part normalization,
@@ -136,7 +131,8 @@ def adaptive_tail(spec: PotentialSpec, q: float, abs_tol: float = 1e-11,
     (|rho + 1| >= 1), and each later bound is at most c x times the one
     before, c = max(1, n - 1/2), x = expansion_parameter(spec, q), so the
     orders left out add at most abs_tol c x / (1 - c x): below abs_tol for
-    n <= 1, since x <= 1/2 is required, and below 3 abs_tol for n = 2.  The
+    n <= 1, since x <= 1/2 is required (DomainError otherwise; the q of
+    ``choose_split_point`` has x <= 0.2), and below 3 abs_tol for n = 2.  The
     rho = -1 term is replaced by its finite part, read off the residue jet of
     ``beta_coefficients``; only for N = 2 does that residue depend on lam.
     """
@@ -144,9 +140,7 @@ def adaptive_tail(spec: PotentialSpec, q: float, abs_tol: float = 1e-11,
         raise DomainError("tail point q must be positive")
     x = expansion_parameter(spec, q)
     if x > 0.5:
-        raise TailPreconditionError(
-            f"large-q series not decreasing at q = {q} (expansion parameter {x:.3g})",
-            suggested_q=_suggest_tail_point(spec, 0.5))
+        raise DomainError(f"large-q series not decreasing at q = {q} (expansion parameter {x:.3g})")
     scale = q ** (spec.N // 2 + 1)
     total = 0.0
     for bound, terms in binomial_series(spec, q, lam_deriv):
@@ -188,20 +182,21 @@ def choose_split_point(spec: PotentialSpec) -> float:
     q_lo = spec.length()
     if expansion_parameter(spec, q_lo) <= 0.2:
         return q_lo
-    q_hi = _suggest_tail_point(spec, 0.2)
+    # x <= 0.1 there: each of its two terms is at most 0.05
+    q_hi = max((4.0 * spec.v / (0.2 * spec.u)) ** (1.0 / (spec.N - spec.M)),
+               (4.0 * abs(spec.lam) / (0.2 * spec.u) + 1e-30) ** (1.0 / spec.N), q_lo)
     if not math.isfinite(q_hi):
         raise AccuracyError(f"the tail point of {spec.to_text()!r} is beyond double range")
     return brentq(lambda q: expansion_parameter(spec, q) - 0.2, q_lo, q_hi, xtol=2e-12 * q_lo)
 
 
-def improper_action(spec: PotentialSpec, tol: float = 1e-9,
-                    split_q: float | None = None) -> ActionValue:
+def improper_action(spec: PotentialSpec, tol: float = 1e-9) -> ActionValue:
     """int_0^inf Pi dq = quadrature on [0, Q] + regularized tail from Q,
-    each to tol / 10.  A value, or a Pi on the way, beyond double range
-    raises AccuracyError."""
+    each to tol / 10, Q = ``choose_split_point(spec)``.  A value, or a Pi on
+    the way, beyond double range raises AccuracyError."""
     _check_positive_momentum(spec)
     try:
-        q_split = choose_split_point(spec) if split_q is None else split_q
+        q_split = choose_split_point(spec)
         head, _ = quad(_momentum(spec), 0.0, q_split,
                        epsabs=tol / 10.0, epsrel=1e-12, limit=200)
         value = head + adaptive_tail(spec, q_split, tol / 10.0)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from .actions import binomial_action, improper_action, trinomial_action_asymptotic
-from .errors import AccuracyError, DivergenceError, DomainError, TailPreconditionError
+from .errors import AccuracyError, DivergenceError, DomainError
 from .mellin import contributing_poles, enumerate_poles
 from .potential import PotentialSpec, symanzik_map
 from .predictions import GRID, fig2_rows, predict_det_ratio_g, predict_Z1, verify
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (AccuracyError, TailPreconditionError, DivergenceError) as exc:
+    except (AccuracyError, DivergenceError) as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, AccuracyError) and exc.err_est is not None:
             diag["err_est"] = exc.err_est

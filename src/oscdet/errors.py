@@ -5,21 +5,6 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class PoleError(DomainError):
-    """A closed-form expression was requested exactly at one of its poles."""
-
-
-class TailPreconditionError(ValueError):
-    """The large-q series is not yet decreasing at the requested point.
-
-    Carries ``suggested_q``, a point where the series should be usable.
-    """
-
-    def __init__(self, message, suggested_q=None):
-        super().__init__(message)
-        self.suggested_q = suggested_q
-
-
 class AccuracyError(RuntimeError):
     """A tolerance could not be met.  Carries the best available estimate."""
 

@@ -124,29 +124,17 @@ def contributing_poles(N: int, M: int) -> tuple[MellinPole, MellinPole]:
     """The leading mobile pole and the subleading fixed pole.
 
     Exactly these two locations survive both selection rules for all even
-    2 <= M < N.  The leading one is confluent with a fixed pole (pinching)
+    2 <= M < N: the first poles of the third and the second progression,
+    sigma0 = (N+2)/(2(N-M)) and -1/M, the ends of the window they are taken
+    from.  The leading one is confluent with a fixed pole (pinching)
     exactly when the coupled problem is anomalous; the subleading one is
     confluent with the next mobile pole (a true double pole) exactly when
     the uncoupled problem is harmonic, M = 2.
     """
     _check_exponents(N, M)
-    sigma_lead = Fraction(N + 2, 2 * (N - M))
-    lead_partner = None
-    if sigma_lead.denominator == 1:
-        j = int(sigma_lead)
-        lead_partner = MellinPole(Fraction(j), False, FIRST, j, *_degrees(N, M, Fraction(j)))
-    leading = MellinPole(sigma_lead, True, THIRD, 0, *_degrees(N, M, sigma_lead),
-                         confluent_with=lead_partner)
-
-    sigma_sub = Fraction(-1, M)
-    sub_partner = None
-    if M == 2:
-        mobile1, _ = _raw_pole(N, M, THIRD, 1)
-        assert mobile1 == sigma_sub
-        sub_partner = MellinPole(mobile1, True, THIRD, 1, *_degrees(N, M, mobile1))
-    subleading = MellinPole(sigma_sub, False, SECOND, 0, *_degrees(N, M, sigma_sub),
-                            confluent_with=sub_partner)
-    return leading, subleading
+    poles = enumerate_poles(N, M, (Fraction(-1, M), Fraction(N + 2, 2 * (N - M))))
+    first = {p.source: p for p in poles if p.index == 0}
+    return first[THIRD], first[SECOND]
 
 
 def _leading_term(N: int, M: int) -> AsymptoticTerm:

@@ -5,7 +5,7 @@ DET_SCHEMA = {
     "type": "object",
     "required": ["spec", "shift", "method", "log_abs", "sign", "value"],
     "properties": {
-        "method": {"enum": ["shooting", "closed-harmonic", "product"]},
+        "method": {"enum": ["shooting", "closed-harmonic"]},
         "log_abs": {
             "type": "object",
             "required": ["even", "odd", "full", "skew"],

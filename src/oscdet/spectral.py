@@ -45,7 +45,6 @@ from functools import lru_cache, partial
 
 import numpy as np
 import scipy.special
-from scipy.integrate import quad
 
 from .actions import adaptive_tail, choose_split_point
 from .errors import AccuracyError, DivergenceError, DomainError
@@ -53,6 +52,7 @@ from .potential import PotentialSpec, classify
 from .spectrum import (
     MAX_COUNT,
     SpectrumResult,
+    _quad,
     bs_level,
     bs_tail,
     eigenvalues,
@@ -160,7 +160,7 @@ def _choose_q_max(work: PotentialSpec, q: float) -> float:
     return q
 
 
-_PLAIN_THRESHOLD = 4.0   # drop the WKB gauge once P falls below this
+_PLAIN_THRESHOLD = 4.0   # drop the WKB gauge once P L^2 falls below this
 
 # Chebyshev collocation of the sweeps (Trefethen, Spectral Methods in MATLAB,
 # SIAM 2000, ch. 6 and 13): the _K + 1 Chebyshev points from 1 down to -1,
@@ -174,7 +174,7 @@ _DIFF = np.outer(_WEIGHTS, 1.0 / _WEIGHTS) / (np.subtract.outer(_NODES, _NODES) 
 _DIFF -= np.diag(_DIFF.sum(axis=1))
 _TAIL = np.linalg.inv(np.cos(np.pi * np.outer(np.arange(_K + 1), np.arange(_K + 1)) / _K))[-2:]
 _INTEGRATE = np.linalg.inv(_DIFF[1:, 1:])   # d/ds inverted from the start point
-_PANEL = 0.5             # first panel width, in t (gauged leg) or q (plain leg)
+_PANEL = 0.5             # first panel width, in t (gauged leg) or x = q/L (plain leg)
 _TAIL_TOL = 1e-12        # largest relative Chebyshev tail of a panel's solution and tr J
 _BUDGET = 4096           # panel solves of one leg, over all rounds, before the shot gives up
 
@@ -190,11 +190,12 @@ def _gauged_blocks(work: PotentialSpec, q_cut: float, scale: float, t, order: in
     return [dq * np.array([[2.0 * d, e], [e, np.zeros_like(e)]]) for d, e in terms[:order + 1]]
 
 
-def _plain_blocks(work: PotentialSpec, q: np.ndarray, order: int) -> list:
-    """[[0, P], [1, 0]] at q, the plain system in (psi', psi), and its mu-derivatives."""
-    zero, one = np.zeros_like(q), np.ones_like(q)
-    return [np.array([[zero, work.value(q)], [one, zero]]),
-            np.array([[zero, one], [zero, zero]]), np.zeros((2, 2) + q.shape)][:order + 1]
+def _plain_blocks(work: PotentialSpec, length: float, x: np.ndarray, order: int) -> list:
+    """L [[0, P], [1, 0]] at q = L x, the plain system in (psi', psi) in the
+    variable x = q/L, and its mu-derivatives."""
+    zero, one = np.zeros_like(x), np.full_like(x, length)
+    return [np.array([[zero, length * work.value(length * x)], [one, zero]]),
+            np.array([[zero, one], [zero, zero]]), np.zeros((2, 2) + x.shape)][:order + 1]
 
 
 def _collocate(blocks, a: np.ndarray, b: np.ndarray, order: int):
@@ -252,15 +253,17 @@ def _propagate(blocks, x0: float, x1: float, y: list) -> tuple[list, np.ndarray]
     for its tr J_m, and the leg solved again; the estimate is not taken on
     the unit-start propagators, which leave the slow manifold and excite the
     stiff layer of the gauged leg.  A round that would take the leg beyond
-    _BUDGET panel solves raises AccuracyError before it is solved."""
+    _BUDGET panel solves raises AccuracyError before it is built."""
     order = len(y) - 1
-    edges = np.linspace(x0, x1, max(1, math.ceil(abs(x1 - x0) / _PANEL)) + 1)
-    spent = 0
+    n, spent = max(1, math.ceil(abs(x1 - x0) / _PANEL)), 0
     while True:
-        n = len(edges) - 1
         if spent + n > _BUDGET:
             raise AccuracyError(f"shot propagator: a leg unresolved after {spent} panel solves"
                                 f" ({n} more needed, budget {_BUDGET})")
+        if spent:
+            edges = np.insert(edges, np.flatnonzero(bad) + 1, 0.5 * (edges[:-1] + edges[1:])[bad])
+        else:
+            edges = np.linspace(x0, x1, n + 1)
         spent += n
         X, traces, bad = _collocate(blocks, edges[:-1], edges[1:], order)
         # (panel, point, jet, component, jet, start): C(m, k) X_k in block (m, m - k)
@@ -278,17 +281,7 @@ def _propagate(blocks, x0: float, x1: float, y: list) -> tuple[list, np.ndarray]
         bad |= ~(tail <= _TAIL_TOL * np.abs(vals[:, :, 0]).max(axis=(1, 2)))
         if not bad.any():
             return list(state.reshape(order + 1, 2)), traces.sum(axis=0)
-        edges = np.insert(edges, np.flatnonzero(bad) + 1, 0.5 * (edges[:-1] + edges[1:])[bad])
-
-
-def _quad(f, a: float, b: float, **tols) -> float:
-    """int_a^b f with scipy's quad; a failed or non-finite quadrature is an
-    accuracy error, not a warning."""
-    out = quad(f, a, b, full_output=1, **tols)
-    if len(out) > 3 or not math.isfinite(out[0]):
-        reason = " ".join(out[3].split(".")[0].split()) if len(out) > 3 else "non-finite value"
-        raise AccuracyError(f"shot quadrature failed: {reason}")
-    return out[0]
+        n += int(bad.sum())
 
 
 # A jet is the list [f, df/dmu, ..., d^n f/dmu^n], mu the constant term of P.
@@ -319,14 +312,17 @@ def _shoot(work: PotentialSpec, order: int):
     Both legs run through one propagator (``_propagate``), which carries the
     jets of a two-component state.  The gauged leg runs in t, with
     q = q_cut + scale sinh t, from the WKB matching point q_max down to
-    q_cut, where P drops to order one; its state is U = A + Bhat and
+    q_cut, where P L^2 drops to order one, L = u^{-1/(N+2)} the potential's
+    length (``PotentialSpec.length``); its state is U = A + Bhat and
     V = A - Bhat, whose system is J = dq/dt [[2 Pi, r], [r, 0]] with
     Pi = sqrt(P) and r = P'/(4P): U is the stiff mode, which the WKB start
     leaves at -r V/(2 Pi), and V the slow one.  t is linear where P doubles
     (scale is q_cut, or the q where P is 2 P(0) when q_cut = 0) and
     logarithmic beyond.  The plain leg carries (psi', psi) with
-    [[0, P], [1, 0]] from q_cut on to the origin; where the gauge ends,
-    psi'/psi above 1e4 Pi would lose A to rounding in U + V.  At q_max, A and
+    L [[0, P], [1, 0]] in x = q/L from q_cut on to the origin, so u q^N is
+    shot as q^N dilated by L.  Where the gauge ends, psi'/psi above 1e4 Pi
+    would lose A to rounding in U + V, and a P(q_cut) whose rounding against
+    lam is above 1e-8 of it is not resolved.  At q_max, A and
     Bhat take the WKB form: the log-derivative w = y0 + y1 + y2 + y3 through
     third order, and the amplitude exp(ell) with ell = -int_{q_max}^inf
     (y2 + y3).  The odd order is a total derivative, y3 = -(1/2) (y2/y0)',
@@ -338,17 +334,24 @@ def _shoot(work: PotentialSpec, order: int):
     each mu-derivative Pi_m is minus half that of tr J_m over the leg, which
     the propagator returns.  q_cut and q_max are held fixed under mu: log D
     does not depend on them.  A P, a term of the shot or a quadrature beyond
-    double range, a quadrature that does not converge, or a leg the
-    propagator cannot resolve within its panel budget, raises AccuracyError.
+    double range, a quadrature that does not converge, a gauge end that is
+    not resolved, or a leg the propagator cannot resolve within its panel
+    budget, raises AccuracyError.
     """
     P, dP, d2P, d3P = work.value, work.deriv, work.deriv2, work.deriv3
+    length = work.length()
+    threshold = _PLAIN_THRESHOLD / length**2
 
     try:
-        q_cut = 0.0 if P(0.0) >= _PLAIN_THRESHOLD else turning_point(work, _PLAIN_THRESHOLD)
+        q_cut = 0.0 if P(0.0) >= threshold else turning_point(work, threshold)
         q_max = _choose_q_max(work, max(q_cut, choose_split_point(work)))
         if not math.isfinite(P(q_max)):
             raise AccuracyError(f"P is beyond double range at the tail point q = {q_max:.3g}")
         p0, dp0, d2p0, d3p0, p_cut = P(q_max), dP(q_max), d2P(q_max), d3P(q_max), P(q_cut)
+        # P(q_cut) is the powers' sum less |lam|, rounded by eps |lam|
+        if not p_cut * 1e-8 > abs(work.lam) * sys.float_info.epsilon:
+            raise AccuracyError(f"P = {p_cut:.3g} is lost to cancellation against "
+                                f"lam = {work.lam:.3g} where the gauge ends")
         scale = q_cut or turning_point(work, 2.0 * p_cut)
         # the WKB terms c P^{-beta} at q_max as (value, beta): y1, y2 and y3
         # of w, and y2's boundary term and (1/2) y2/Pi of ell
@@ -388,7 +391,7 @@ def _shoot(work: PotentialSpec, order: int):
                        [0.5 * (y[0] - y[1]) for y in ys])
         ys = [np.array([dy, 0.5 * (y[0] + y[1])]) for y, dy in zip(ys, dys)]
         if q_cut > 0.0:
-            ys = _propagate(partial(_plain_blocks, work), q_cut, 0.0, ys)[0]
+            ys = _propagate(partial(_plain_blocks, work, length), q_cut / length, 0.0, ys)[0]
     except OverflowError:
         raise AccuracyError("P, or a term of the shot, is beyond double range") from None
     dpsi, psi = [float(y[0]) for y in ys], [float(y[1]) for y in ys]
@@ -412,8 +415,8 @@ def shooting_det(spec: PotentialSpec, lam: float = 0.0) -> DeterminantValue:
     zeta-regularized action, is the regularized tail series at q_max plus
     int Pi from the gauge's end to q_max, which the gauged leg's propagator
     gives as half its log-determinant.  A panel the propagator cannot resolve
-    at its panel cap, a quadrature failure, or a P beyond double range at
-    q_max, raises AccuracyError.
+    at its panel cap, a quadrature failure, a P beyond double range at q_max,
+    or a P lost to cancellation where the gauge ends, raises AccuracyError.
     """
     return _shoot(spec.with_shift(lam), 0)[0]
 

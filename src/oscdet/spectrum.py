@@ -150,6 +150,16 @@ def _level_count(spec: PotentialSpec):
     return count, density
 
 
+def _quad(f, a: float, b: float, **tols) -> float:
+    """int_a^b f with scipy's quad; a failed or non-finite quadrature is an
+    accuracy error, not a warning."""
+    out = quad(f, a, b, full_output=1, **tols)
+    if len(out) > 3 or not math.isfinite(out[0]):
+        reason = " ".join(out[3].split(".")[0].split()) if len(out) > 3 else "non-finite value"
+        raise AccuracyError(f"quadrature failed: {reason}")
+    return out[0]
+
+
 def bs_level(spec: PotentialSpec, k: float) -> float:
     """Bohr-Sommerfeld eigenvalue model, continuous in the index.
 
@@ -185,13 +195,14 @@ def bs_tail(spec: PotentialSpec, K: int, f, df) -> float:
         int_{Q_K}^inf -f'(V(Q)) (n(V(Q)) - K) V'(Q) dQ.
 
     The boundary term at infinity vanishes whenever the sum converges, and
-    no level is solved inside the quadrature.
+    no level is solved inside the quadrature, which raises AccuracyError
+    when it fails.
     """
     count, density = _level_count(spec)
     lam_K = bs_level(spec, K)
     Q_K = turning_point(spec, lam_K)
-    integral, _ = quad(lambda Q: -df(spec.value(Q)) * (count(Q) - K) * spec.deriv(Q),
-                       Q_K, np.inf, epsrel=1e-10, limit=200)
+    integral = _quad(lambda Q: -df(spec.value(Q)) * (count(Q) - K) * spec.deriv(Q),
+                     Q_K, np.inf, epsrel=1e-10, limit=200)
     return integral + 0.5 * f(lam_K) - df(lam_K) / (12.0 * density(Q_K))
 
 

@@ -328,31 +328,39 @@ def test_turning_point_far_below_one_exit_three(capsys, argv):
 
 @pytest.mark.parametrize("method", ("closed", "numeric", "asymptotic"))
 def test_action_beyond_double_range_exit_three(capsys, method):
-    # -v^(3/2)/3 at v = 1e300 is beyond double range
-    code, out = run_cli(capsys, "action", "--spec", "4 2 1 1e300 0", "--method", method)
-    assert code == 3
-    assert "double range" in _strict_json(out)["message"]
+    # -v^(3/2)/3 at v = 1e300 is beyond double range; so are the anomalous
+    # residues u^(1/2-j) v^j of 1e-450 (j = 3), 1e-650 (j = 2) and, in the
+    # uncoupled term 1e200 q^2 + 1e-300 of the asymptotic form, 1e-400 (j = 1)
+    specs = {"closed": ("4 2 1 1e300 0", "10 8 1 1e-150 0", "6 4 1e300 1e-100 0"),
+             "numeric": ("4 2 1 1e300 0",),
+             "asymptotic": ("4 2 1 1e300 0", "8 2 1 1e200 1e-300")}[method]
+    for spec in specs:
+        code, out = run_cli(capsys, "action", "--spec", spec, "--method", method)
+        assert code == 3, spec
+        assert "double range" in _strict_json(out)["message"], spec
 
 
 @st.composite
 def _fuzz_spec(draw):
     N = draw(st.sampled_from(range(2, 11, 2)))
     M = draw(st.sampled_from(range(0, N, 2)))
-    u = 10.0 ** draw(st.floats(-6.0, 6.0))
+    u = 10.0 ** draw(st.floats(-60.0, 60.0))
     v = draw(st.one_of(st.just(0.0), st.floats(-6.0, 300.0).map(lambda e: 10.0 ** e)))
-    lam = draw(st.floats(-5.0, 5.0))
+    lam = draw(st.one_of(st.floats(-5.0, 5.0), st.floats(0.0, 40.0).map(lambda e: -10.0 ** e)))
     return f"{N} {M} {u!r} {v!r} {lam!r}"
 
 
-def _case(spec, command, method="closed", shift=0.0):
-    return example(spec=spec, command=command, s=1, skew=False, count=1, shift=shift,
+def _case(spec, command, method="closed", shift=0.0, s=1, count=1):
+    return example(spec=spec, command=command, s=s, skew=False, count=count, shift=shift,
                    method=method)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 # the random draws rarely overflow action: these do, on each of its routes,
 # the last with its tail point beyond double range; and a det at strong
-# coupling, where the shot starts nearest the origin
+# coupling, where the shot starts nearest the origin; a shallow power, whose
+# gauge end and plain leg are measured in its length; gauge ends that
+# cancel P to zero or below; and quadratures of the zeta tail that fail
 @_case("4 2 1 1e300 0", "action", "closed")
 @_case("4 2 1 1e300 0", "action", "numeric")
 @_case("4 2 1 1e300 0", "action", "asymptotic")
@@ -360,6 +368,11 @@ def _case(spec, command, method="closed", shift=0.0):
 @_case("8 6 6e-05 4e162 -5", "action", "asymptotic")
 @_case("4 0 1e-300 1e300 0", "action", "numeric")
 @_case("4 2 1 1e6 0", "det")
+@_case("4 0 1e-60 0 0", "det")
+@_case("4 0 1 0 -1e40", "det")
+@_case("4 2 1 1 -1e18", "det")
+@_case("4 2 4.997464767238886e-48 1.4219851749774957e-43 0.0", "zeta", s=1, count=8)
+@_case("2 0 3.0938190730941977e-06 0.0 2694.078445340049", "zeta", s=2, count=4)
 @given(spec=_fuzz_spec(),
        command=st.sampled_from(("spectrum", "zeta", "det", "action", "poles", "predict")),
        s=st.sampled_from((1, 2, 3)), skew=st.booleans(), count=st.integers(1, 32),
@@ -389,6 +402,8 @@ def test_cli_fuzz_exits_with_a_documented_code(spec, command, s, skew, count, sh
     # 1 is reserved for failed verdicts, which none of these commands has
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    # usage and domain errors go to stderr, and nothing else does
+    assert code == 2 or err.getvalue() == ""
     if out.getvalue().startswith("{"):
         _strict_json(out.getvalue())
 

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oscdet import spectral
+from oscdet import spectral, spectrum
 from oscdet.cli import main
 from oscdet.errors import AccuracyError, DivergenceError, DomainError
 from oscdet.potential import PotentialSpec
@@ -144,15 +144,17 @@ def test_shooting_integrator_failure_is_an_accuracy_error(monkeypatch, capsys):
 
 
 def test_shooting_refuses_to_lose_psi_where_the_gauge_ends():
-    # on v q^2 the gauge ends at P = 4, where psi'/psi ~ v^(1/4) and Pi = 2,
-    # so A = (U + V)/2 keeps only the digits that |Bhat/A| leaves: at
-    # v = 1e15 the skew is still exact, at 1e30 it would be off by 1e-8
-    # and at 1e60 by 0.17, and the shot refuses instead
-    d = shooting_det(PotentialSpec.uncoupled(2, 1e15))
-    assert d.log_abs_skew == pytest.approx(harmonic_det(1e15, 0.0).log_abs_skew, abs=1e-10)
-    for v in (1e30, 1e60):
-        with pytest.raises(AccuracyError, match="lost to rounding"):
-            shooting_det(PotentialSpec.uncoupled(2, v))
+    # the gauge ends where P = 4/L^2, L = u^(-1/(N+2)) the potential's
+    # length, so on v q^2 psi'/psi ~ Pi there at every v.  On q^4 + v q^2
+    # (L = 1) it ends at P = 4, where psi'/psi ~ v^(1/4) and Pi = 2, so
+    # A = (U + V)/2 keeps only the digits that |Bhat/A| leaves: at v = 1e30
+    # the shot would lose them, and refuses instead
+    for v in (1e-30, 1e15, 1e30, 1e60, 1e300):
+        d, want = shooting_det(PotentialSpec.uncoupled(2, v)), harmonic_det(v, 0.0)
+        for name in ("log_abs_even", "log_abs_odd", "log_abs_skew"):
+            assert getattr(d, name) == pytest.approx(getattr(want, name), abs=1e-10), (v, name)
+    with pytest.raises(AccuracyError, match="lost to rounding"):
+        shooting_det(PotentialSpec.trinomial(4, 2, 1e30))
 
 
 def test_shot_quadrature_failure_is_an_accuracy_error(monkeypatch, capsys):
@@ -160,7 +162,7 @@ def test_shot_quadrature_failure_is_an_accuracy_error(monkeypatch, capsys):
     def failing_quad(func, a, b, **kwargs):
         return 0.0, 1.0, {}, "The maximum number of subdivisions (50) has been achieved.\n"
 
-    monkeypatch.setattr(spectral, "quad", failing_quad)
+    monkeypatch.setattr(spectrum, "quad", failing_quad)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(AccuracyError, match="maximum number of subdivisions"):
@@ -174,13 +176,13 @@ def test_shot_quadrature_failure_is_an_accuracy_error(monkeypatch, capsys):
 def test_gauged_sweep_jacobian_is_exact(order):
     # the collocation blocks against the coefficients of the linear systems:
     # A' = (Pi + r) A + Pi Bhat, Bhat' = Pi A + (Pi - r) Bhat in U = A + Bhat,
-    # V = A - Bhat, times dq/dt, and (psi', psi)' = (P psi, psi'); their
-    # mu-derivatives against mpmath's
+    # V = A - Bhat, times dq/dt, and (psi', psi)' = (P psi, psi') in q, or
+    # L (P psi, psi') in x = q/L; their mu-derivatives against mpmath's
     spec = PotentialSpec.trinomial(4, 2, 464.0, 0.3)
-    q_cut, scale, t = 0.05, 0.7, np.linspace(0.0, 2.5, 7)
+    q_cut, scale, t, length = 0.05, 0.7, np.linspace(0.0, 2.5, 7), 0.8
     q, dq = q_cut + scale * np.sinh(t), scale * np.cosh(t)
     gauged = spectral._gauged_blocks(spec, q_cut, scale, t, order)
-    plain = spectral._plain_blocks(spec, q, order)
+    plain = spectral._plain_blocks(spec, length, q / length, order)
     assert len(gauged) == len(plain) == order + 1
     to_uv = mp.matrix([[1, 1], [1, -1]])
     for i in range(len(q)):
@@ -189,7 +191,7 @@ def test_gauged_sweep_jacobian_is_exact(order):
         def entry(mu, j, k, gauge):
             p = spec.u * x**4 + spec.v * x**2 + spec.lam + mu
             if not gauge:
-                return [[0, p], [1, 0]][j][k]
+                return mp.mpf(length) * [[0, p], [1, 0]][j][k]
             pi, r = mp.sqrt(p), (4 * spec.u * x**3 + 2 * spec.v * x) / (4 * p)
             ab = mp.matrix([[pi + r, pi], [pi, pi - r]])
             return (mp.mpf(dq[i]) * to_uv * ab * to_uv**-1)[j, k]
@@ -309,16 +311,23 @@ def test_shot_cost_guard(monkeypatch):
 
 
 def test_shot_refuses_a_leg_beyond_its_budget_before_solving(monkeypatch, capsys):
-    # 1e-20 q^4 turns at q = 1.4e5, so the plain leg needs 2.8e5 panels of
-    # width 0.5 at the outset: the shot refuses before collocating them
-    real = spectral._collocate
+    # the legs of q^4 start with 7 (gauged) and 3 (plain) panels of width
+    # 0.5: under a budget of 2 the shot refuses before it builds or
+    # collocates them
+    real_collocate, real_linspace = spectral._collocate, np.linspace
 
     def capped(blocks, a, b, order):
         assert len(a) <= spectral._BUDGET, len(a)
-        return real(blocks, a, b, order)
+        return real_collocate(blocks, a, b, order)
 
+    def counted(start, stop, num):
+        assert num - 1 <= spectral._BUDGET, num
+        return real_linspace(start, stop, num)
+
+    monkeypatch.setattr(spectral, "_BUDGET", 2)
     monkeypatch.setattr(spectral, "_collocate", capped)
-    assert main(["det", "--spec", "4 0 1e-20 0 0"]) == 3
+    monkeypatch.setattr(spectral.np, "linspace", counted)
+    assert main(["det", "--spec", "4 0 1 0 0"]) == 3
     captured = capsys.readouterr()
     message = json.loads(captured.out)["message"]
     assert "unresolved after 0 panel solves" in message and "\n" not in message
@@ -631,6 +640,21 @@ def test_shooting_matches_dilated_partner(N, M, v, lam):
         assert mapped.log_abs_even == pytest.approx(direct.log_abs_even, rel=1e-8)
         assert mapped.log_abs_odd == pytest.approx(direct.log_abs_odd, rel=1e-8)
         assert mapped.log_abs_skew == pytest.approx(direct.log_abs_skew, abs=1e-8)
+
+
+@pytest.mark.parametrize("N", (4, 6, 8, 10))
+def test_shooting_a_dilated_power_as_at_u_one(N):
+    # u q^N is q^N dilated by its length L = u^(-1/(N+2)), spectrum
+    # lam_k / L^2; the shot measures its gauge end and plain leg in L, so a
+    # shallow power is neither refused nor built beyond its panel budget
+    ref = PotentialSpec.uncoupled(N, 1.0)
+    base = shooting_det(ref)
+    for u in (1e-60, 1e-12, 1e-4, 1e4, 1e12):
+        got = shooting_det(PotentialSpec.uncoupled(N, u))
+        want = dilate_det(base, u ** (2.0 / (N + 2)), ref)
+        for name in ("log_abs_even", "log_abs_odd", "log_abs_skew"):
+            x = getattr(want, name)
+            assert abs(getattr(got, name) - x) <= 1e-10 * max(1.0, abs(x)), (u, name)
 
 
 def test_dilate_rejects_bad_factor():
