@@ -48,11 +48,11 @@ import scipy.special
 
 from .actions import adaptive_tail, choose_split_point
 from .errors import AccuracyError, DivergenceError, DomainError
+from .numerics import _DIFF, _INTEGRATE, _K, _NODES, _PANEL, _TAIL, integrate, refine
 from .potential import PotentialSpec, classify
 from .spectrum import (
     MAX_COUNT,
     SpectrumResult,
-    _quad,
     bs_level,
     bs_tail,
     eigenvalues,
@@ -162,21 +162,13 @@ def _choose_q_max(work: PotentialSpec, q: float) -> float:
 
 _PLAIN_THRESHOLD = 4.0   # drop the WKB gauge once P L^2 falls below this
 
-# Chebyshev collocation of the sweeps (Trefethen, Spectral Methods in MATLAB,
-# SIAM 2000, ch. 6 and 13): the _K + 1 Chebyshev points from 1 down to -1,
-# their differentiation matrix, and the rows that give the last two Chebyshev
-# coefficients of a polynomial from its values there (T_k at point j is
-# cos(pi j k / _K))
-_K = 20
-_NODES = np.cos(np.pi * np.arange(_K + 1) / _K)
-_WEIGHTS = np.r_[2.0, np.ones(_K - 1), 2.0] * (-1.0) ** np.arange(_K + 1)
-_DIFF = np.outer(_WEIGHTS, 1.0 / _WEIGHTS) / (np.subtract.outer(_NODES, _NODES) + np.eye(_K + 1))
-_DIFF -= np.diag(_DIFF.sum(axis=1))
-_TAIL = np.linalg.inv(np.cos(np.pi * np.outer(np.arange(_K + 1), np.arange(_K + 1)) / _K))[-2:]
-_INTEGRATE = np.linalg.inv(_DIFF[1:, 1:])   # d/ds inverted from the start point
-_PANEL = 0.5             # first panel width, in t (gauged leg) or x = q/L (plain leg)
 _TAIL_TOL = 1e-12        # largest relative Chebyshev tail of a panel's solution and tr J
 _BUDGET = 4096           # panel solves of one leg, over all rounds, before the shot gives up
+# the most radians a first panel of the plain leg spans where psi oscillates:
+# the Chebyshev coefficients of cos(omega h s/2) on a panel of width h are the
+# Bessel J_k(omega h/2), and J_19(3.5) = 2.9e-13 leaves the last two below
+# _TAIL_TOL, so the plain leg of q^4 - 3000 needs no bisection
+_RADIANS = 7.0
 
 
 def _gauged_blocks(work: PotentialSpec, q_cut: float, scale: float, t, order: int) -> list:
@@ -250,38 +242,38 @@ def _propagate(blocks, x0: float, x1: float, y: list) -> tuple[list, np.ndarray]
     jet of the chained solution has a last-two Chebyshev coefficient above
     _TAIL_TOL of the size of the solution there is bisected (an error in
     y_m / y0 that later panels carry unchanged), as is every panel flagged
-    for its tr J_m, and the leg solved again; the estimate is not taken on
-    the unit-start propagators, which leave the slow manifold and excite the
-    stiff layer of the gauged leg.  A round that would take the leg beyond
-    _BUDGET panel solves raises AccuracyError before it is built."""
+    for its tr J_m; only the halves are collocated, and the chain runs again
+    over the kept and the new propagators (``refine``), whose last round
+    gives the end state.  The estimate is not taken on the unit-start
+    propagators, which leave the slow manifold and excite the stiff layer of
+    the gauged leg.  A round that would take the leg beyond _BUDGET panel
+    solves raises AccuracyError before it is built."""
     order = len(y) - 1
-    n, spent = max(1, math.ceil(abs(x1 - x0) / _PANEL)), 0
-    while True:
-        if spent + n > _BUDGET:
-            raise AccuracyError(f"shot propagator: a leg unresolved after {spent} panel solves"
-                                f" ({n} more needed, budget {_BUDGET})")
-        if spent:
-            edges = np.insert(edges, np.flatnonzero(bad) + 1, 0.5 * (edges[:-1] + edges[1:])[bad])
-        else:
-            edges = np.linspace(x0, x1, n + 1)
-        spent += n
-        X, traces, bad = _collocate(blocks, edges[:-1], edges[1:], order)
+    start, end = np.concatenate(y), []
+
+    def solve(a, b):
+        X, traces, unresolved = _collocate(blocks, a, b, order)
         # (panel, point, jet, component, jet, start): C(m, k) X_k in block (m, m - k)
-        props = np.zeros((n, _K + 1, order + 1, 2, order + 1, 2))
+        props = np.zeros((len(a), _K + 1, order + 1, 2, order + 1, 2))
         for m in range(order + 1):
             for k in range(m + 1):
                 props[:, :, m, :, m - k] = math.comb(m, k) * X[k].transpose(0, 2, 1, 3)
-        props = props.reshape(n, _K + 1, 2 * order + 2, 2 * order + 2)
-        state, starts = np.concatenate(y), []
+        return props.reshape(len(a), _K + 1, 2 * order + 2, 2 * order + 2), traces, unresolved
+
+    def flag(props, traces, unresolved):
+        state, starts = start, []
         for step in props[:, -1]:
             starts.append(state)
             state = step @ state
-        vals = (props @ np.array(starts)[:, None, :, None]).reshape(n, _K + 1, order + 1, 2)
+        end[:] = [state]     # the leg's end state, once no panel is flagged
+        vals = props @ np.array(starts)[:, None, :, None]
+        vals = vals.reshape(len(props), _K + 1, order + 1, 2)
         tail = np.abs(np.einsum("tj,pjmc->pmtc", _TAIL, vals)).max(axis=(1, 2, 3))
-        bad |= ~(tail <= _TAIL_TOL * np.abs(vals[:, :, 0]).max(axis=(1, 2)))
-        if not bad.any():
-            return list(state.reshape(order + 1, 2)), traces.sum(axis=0)
-        n += int(bad.sum())
+        return unresolved | ~(tail <= _TAIL_TOL * np.abs(vals[:, :, 0]).max(axis=(1, 2)))
+
+    _, traces, _ = refine(x0, x1, max(1, math.ceil(abs(x1 - x0) / _PANEL)), solve, flag,
+                          _BUDGET, "shot propagator: a leg")
+    return list(end[0].reshape(order + 1, 2)), traces.sum(axis=0)
 
 
 # A jet is the list [f, df/dmu, ..., d^n f/dmu^n], mu the constant term of P.
@@ -294,7 +286,7 @@ def _power_jet(value: float, p: float, beta: float, n: int) -> float:
     value from P'/P, P''/P, ..., which stay in double range where P^beta
     would not."""
     for j in range(n):
-        value *= (-beta - j) / p
+        value = value * ((-beta - j) / p)
     return value
 
 
@@ -302,6 +294,19 @@ def _jet_mul(f, g) -> list:
     """The jet of f g by the Leibniz rule."""
     return [sum(math.comb(n, k) * f[k] * g[n - k] for k in range(n + 1))
             for n in range(len(f))]
+
+
+def _amplitude_tail(work: PotentialSpec, q_max: float, order: int) -> np.ndarray:
+    """int_{q_max}^inf P'^2/P^{5/2} dq and its first ``order`` mu-derivatives,
+    by the panel rule (``integrate``) in t = q_max/q on [0, 1], where the
+    integrand is a series in powers of t."""
+    def integrand(t):
+        q = q_max / t
+        p = work.value(q)
+        base = (work.deriv(q) / p) ** 2 / np.sqrt(p) * q * q / q_max
+        return np.array([_power_jet(base, p, 2.5, n) for n in range(order + 1)])
+
+    return integrate(integrand, 0.0, 1.0)
 
 
 def _shoot(work: PotentialSpec, order: int):
@@ -320,15 +325,17 @@ def _shoot(work: PotentialSpec, order: int):
     (scale is q_cut, or the q where P is 2 P(0) when q_cut = 0) and
     logarithmic beyond.  The plain leg carries (psi', psi) with
     L [[0, P], [1, 0]] in x = q/L from q_cut on to the origin, so u q^N is
-    shot as q^N dilated by L.  Where the gauge ends, psi'/psi above 1e4 Pi
-    would lose A to rounding in U + V, and a P(q_cut) whose rounding against
-    lam is above 1e-8 of it is not resolved.  At q_max, A and
+    shot as q^N dilated by L; where P(0) < 0, the leg's unit is at most
+    2 _RADIANS / sqrt(-P(0)), so that no first panel spans more of an
+    oscillation.  Where the gauge ends, psi'/psi above 1e4 Pi would lose A
+    to rounding in U + V, and a P(q_cut) whose rounding against lam is above
+    1e-8 of it is not resolved.  At q_max, A and
     Bhat take the WKB form: the log-derivative w = y0 + y1 + y2 + y3 through
     third order, and the amplitude exp(ell) with ell = -int_{q_max}^inf
     (y2 + y3).  The odd order is a total derivative, y3 = -(1/2) (y2/y0)',
     so it adds the boundary term (1/2) y2/Pi at q_max to ell and no
     quadrature; y2's, by parts P'/(8 P^{3/2}) - (1/32) int P'^2/P^{5/2}, is
-    taken in t = q_max/q on [0, 1], the shot's one quadrature.
+    the shot's one quadrature (``_amplitude_tail``).
     c_norm = -1/4 log P(q_cut) + int_{q_cut}^{q_max} Pi + adaptive_tail at
     q_max, which lies beyond improper_action's split point; the integral of
     each mu-derivative Pi_m is minus half that of tr J_m over the leg, which
@@ -361,17 +368,12 @@ def _shoot(work: PotentialSpec, order: int):
                    (9.0 * b1 * b2 / (32.0 * p0), 3.0), (-15.0 * b1**3 / (64.0 * p0), 4.0))
         ell_terms = ((-b1 / (8.0 * root), 1.5), (-b2 / (16.0 * p0), 2.0),
                      (5.0 * b1 * b1 / (64.0 * p0), 3.0))
+        tail_ints = _amplitude_tail(work, q_max, order)
         ratio, ell, c_norm = [], [], []
         for n in range(order + 1):
             ratio.append(sum(_power_jet(c / root, p0, beta + 0.5, n) for c, beta in w_terms))
-
-            def tail_integrand(t):   # P'^2/P^{5/2} dq with q = q_max/t
-                q = q_max / t
-                p = P(q)
-                return _power_jet((dP(q) / p) ** 2 / math.sqrt(p), p, 2.5, n) * q * q / q_max
-
-            tail_int = _quad(tail_integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-12, limit=200)
-            ell.append(sum(_power_jet(c, p0, beta, n) for c, beta in ell_terms) + tail_int / 32.0)
+            ell.append(sum(_power_jet(c, p0, beta, n) for c, beta in ell_terms)
+                       + float(tail_ints[n]) / 32.0)
             log_cut = math.log(p_cut) if n == 0 else _power_jet(1.0 / p_cut, p_cut, 1.0, n - 1)
             c_norm.append(-0.25 * log_cut + adaptive_tail(work, q_max, lam_deriv=n))
         # A = exp(ell), and U = A + Bhat = ratio A at q_max, ratio = (w + Pi)/Pi
@@ -391,7 +393,10 @@ def _shoot(work: PotentialSpec, order: int):
                        [0.5 * (y[0] - y[1]) for y in ys])
         ys = [np.array([dy, 0.5 * (y[0] + y[1])]) for y, dy in zip(ys, dys)]
         if q_cut > 0.0:
-            ys = _propagate(partial(_plain_blocks, work, length), q_cut / length, 0.0, ys)[0]
+            # below its turning point psi oscillates up to sqrt(-P(0)) in q,
+            # and the leg's unit keeps a first panel within _RADIANS of it
+            unit = length if P(0.0) >= 0.0 else min(length, 2.0 * _RADIANS / math.sqrt(-P(0.0)))
+            ys = _propagate(partial(_plain_blocks, work, unit), q_cut / unit, 0.0, ys)[0]
     except OverflowError:
         raise AccuracyError("P, or a term of the shot, is beyond double range") from None
     dpsi, psi = [float(y[0]) for y in ys], [float(y[1]) for y in ys]

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eig_banded
-from scipy.optimize import brentq
 
 from .errors import AccuracyError, DomainError
+from .numerics import increasing_root, integrate
 from .potential import PotentialSpec
 
 MAX_COUNT = 512
@@ -63,27 +62,10 @@ class SpectrumResult:
         return len(self.entries)
 
 
-def _increasing_root(f, target: float, xtol: float = 2e-12,
-                     rtol: float = 4 * np.finfo(float).eps) -> float:
-    """x > 0 with f(x) = target, for f increasing from f(0) < target.  A root
-    below 1 is bracketed by halving and solved with xtol scaled to its
-    bracket, where an absolute xtol would lose a root like 1e-15.  The
-    tolerances default to brentq's."""
-    hi = 1.0
-    while f(hi) < target:
-        hi *= 2.0
-    if hi > 1.0:
-        return brentq(lambda x: f(x) - target, 0.0, hi, xtol=xtol, rtol=rtol)
-    lo = 0.5
-    while f(lo) >= target:
-        lo *= 0.5
-    return brentq(lambda x: f(x) - target, lo, 2.0 * lo, xtol=xtol * lo, rtol=rtol)
-
-
 def turning_point(spec: PotentialSpec, lam: float) -> float:
     if lam <= spec.value(0.0):
         raise DomainError("level below the potential minimum")
-    return _increasing_root(spec.value, lam, xtol=1e-12)
+    return increasing_root(spec.value, spec.deriv, lam, xtol=1e-12)
 
 
 @lru_cache(maxsize=1)
@@ -112,9 +94,10 @@ def _level_count(spec: PotentialSpec):
     E-derivative is (1/V'(Q)) d/dQ, taken analytically in Q at fixed w.  The
     second-order term vanishes for a harmonic V, whose count stays exact.
     Both powers are divided by s = Q V'(Q) before they are combined, so no
-    product of two of them is formed; where s is 0 (at Q = 0, the bracket
-    below every level index) or beyond double range, the count is the
-    first-order one.
+    product of two of them is formed; where s is 0 (at Q = 0) or beyond
+    double range, the count is the first-order one, and numpy warns unless
+    the caller silences it (``np.errstate``).  Both take Q as a number or an
+    array, which the level tail of ``bs_tail`` evaluates in one call.
     """
     rule, log_t = _area_rule()
     N, M, u, v = spec.N, spec.M, spec.u, spec.v
@@ -129,35 +112,29 @@ def _level_count(spec: PotentialSpec):
     size = len(rule)
 
     def count(Q):
+        Q = np.asarray(Q, dtype=float)[()]    # a numpy scalar, or an array
         p_N, p_M = u * Q**N, v * Q**M
         s = N * p_N + M * p_M
-        if not 0.0 < s < math.inf:
-            return 2.0 * Q * (rule @ np.sqrt(p_N * gap[0] + p_M * gap[1])) / math.pi - 0.5
         # the shares are at most 1/N and 1/M; a constant (M = 0) has none
-        rows_y = np.array([p_N / s, p_M / s if M else 0.0]) @ rows
-        g, h = rows_y[:size], rows_y[size:2 * size]
-        a, b = rows_y[2 * size:3 * size], rows_y[3 * size:]
-        # int_0^Q sqrt(G) dq = Q sqrt(s) sum w g, and
-        # d/dQ int_0^Q V''/sqrt(G) dq = sqrt(s)/Q^2 sum w (a - b h/g), w = rule/sqrt(g)
-        w = rule / np.sqrt(g)
-        area = float(w @ g)
-        deriv = float(w @ (a - h / g * b))
-        return Q * math.sqrt(s) * (2.0 * area - deriv / (12.0 * Q * Q * s)) / math.pi - 0.5
+        rows_y = np.multiply.outer(p_N / s, rows[0])
+        if M:
+            rows_y += np.multiply.outer(p_M / s, rows[1])
+        g, h = rows_y[..., :size], rows_y[..., size:2 * size]
+        a, b = rows_y[..., 2 * size:3 * size], rows_y[..., 3 * size:]
+        # int_0^Q sqrt(G) dq = Q sqrt(s) sum rule sqrt(g), and
+        # d/dQ int_0^Q V''/sqrt(G) dq = sqrt(s)/Q^2 sum rule (a - b h/g)/sqrt(g)
+        root = np.sqrt(g)
+        area, deriv = root @ rule, ((a - h / g * b) / root) @ rule
+        n = Q * np.sqrt(s) * (2.0 * area - deriv / (12.0 * Q * Q * s)) / math.pi - 0.5
+        if np.isfinite(n).all():
+            return n
+        first = np.sqrt(np.multiply.outer(p_N, gap[0]) + np.multiply.outer(p_M, gap[1])) @ rule
+        return np.where(np.isfinite(n), n, 2.0 * Q * first / math.pi - 0.5)
 
     def density(Q):
         return Q * (rule @ (1.0 / np.sqrt(u * Q**N * gap[0] + v * Q**M * gap[1]))) / math.pi
 
     return count, density
-
-
-def _quad(f, a: float, b: float, **tols) -> float:
-    """int_a^b f with scipy's quad; a failed or non-finite quadrature is an
-    accuracy error, not a warning."""
-    out = quad(f, a, b, full_output=1, **tols)
-    if len(out) > 3 or not math.isfinite(out[0]):
-        reason = " ".join(out[3].split(".")[0].split()) if len(out) > 3 else "non-finite value"
-        raise AccuracyError(f"quadrature failed: {reason}")
-    return out[0]
 
 
 def bs_level(spec: PotentialSpec, k: float) -> float:
@@ -177,7 +154,10 @@ def bs_level(spec: PotentialSpec, k: float) -> float:
 
 @lru_cache(maxsize=256)
 def _bs_level_cached(spec: PotentialSpec, k: float) -> float:
-    level = spec.value(_increasing_root(_level_count(spec)[0], k, rtol=1e-12))
+    count, density = _level_count(spec)
+    with np.errstate(all="ignore"):
+        Q = increasing_root(count, lambda Q: density(Q) * spec.deriv(Q), k, rtol=1e-12)
+    level = spec.value(Q)
     if level <= spec.value(0.0):
         raise AccuracyError(f"level {k:g} rounds onto V(0) = {spec.value(0.0):.3g}: "
                             "no tolerance on the levels is reachable in double precision")
@@ -194,15 +174,22 @@ def bs_tail(spec: PotentialSpec, K: int, f, df) -> float:
 
         int_{Q_K}^inf -f'(V(Q)) (n(V(Q)) - K) V'(Q) dQ.
 
-    The boundary term at infinity vanishes whenever the sum converges, and
-    no level is solved inside the quadrature, which raises AccuracyError
-    when it fails.
+    The boundary term at infinity vanishes whenever the sum converges.  The
+    panel rule (``integrate``) takes the integral in t = Q_K/Q on [0, 1],
+    where the integrand is a series in powers of t whenever the sum
+    converges, and which a dilation of the potential leaves alone; no level
+    is solved inside the quadrature, which raises AccuracyError when it
+    fails.
     """
     count, density = _level_count(spec)
     lam_K = bs_level(spec, K)
     Q_K = turning_point(spec, lam_K)
-    integral = _quad(lambda Q: -df(spec.value(Q)) * (count(Q) - K) * spec.deriv(Q),
-                     Q_K, np.inf, epsrel=1e-10, limit=200)
+
+    def integrand(t):    # in t = Q_K/Q, with dQ = (Q^2/Q_K) dt
+        Q = Q_K / t
+        return -df(spec.value(Q)) * (count(Q) - K) * spec.deriv(Q) * (Q * Q / Q_K)
+
+    integral = float(integrate(integrand, 0.0, 1.0))
     return integral + 0.5 * f(lam_K) - df(lam_K) / (12.0 * density(Q_K))
 
 

@@ -2,12 +2,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oscdet
 from oscdet.actions import binomial_action
 from oscdet.cli import main
 from oscdet.predictions import predict_Z1
@@ -324,6 +329,39 @@ def test_turning_point_far_below_one_exit_three(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 3
     assert "tolerance" in _strict_json(out)["message"]
+
+
+def test_zeta_of_a_shallow_quartic(capsys):
+    # 1e-40 q^4, whose level tail, taken in Q, was refused: the dilation of
+    # q^4 by 1e40^(1/6), Z(1) times 1e40^(1/3)
+    values = []
+    for spec in ("4 0 1e-40 0 0", "4 0 1 0 0"):
+        code, out = run_cli(capsys, "zeta", "--spec", spec, "--s", "1", "--count", "8")
+        assert code == 0
+        values.append(_strict_json(out)["value"])
+    assert values[0] == pytest.approx(values[1] * 1e40 ** (1.0 / 3.0), rel=1e-10)
+
+
+def test_cli_never_imports_scipy_integrate_or_optimize():
+    # this process imports scipy.integrate for its oracles, so the commands
+    # run in a fresh interpreter
+    script = """
+import contextlib, io, sys
+from oscdet.cli import main
+runs = (["verify", "--N", "4", "--grid", "0.01"], ["det", "--spec", "4 2 1 1 0"],
+        ["zeta", "--spec", "4 2 1 1 0", "--s", "2", "--count", "16"],
+        ["action", "--spec", "4 2 1 1 0.5", "--method", "numeric"],
+        ["spectrum", "--spec", "4 2 1 1 0", "--count", "8"])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(codes, sorted(m for m in sys.modules if m.startswith(("scipy.integrate", "scipy.optimize"))))
+"""
+    src = str(Path(oscdet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0] []", done.stdout
 
 
 @pytest.mark.parametrize("method", ("closed", "numeric", "asymptotic"))

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oscdet import spectral, spectrum
+from oscdet import numerics, spectral, spectrum
 from oscdet.cli import main
 from oscdet.errors import AccuracyError, DivergenceError, DomainError
 from oscdet.potential import PotentialSpec
@@ -131,12 +131,14 @@ def test_shooting_returns_across_couplings():
 def test_shooting_integrator_failure_is_an_accuracy_error(monkeypatch, capsys):
     # a leg the propagator cannot resolve within its panel budget: q^4 - 1e6
     # oscillates about 4400 times between its turning point and the origin, and
-    # with no tolerance every panel is bisected until the budget is spent
+    # with no tolerance every panel is bisected until the budget is spent.
+    # _TAIL_TOL is the shot's own tolerance; the amplitude-tail quadrature
+    # keeps its _QUAD_TOL and converges, so the propagator is what refuses
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["det", "--spec", "4 0 1.0 0.0 -1e6"]) == 3
         monkeypatch.setattr(spectral, "_TAIL_TOL", 0.0)
-        with pytest.raises(AccuracyError, match="unresolved after"):
+        with pytest.raises(AccuracyError, match="shot propagator: a leg unresolved after"):
             shooting_det(PotentialSpec.uncoupled(4, 1.0), 0.0)
         assert main(["det", "--spec", "4 0 1.0 0.0 0.0"]) == 3
     assert caught == []
@@ -158,14 +160,12 @@ def test_shooting_refuses_to_lose_psi_where_the_gauge_ends():
 
 
 def test_shot_quadrature_failure_is_an_accuracy_error(monkeypatch, capsys):
-    # quad's full_output form: a fourth item is its warning message
-    def failing_quad(func, a, b, **kwargs):
-        return 0.0, 1.0, {}, "The maximum number of subdivisions (50) has been achieved.\n"
-
-    monkeypatch.setattr(spectrum, "quad", failing_quad)
+    # the amplitude tail's quadrature with its panel budget spent: it refuses
+    # before it evaluates a panel
+    monkeypatch.setattr(numerics, "_QUAD_BUDGET", 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(AccuracyError, match="maximum number of subdivisions"):
+        with pytest.raises(AccuracyError, match="quadrature unresolved after 0 panel solves"):
             shooting_det(PotentialSpec.uncoupled(4, 1.0), 0.0)
         assert main(["det", "--spec", "4 0 1.0 0.0 0.0"]) == 3
     assert caught == []
@@ -308,6 +308,27 @@ def test_shot_cost_guard(monkeypatch):
             for v, shift in shots:
                 shooting_det(PotentialSpec.trinomial(N, M, v), shift)
     assert sum(panels) <= 320 and len(panels) <= 64, (sum(panels), len(panels))
+
+
+def test_shot_collocates_only_the_bisected_halves(monkeypatch):
+    # q^4 - 3000 oscillates on its plain leg, whose first panels span 7
+    # radians each, and its gauged leg is bisected ten times towards the gauge
+    # end: each round collocates the two halves of the panel it bisects, 81
+    # panels in all (every panel of every round, 191, before), with log|D+-|
+    # as when every panel was collocated again
+    panels = []
+    real = spectral._collocate
+
+    def counting(blocks, a, b, order):
+        panels.append(len(a))
+        return real(blocks, a, b, order)
+
+    monkeypatch.setattr(spectral, "_collocate", counting)
+    d = shooting_det(PotentialSpec.uncoupled(4, 1.0), -3000.0)
+    assert sum(panels) <= 95, panels
+    assert panels[1:-1] == [2] * (len(panels) - 2), panels
+    assert d.log_abs_even == pytest.approx(-351.600924746495, abs=1e-11)
+    assert d.log_abs_odd == pytest.approx(-358.15698163535666, abs=1e-11)
 
 
 def test_shot_refuses_a_leg_beyond_its_budget_before_solving(monkeypatch, capsys):
@@ -655,6 +676,19 @@ def test_shooting_a_dilated_power_as_at_u_one(N):
         for name in ("log_abs_even", "log_abs_odd", "log_abs_skew"):
             x = getattr(want, name)
             assert abs(getattr(got, name) - x) <= 1e-10 * max(1.0, abs(x)), (u, name)
+
+
+@pytest.mark.parametrize("s", (1, 2))
+def test_zeta_full_of_a_dilated_quartic(s):
+    # u q^4 has the spectrum u^(1/3) lam_k of q^4, so Z(s) = u^(-2s/6) Z_1(s);
+    # the level tail is taken in Q_K/Q, which the dilation leaves alone (in Q
+    # it was refused from u = 1e-40 down).  The levels' tolerance is absolute,
+    # so it is dilated with them
+    base = zeta_full(PotentialSpec.uncoupled(4, 1.0), s).value
+    for e in range(-60, 41, 20):
+        u = 10.0**e
+        got = zeta_full(PotentialSpec.uncoupled(4, u), s, tol=1e-6 * u ** (1.0 / 3.0)).value
+        assert got == pytest.approx(u ** (-2.0 * s / 6.0) * base, rel=1e-10), e
 
 
 def test_dilate_rejects_bad_factor():
