@@ -286,7 +286,7 @@ def _power_jet(value: float, p: float, beta: float, n: int) -> float:
     value from P'/P, P''/P, ..., which stay in double range where P^beta
     would not."""
     for j in range(n):
-        value = value * ((-beta - j) / p)
+        value = value * ((-beta - j) / p)   # not *=: an array value may be shared
     return value
 
 

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oscdet import actions, numerics, spectral, spectrum
+from oscdet import actions, spectral, spectrum
 from oscdet.potential import PotentialSpec
 
 
