@@ -1,9 +1,14 @@
 """Real-argument special functions behind the closed-form evaluators.
 
 Scalar log-gamma with explicit sign tracking (negative arguments such as
-Gamma(-5/4) occur routinely in the action formulas), digamma, generalized
-binomial coefficients with their derivative in the upper argument (by
-recurrence in k).
+Gamma(-5/4) occur routinely in the action formulas), digamma, the zeta sum
+over an arithmetic ladder, generalized binomial coefficients with their
+derivative in the upper argument (by recurrence in k).
+
+Digamma and the ladder zeta share one table of Bernoulli numbers: both shift
+the argument up until the large-argument series converges to rounding, so
+that scipy.special, and the import time it costs every interpreter, is not
+needed for two scalar functions.
 """
 
 from __future__ import annotations
@@ -11,14 +16,24 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import scipy.special
+from fractions import Fraction
 
 from .errors import DomainError
 
 EULER_GAMMA = 0.57721566490153286061
 CATALAN = 0.91596559417721901505
 LOG2 = 0.69314718055994530942
+
+# B_n for even n; the odd ones past B_1 vanish
+BERNOULLI = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42),
+             8: Fraction(-1, 30), 10: Fraction(5, 66), 12: Fraction(-691, 2730),
+             14: Fraction(7, 6), 16: Fraction(-3617, 510)}
+# psi(y) ~ log y - 1/(2y) - sum_n B_n/(n y^n); from y = 10 on, the first
+# omitted term is 3e-18
+_PSI_SERIES = tuple(float(b / n) for n, b in BERNOULLI.items())
+_PSI_SHIFT = 10.0
+# Euler-Maclaurin weights B_n/n!
+_EM_SERIES = tuple(float(b / math.factorial(n)) for n, b in BERNOULLI.items())
 
 
 @dataclass(frozen=True)
@@ -38,7 +53,8 @@ class Jet1:
 
 
 def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
+    # -inf, where the poles accumulate, counts as one
+    return x <= 0.0 and (x == -math.inf or x == math.floor(x))
 
 
 def _cotpi(x: float) -> float:
@@ -67,18 +83,86 @@ def gamma(x: float) -> float:
     return sign * math.exp(lg)
 
 
+def _psi_positive(x: float) -> float:
+    """psi(x) for x > 0: psi(x) = psi(x + n) - sum_k<n 1/(x + k), with x + n
+    at least _PSI_SHIFT, where the asymptotic series is exact to rounding."""
+    n = math.ceil(_PSI_SHIFT - x) if x < _PSI_SHIFT else 0
+    y = x + n
+    w = 1.0 / y
+    series = 0.0
+    for c in reversed(_PSI_SERIES):
+        series = series * (w * w) + c
+    psi = math.log(y) - 0.5 * w - series * (w * w)
+    return psi - math.fsum(1.0 / (x + k) for k in range(n))
+
+
 def digamma(x: float) -> float:
     """psi(x) = Gamma'(x)/Gamma(x).
 
     Negative arguments go through psi(x) = psi(1-x) - pi cot(pi x) with the
     cotangent's argument reduced first, which keeps full relative accuracy
-    next to the poles, where scipy's own reflection loses digits.
+    next to the poles.
     """
     if _is_nonpositive_integer(x):
         raise DomainError(f"digamma pole at x = {x}")
     if x < 0.0:
-        return float(scipy.special.digamma(1.0 - x)) - math.pi * _cotpi(x)
-    return float(scipy.special.digamma(x))
+        return _psi_positive(1.0 - x) - math.pi * _cotpi(x)
+    return _psi_positive(x)
+
+
+def _inverse_power(x: float, s: int) -> float:
+    """x^-s, inf once it is beyond double range."""
+    try:
+        return x ** -s
+    except OverflowError:
+        return math.inf
+
+
+def _sum_or_inf(terms) -> float:
+    """Correctly rounded sum of non-negative terms, inf beyond double range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
+def ladder_zeta(s: int, first: float, step: float) -> float:
+    """sum_k>=0 (first + k step)^-s for an integer s >= 2.
+
+    The sum is taken in the ladder's own units, with no factor step^-s
+    (which underflows where the Hurwitz zeta it multiplies overflows): the
+    levels below y = s + 10 steps are summed directly, and the rest by
+    Euler-Maclaurin, Y^(1-s)/step [1/(s-1) + 1/(2y) + sum_n B_n/n! (s)_(n-1)
+    y^-n] with Y the first level left out, y = Y/step and (s)_m the rising
+    factorial.  The direct sum stops once what is left is below rounding, so
+    the cost does not grow with s.
+    """
+    if s < 2:
+        raise DomainError("ladder zeta needs s >= 2")
+    if not (first > 0.0 and step > 0.0):
+        raise DomainError("ladder zeta needs a positive first level and step")
+    y_min = s + 10.0
+    terms = []
+    total = 0.0
+    level, y = first, first / step
+    while y < y_min:
+        term = _inverse_power(level, s)
+        terms.append(term)
+        total += term
+        # what is left is at most the integral term y/(s-1) beyond this level
+        if term * y / (s - 1) <= 2.0 ** -54 * total:
+            return _sum_or_inf(terms)
+        level = first + len(terms) * step
+        y = level / step
+    w = 1.0 / y
+    rising = s * w                      # (s)_(n-1) y^-(n-1), from n = 2
+    series = 0.0
+    for n, c in zip(BERNOULLI, _EM_SERIES):
+        series += c * rising
+        rising *= (s + n - 1) * (s + n) * (w * w)
+    bracket = 1.0 / (s - 1) + w * (0.5 + series)
+    terms.append(_inverse_power(level, s - 1) / step * bracket)
+    return _sum_or_inf(terms)
 
 
 def binomial_jets(alpha: float):

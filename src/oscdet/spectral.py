@@ -41,10 +41,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, partial
 
 import numpy as np
-import scipy.special
 
 from .actions import adaptive_tail, choose_split_point
 from .errors import AccuracyError, DivergenceError, DomainError
@@ -58,14 +58,15 @@ from .spectrum import (
     eigenvalues,
     turning_point,
 )
-from .special_functions import digamma, log_gamma
+from .special_functions import BERNOULLI, digamma, ladder_zeta, log_gamma
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # log Gamma(x + 1/2) - log Gamma(x) - (1/2) log x ~ sum_k c_k x^-(2k+1): the
-# coefficients (2^(1-n) - 2) B_n / (n(n-1)), n = 2k + 2; from _SKEW_SERIES_X
-# on, six terms leave 1e-15 out, where the difference of the two logs would
-# lose digits to their x log x growth
-_SKEW_SERIES = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 180224)
+# coefficients (2^(1-n) - 2) B_n / (n(n-1)), n = 2k + 2 <= 12; from
+# _SKEW_SERIES_X on, six terms leave 1e-15 out, where the difference of the
+# two logs would lose digits to their x log x growth
+_SKEW_SERIES = tuple(float((Fraction(2) ** (1 - n) - 2) * b / (n * (n - 1)))
+                     for n, b in BERNOULLI.items() if n <= 12)
 _SKEW_SERIES_X = 10.0
 
 
@@ -546,35 +547,37 @@ def zeta_skew(spec: PotentialSpec, s: int, E: float = 0.0, *,
 
 # exact harmonic references ------------------------------------------------
 
-def _harmonic_offset(E: float, v: float) -> tuple[float, float]:
-    """r = sqrt(v) and a = (r - E)/(2r): the ladder r(2k+1) - E is 2r(k + a)."""
+def _harmonic_ground(E: float, v: float) -> tuple[float, float]:
+    """r = sqrt(v) and the ground level r - E of the ladder r(2k+1) - E."""
+    if not 0.0 < v < math.inf:
+        raise DomainError("v must be positive and finite")
     root = math.sqrt(v)
-    if E >= root:
+    if not E < root:
         raise DomainError("E must lie below the ground state")
-    return root, (root - E) / (2.0 * root)
+    return root, root - E
 
 
 def harmonic_zeta_full(s: int, E: float = 0.0, v: float = 1.0) -> ZetaValue:
-    """Full zeta over the exact ladder sqrt(v)(2k+1): (2r)^{-s} zeta(s, a)."""
+    """Full zeta over the exact ladder sqrt(v)(2k+1) - E, of spacing 2r."""
     if s < 2:
         raise DivergenceError("harmonic full zeta diverges at s = 1")
-    root, a = _harmonic_offset(E, v)
-    value = (2.0 * root) ** (-float(s)) * float(scipy.special.zeta(s, a))
-    return ZetaValue(s, E, value, 0.0)
+    root, ground = _harmonic_ground(E, v)
+    return ZetaValue(s, E, ladder_zeta(s, ground, 2.0 * root), 0.0)
 
 
 def harmonic_zeta_skew(s: int, E: float = 0.0, v: float = 1.0) -> ZetaValue:
-    """Skew zeta over the exact ladder: the even and odd levels are Hurwitz
-    ladders of spacing 4r, so it is (4r)^{-s} [zeta(s, a/2) - zeta(s, (a+1)/2)],
-    and [psi((a+1)/2) - psi(a/2)] / (4r) at s = 1."""
+    """Skew zeta over the exact ladder: the even and odd levels are ladders
+    of spacing 4r from r - E and 3r - E, and at s = 1 the difference of
+    their sums is [psi((a+1)/2) - psi(a/2)] / (4r), a = (r - E)/(2r)."""
     if s < 1:
         raise DomainError("s must be a positive integer")
-    root, a = _harmonic_offset(E, v)
+    root, ground = _harmonic_ground(E, v)
     if s == 1:
+        a = ground / (2.0 * root)
         value = (digamma(0.5 * (a + 1.0)) - digamma(0.5 * a)) / (4.0 * root)
     else:
-        value = (4.0 * root) ** (-float(s)) * float(
-            scipy.special.zeta(s, 0.5 * a) - scipy.special.zeta(s, 0.5 * (a + 1.0)))
+        value = (ladder_zeta(s, ground, 4.0 * root)
+                 - ladder_zeta(s, ground + 2.0 * root, 4.0 * root))
     return ZetaValue(s, E, value, 0.0)
 
 

@@ -55,6 +55,37 @@ def test_zeta_harmonic_constant(capsys):
     assert payload["value"] == pytest.approx(math.pi**2 / 8.0, abs=1e-10)
 
 
+def test_zeta_harmonic_far_up_the_ladder(capsys):
+    # 2^1000 is printed; 100^400 is beyond double range and printed as null
+    code, out = run_cli(capsys, "zeta", "--harmonic", "--s", "1000", "--skew", "--E", "0.5")
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(2.0**1000, rel=1e-15)
+    code, out = run_cli(capsys, "zeta", "--harmonic", "--s", "400", "--E", "0.99")
+    assert code == 0
+    assert _strict_json(out)["value"] is None
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+# the s = 1 skew, which takes digamma of inf and of nan
+@example(s=1, skew=True, E=-math.inf)
+@example(s=1, skew=True, E=math.nan)
+@given(s=st.integers(-2, 10**6), skew=st.booleans(),
+       E=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                   st.floats(-12.0, 0.0).map(lambda e: 1.0 - 10.0 ** e)))
+def test_zeta_harmonic_exits_with_a_documented_code(s, skew, E):
+    argv = ["zeta", "--harmonic", f"--s={s}", f"--E={E!r}"] + (["--skew"] if skew else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    value = _strict_json(out.getvalue()).get("value") if code in (0, 3) else None
+    assert value is None or value >= 0.0
+
+
 def test_zeta_divergent_exit_code(capsys):
     code, out = run_cli(capsys, "zeta", "--harmonic", "--s", "1")
     assert code == 3
@@ -343,25 +374,29 @@ def test_zeta_of_a_shallow_quartic(capsys):
 
 
 def test_cli_never_imports_scipy_integrate_or_optimize():
-    # this process imports scipy.integrate for its oracles, so the commands
-    # run in a fresh interpreter
+    # nor scipy.special; this process imports scipy.integrate and
+    # scipy.special for its oracles, so the commands run in a fresh interpreter
     script = """
 import contextlib, io, sys
 from oscdet.cli import main
 runs = (["verify", "--N", "4", "--grid", "0.01"], ["det", "--spec", "4 2 1 1 0"],
         ["zeta", "--spec", "4 2 1 1 0", "--s", "2", "--count", "16"],
+        ["zeta", "--harmonic", "--s", "2"], ["zeta", "--harmonic", "--s", "1", "--skew"],
+        ["zeta", "--harmonic", "--s", "2", "--skew"],
         ["action", "--spec", "4 2 1 1 0.5", "--method", "numeric"],
-        ["spectrum", "--spec", "4 2 1 1 0", "--count", "8"])
+        ["spectrum", "--spec", "4 2 1 1 0", "--count", "8"],
+        ["predict", "--N", "4", "--g", "0.01"], ["poles", "--N", "4", "--M", "2"])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in runs]
-print(codes, sorted(m for m in sys.modules if m.startswith(("scipy.integrate", "scipy.optimize"))))
+print(codes, sorted(m for m in sys.modules
+                    if m.startswith(("scipy.integrate", "scipy.optimize", "scipy.special"))))
 """
     src = str(Path(oscdet.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[0, 0, 0, 0, 0] []", done.stdout
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0] []", done.stdout
 
 
 @pytest.mark.parametrize("method", ("closed", "numeric", "asymptotic"))
@@ -398,7 +433,8 @@ def _case(spec, command, method="closed", shift=0.0, s=1, count=1):
 # the last with its tail point beyond double range; and a det at strong
 # coupling, where the shot starts nearest the origin; a shallow power, whose
 # gauge end and plain leg are measured in its length; gauge ends that
-# cancel P to zero or below; and quadratures of the zeta tail that fail
+# cancel P to zero or below; quadratures of the zeta tail that fail; and a
+# prediction at E = inf, which takes digamma to -inf
 @_case("4 2 1 1e300 0", "action", "closed")
 @_case("4 2 1 1e300 0", "action", "numeric")
 @_case("4 2 1 1e300 0", "action", "asymptotic")
@@ -411,6 +447,7 @@ def _case(spec, command, method="closed", shift=0.0, s=1, count=1):
 @_case("4 2 1 1 -1e18", "det")
 @_case("4 2 4.997464767238886e-48 1.4219851749774957e-43 0.0", "zeta", s=1, count=8)
 @_case("2 0 3.0938190730941977e-06 0.0 2694.078445340049", "zeta", s=2, count=4)
+@_case("4 2 0.01 1 inf", "predict")
 @given(spec=_fuzz_spec(),
        command=st.sampled_from(("spectrum", "zeta", "det", "action", "poles", "predict")),
        s=st.sampled_from((1, 2, 3)), skew=st.booleans(), count=st.integers(1, 32),

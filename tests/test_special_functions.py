@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from oscdet.special_functions import (
     binomial_jets,
     digamma,
     gamma,
+    ladder_zeta,
     log_gamma,
 )
 
@@ -38,7 +40,7 @@ def test_gamma_negative_by_recurrence():
 
 
 def test_gamma_pole_raises():
-    for x in (0.0, -1.0, -7.0):
+    for x in (0.0, -1.0, -7.0, -math.inf):
         with pytest.raises(DomainError):
             log_gamma(x)
         with pytest.raises(DomainError):
@@ -114,6 +116,64 @@ def test_log_gamma_and_digamma_against_mpmath(x):
     assert sign == want_sign
     assert abs(lg - want_lg) <= 4e-15 * max(1.0, abs(want_lg))
     assert abs(digamma(x) - want_psi) <= 4e-15 * max(1.0, abs(want_psi))
+
+
+def test_digamma_against_mpmath_on_a_log_grid():
+    # x = +-10^(j/8) from 1e-12 to 1e300; below -2^53 every double is a pole
+    import mpmath
+
+    for j in range(-96, 2401):
+        for x in (10.0 ** (j / 8), -(10.0 ** (j / 8))):
+            if x == math.floor(x) and x < 0.0:
+                continue
+            with mpmath.workdps(30):
+                want = float(mpmath.digamma(x))
+            assert abs(digamma(x) - want) <= 4e-15 * max(1.0, abs(want)), x
+    assert digamma(math.inf) == math.inf
+    assert math.isnan(digamma(math.nan))
+
+
+# mpmath's zeta(s, a) loses digits for a >> 1 at moderate s (4e-10 at s = 48,
+# a = 1e3, with 50 digits), so the oracle is the polygamma
+# zeta(s, a) = (-1)^s psi^(s-1)(a) / (s-1)!
+def _mp_hurwitz(s, a):
+    import mpmath
+
+    return (-1) ** s * mpmath.psi(s - 1, a) / mpmath.factorial(s - 1)
+
+
+def test_ladder_zeta_against_mpmath():
+    # ladders from a = first/step = 1e-6 to 1e6; steps that are powers of two
+    # keep first = a step exact, so one oracle value serves all three
+    import mpmath
+
+    checked = 0
+    with mpmath.workdps(30):
+        for s in range(2, 61):
+            for j in range(-12, 13):
+                a = 10.0 ** (j / 2)
+                hurwitz = _mp_hurwitz(s, a)
+                for step in (1.0, 4.0, 2.0 ** -10):
+                    want = hurwitz * mpmath.mpf(step) ** -s
+                    if not sys.float_info.min <= want <= sys.float_info.max:
+                        continue
+                    checked += 1
+                    got = ladder_zeta(s, a * step, step)
+                    assert abs(got - want) <= 1e-14 * want, (s, a, step)
+    assert checked > 3000
+
+
+def test_ladder_zeta_beyond_double_range():
+    # 1e-400 and 1e400 come out as 0 and inf, never as an OverflowError;
+    # so do two finite terms, 1.5e308 and 5e307, whose sum overflows
+    assert ladder_zeta(400, 10.0, 1.0) == 0.0
+    assert ladder_zeta(400, 0.1, 1.0) == math.inf
+    assert ladder_zeta(2, 8.2e-155, 5.9e-155) == math.inf
+    assert ladder_zeta(10**6, 0.5, 4.0) == math.inf
+    assert ladder_zeta(10**6, 2.0, 1e-300) == 0.0
+    for s, first, step in ((1, 1.0, 1.0), (2, 0.0, 1.0), (2, 1.0, 0.0), (2, math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            ladder_zeta(s, first, step)
 
 
 def _binomial_jet(alpha, k):

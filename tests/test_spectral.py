@@ -480,6 +480,28 @@ def test_harmonic_zetas_against_mpmath_nsum():
                                                                               rel=1e-14)
 
 
+def test_harmonic_skew_zeta_far_up_the_ladder():
+    # 0.5^-1000 - 2.5^-1000 + ... = 2^1000 fits in a double although
+    # 4^-1000 does not; 100^400 does not fit and is inf
+    assert harmonic_zeta_skew(1000, 0.5).value == pytest.approx(2.0**1000, rel=1e-15)
+    assert harmonic_zeta_skew(400, 0.99).value == math.inf
+    assert harmonic_zeta_full(10**6, -1e6).value == 0.0
+
+
+def test_harmonic_zeta_domain():
+    # E at or above the ground level r, or not a number; v not positive and finite
+    for E, v in ((1.0, 1.0), (math.nan, 1.0), (0.0, 0.0), (0.0, -1.0), (0.0, math.inf)):
+        for zeta in (harmonic_zeta_full, harmonic_zeta_skew):
+            with pytest.raises(DomainError):
+                zeta(2, E, v)
+
+
+def test_skew_series_from_the_bernoulli_table():
+    # the hand-typed coefficients that harmonic_det was checked with
+    assert spectral._SKEW_SERIES == (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432,
+                                     691 / 180224)
+
+
 def test_zeta_skew_computed_spectrum_vs_partial_sums():
     spec = PotentialSpec.uncoupled(4, 1.0)
     res = eigenvalues(spec, 384, 1e-6)
