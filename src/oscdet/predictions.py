@@ -51,6 +51,12 @@ def _check_family(N: int) -> None:
     PotentialSpec.trinomial(N, 2, 1.0)
 
 
+def _check_energy(E: float) -> None:
+    """Raise DomainError unless the energy E is a finite number."""
+    if not math.isfinite(E):
+        raise DomainError(f"E must be finite, not {E}")
+
+
 def predict_det_ratio_g(N: int, M: int, g: float, E: float) -> float:
     """log of det(q^M + g q^N - E) / det(q^M - E) for g -> 0.
 
@@ -59,6 +65,7 @@ def predict_det_ratio_g(N: int, M: int, g: float, E: float) -> float:
     """
     if not (N > M >= 2):
         raise DomainError("need even N > M >= 2")
+    _check_energy(E)
     v, _ = symanzik_map(M, N, g, E)
     total = 2.0 * binomial_action(1.0, v, N, M).value
     if M == 2:
@@ -75,6 +82,7 @@ def predict_Z1(N: int, g: float, E: float = 0.0) -> float:
         raise DomainError("need even N >= 4")
     if g <= 0.0:
         raise DomainError("g must be positive")
+    _check_energy(E)
     return ((1.0 / (N - 2.0)) * (-math.log(g) + N * LOG2)
             - 0.5 * (digamma(0.5 * (1.0 - E)) + LOG2))
 

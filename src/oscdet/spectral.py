@@ -551,6 +551,8 @@ def _harmonic_ground(E: float, v: float) -> tuple[float, float]:
     """r = sqrt(v) and the ground level r - E of the ladder r(2k+1) - E."""
     if not 0.0 < v < math.inf:
         raise DomainError("v must be positive and finite")
+    if not math.isfinite(E):
+        raise DomainError(f"E must be finite, not {E}")
     root = math.sqrt(v)
     if not E < root:
         raise DomainError("E must lie below the ground state")

@@ -8,7 +8,7 @@ With x = sqrt(omega) q the Hamiltonian reads
 and x^2 couples a basis state n only to n and n +- 2.  So each parity
 sector of H is a real symmetric band matrix of half-bandwidth N/2, built
 diagonal by diagonal from powers of the tridiagonal x^2 block.  LAPACK's
-divide-and-conquer band driver ``sbevd`` returns every level of each block,
+divide-and-conquer band driver ``dsbevd`` returns every level of each block,
 and the lowest are kept (Hioe & Montroll, J. Math. Phys. 16 (1975) 1945;
 Banerjee et al., Proc. R. Soc. A 360 (1978) 575).  Ritz values
 fall monotonically towards the exact levels as the basis grows; the error
@@ -17,16 +17,29 @@ estimate is the change between n and 2n basis states per parity.
 The Bohr-Sommerfeld levels (``bs_level``) pick the basis frequency and, in
 ``bs_tail``, carry every sum and product over the levels beyond the computed
 ones.
+
+``dsbevd`` is called through scipy's compiled LAPACK wrapper,
+``scipy/linalg/_flapack``, loaded on its own: the ``scipy.linalg`` package
+would bring ``numpy.f2py``, ``numpy.testing``, ``numpy.random`` and
+``numpy.ma`` with it, about 0.35 s of a fresh interpreter's start, for this
+one routine.  The call and its arguments are those ``scipy.linalg.eig_banded``
+makes for ``eigvals_only=True``, so the levels are the same to the bit.
+``leggauss`` is imported with the module too: numpy loads ``numpy.polynomial``
+on first use, which would otherwise put that import into the first command.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eig_banded
+from numpy.polynomial.legendre import leggauss
 
 from .errors import AccuracyError, DomainError
 from .numerics import increasing_root, integrate
@@ -34,6 +47,28 @@ from .potential import PotentialSpec
 
 MAX_COUNT = 512
 _DOUBLINGS = 3   # the basis grows to at most 8 times its first size
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrapper, ``scipy.linalg._flapack``, loaded
+    from scipy's directory without running the package ``__init__`` of
+    ``scipy`` or ``scipy.linalg``; the module already loaded, if any."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    found = scipy and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(path, "linalg") for path in scipy.submodule_search_locations])
+    if found is None:
+        raise ImportError("oscdet needs scipy's compiled LAPACK wrapper, scipy/linalg/_flapack",
+                          name=name)
+    module = importlib.util.module_from_spec(found)
+    found.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_dsbevd = _load_flapack().dsbevd
 
 
 @dataclass(frozen=True)
@@ -73,8 +108,11 @@ def _area_rule() -> tuple[np.ndarray, np.ndarray]:
     """48-node Gauss-Legendre rule for the classical area: the weights of
     dq/Q = 2 w dw on [0, 1] (the map to [0, 1] halves them) and log t at the
     nodes, t = 1 - w^2.  Built on first use, because its LAPACK call adds
-    about 1 MB to a process that never needs a Bohr-Sommerfeld level."""
-    x, weights = np.polynomial.legendre.leggauss(48)
+    about 1 MB to a process that never needs a Bohr-Sommerfeld level;
+    ``leggauss`` itself is imported with the module, since numpy loads
+    ``numpy.polynomial`` lazily and a first use here would put that import
+    into the first command's time."""
+    x, weights = leggauss(48)
     w = 0.5 * (x + 1.0)
     return w * weights, np.log1p(-w * w)
 
@@ -224,14 +262,23 @@ def _sector_band(spec: PotentialSpec, omega: float, n: int, parity: int) -> np.n
 def _ritz_levels(spec: PotentialSpec, omega: float, n: int,
                  count: int) -> tuple[np.ndarray, float]:
     """Lowest ``count`` Ritz values in level order on n states per parity,
-    and the larger 1-norm of the two blocks.  ``sbevd`` returns every level
-    of a block, 4-9 times faster than ``sbevx`` bisection returns the lowest."""
+    and the larger 1-norm of the two blocks.  ``dsbevd`` returns every level
+    of a block, 4-9 times faster than ``dsbevx`` bisection returns the lowest.
+    A block with a non-finite entry, or a solve that reports failure, raises
+    AccuracyError."""
     values = np.empty(count)
     norm = 0.0
     for parity in (0, 1):
         levels = (count + 1 - parity) // 2
         band = _sector_band(spec, omega, n, parity)
-        values[parity::2] = eig_banded(band, lower=True, eigvals_only=True)[:levels]
+        block = f"the {('even', 'odd')[parity]} block of H on {n} states"
+        if not np.isfinite(band).all():
+            raise AccuracyError(f"{block} is not finite in double precision")
+        # the band is read again below, so LAPACK works on a copy
+        w, _, info = _dsbevd(band, compute_v=0, lower=1, overwrite_ab=0)
+        if info != 0:
+            raise AccuracyError(f"LAPACK dsbevd failed on {block} (info = {info})")
+        values[parity::2] = w[:levels]
         rows = np.abs(band).sum(axis=0)   # diagonal and right of it, by symmetry
         for d in range(1, len(band)):
             rows[d:] += np.abs(band[d, :n - d])

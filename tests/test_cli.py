@@ -13,9 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oscdet
+from oscdet import spectrum
 from oscdet.actions import binomial_action
 from oscdet.cli import main
-from oscdet.predictions import predict_Z1
+from oscdet.errors import DomainError
+from oscdet.predictions import predict_det_ratio_g, predict_Z1
+from oscdet.spectral import harmonic_zeta_full, harmonic_zeta_skew
 
 
 def run_cli(capsys, *argv):
@@ -373,9 +376,12 @@ def test_zeta_of_a_shallow_quartic(capsys):
     assert values[0] == pytest.approx(values[1] * 1e40 ** (1.0 / 3.0), rel=1e-10)
 
 
-def test_cli_never_imports_scipy_integrate_or_optimize():
-    # nor scipy.special; this process imports scipy.integrate and
-    # scipy.special for its oracles, so the commands run in a fresh interpreter
+def test_cli_never_imports_scipy_integrate_or_optimize(tmp_path):
+    # nor scipy.special, nor the scipy and scipy.linalg packages: LAPACK's
+    # wrapper is the one scipy module loaded.  No module at all, numpy's and
+    # scipy's included, is first imported inside a command, where its cost
+    # would fall on the command rather than on the import.  This process
+    # imports scipy for its oracles, so the commands run in a fresh interpreter
     script = """
 import contextlib, io, sys
 from oscdet.cli import main
@@ -385,18 +391,56 @@ runs = (["verify", "--N", "4", "--grid", "0.01"], ["det", "--spec", "4 2 1 1 0"]
         ["zeta", "--harmonic", "--s", "2", "--skew"],
         ["action", "--spec", "4 2 1 1 0.5", "--method", "numeric"],
         ["spectrum", "--spec", "4 2 1 1 0", "--count", "8"],
-        ["predict", "--N", "4", "--g", "0.01"], ["poles", "--N", "4", "--M", "2"])
+        ["predict", "--N", "4", "--g", "0.01"], ["poles", "--N", "4", "--M", "2"],
+        ["fig2", "--families", "4", "--grid", "1e-1,3e-2", "--outdir", sys.argv[1]],
+        ["verify", "--N", "6", "--grid", "0.01", "--format", "json"])
+before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in runs]
-print(codes, sorted(m for m in sys.modules
-                    if m.startswith(("scipy.integrate", "scipy.optimize", "scipy.special"))))
+print(codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+      sorted(set(sys.modules) - before))
 """
     src = str(Path(oscdet.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                          text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0] []", done.stdout
+    assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] ['scipy.linalg._flapack'] []", \
+        done.stdout
+
+
+def test_spectrum_of_a_non_finite_band_exit_three(capsys, monkeypatch):
+    # no spectrum is known to reach a non-finite band, so one is patched in
+    def band_with_nan(*args):
+        band = sector_band(*args)
+        band[0, 3] = math.nan
+        return band
+
+    sector_band = spectrum._sector_band
+    monkeypatch.setattr(spectrum, "_sector_band", band_with_nan)
+    spectrum._eigenvalues_cached.cache_clear()
+    code = main(["spectrum", "--spec", "4 2 1 1 0"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err == ""
+    payload = _strict_json(captured.out)
+    assert payload["error"] == "AccuracyError"
+    assert "not finite" in payload["message"] and "\n" not in payload["message"]
+
+
+@pytest.mark.parametrize("E", (math.inf, -math.inf, math.nan))
+def test_non_finite_energy_is_a_domain_error(capsys, E):
+    for entry in (lambda: harmonic_zeta_full(2, E), lambda: harmonic_zeta_skew(1, E),
+                  lambda: harmonic_zeta_skew(2, E), lambda: predict_Z1(4, 0.01, E),
+                  lambda: predict_det_ratio_g(4, 2, 0.01, E)):
+        with pytest.raises(DomainError, match="E must be finite"):
+            entry()
+    for argv in (["zeta", "--harmonic", "--s", "1", "--skew", f"--E={E!r}"],
+                 ["predict", "--N", "4", "--g", "0.01", f"--E={E!r}"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "E must be finite" in captured.err
 
 
 @pytest.mark.parametrize("method", ("closed", "numeric", "asymptotic"))
@@ -434,7 +478,7 @@ def _case(spec, command, method="closed", shift=0.0, s=1, count=1):
 # coupling, where the shot starts nearest the origin; a shallow power, whose
 # gauge end and plain leg are measured in its length; gauge ends that
 # cancel P to zero or below; quadratures of the zeta tail that fail; and a
-# prediction at E = inf, which takes digamma to -inf
+# prediction at E = inf, a domain error
 @_case("4 2 1 1e300 0", "action", "closed")
 @_case("4 2 1 1e300 0", "action", "numeric")
 @_case("4 2 1 1e300 0", "action", "asymptotic")

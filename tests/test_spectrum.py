@@ -120,17 +120,54 @@ def test_ritz_levels_match_bisection(spec, count):
 
 
 def test_ritz_levels_take_every_level_of_a_block(monkeypatch):
-    # the all-level driver is 4-9 times faster than bisection on these blocks
+    # the all-level driver is 4-9 times faster than bisection on these blocks;
+    # the band is read again for its norm, so LAPACK must not overwrite it
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs)
-        return eig_banded(*args, **kwargs)
+    def spy(band, **kwargs):
+        before = band.copy()
+        out = dsbevd(band, **kwargs)
+        calls.append((kwargs, np.array_equal(band, before)))
+        return out
 
-    monkeypatch.setattr(spectrum, "eig_banded", spy)
+    dsbevd = spectrum._dsbevd
+    monkeypatch.setattr(spectrum, "_dsbevd", spy)
     _ritz_levels(PotentialSpec.trinomial(4, 2, 1.0), 1.3, 64, 10)
-    assert len(calls) == 2
-    assert all("select" not in kwargs and "select_range" not in kwargs for kwargs in calls)
+    assert calls == [(dict(compute_v=0, lower=1, overwrite_ab=0), True)] * 2
+
+
+@pytest.mark.parametrize("n", (16, 64, 512))
+@pytest.mark.parametrize("N, M", ((2, 0), (4, 0), (4, 2), (6, 0), (6, 2), (10, 0), (10, 2)))
+def test_ritz_levels_equal_eig_banded(N, M, n):
+    # the LAPACK call is eig_banded's own, so every level is the same to the bit
+    spec = PotentialSpec(N, M, 1.0, 0.7, 0.1)
+    values, _ = _ritz_levels(spec, 1.3, n, 2 * n)
+    for parity in (0, 1):
+        want = eig_banded(_sector_band(spec, 1.3, n, parity), lower=True, eigvals_only=True)
+        assert np.array_equal(values[parity::2], want)
+
+
+def test_ritz_levels_refuse_a_non_finite_band(monkeypatch):
+    def band_with_nan(*args):
+        band = sector_band(*args)
+        band[0, 3] = math.nan
+        return band
+
+    sector_band = spectrum._sector_band
+    monkeypatch.setattr(spectrum, "_sector_band", band_with_nan)
+    with pytest.raises(AccuracyError, match="not finite"):
+        _ritz_levels(PotentialSpec.trinomial(4, 2, 1.0), 1.3, 64, 10)
+
+
+def test_ritz_levels_refuse_a_failed_solve(monkeypatch):
+    def failed(band, **kwargs):
+        w, z, _ = dsbevd(band, **kwargs)
+        return w, z, 7
+
+    dsbevd = spectrum._dsbevd
+    monkeypatch.setattr(spectrum, "_dsbevd", failed)
+    with pytest.raises(AccuracyError, match="info = 7"):
+        _ritz_levels(PotentialSpec.trinomial(4, 2, 1.0), 1.3, 64, 10)
 
 
 @pytest.mark.parametrize("v", (1e20, 1e40, 1e60))
