@@ -22,8 +22,9 @@ from .potential import (
     binomial_series,
     expansion_parameter,
     residue_level_coefficient,
+    residue_log_deriv,
 )
-from .special_functions import LOG2, Jet1, digamma, log_gamma
+from .special_functions import LOG2, Jet1, log_gamma
 
 _FINITE_PART_SHIFT = 2.0 * (1.0 - LOG2)  # finite-part normalization constant
 
@@ -89,7 +90,7 @@ def anomalous_binomial_action(u: float, v: float, N: float, M: float, j: int) ->
                + (2.0 * M / N) * (LOG2 + 0.5 * math.log(u) - _odd_reciprocal_sum(j - 1)))
     value = 2.0 * j * beta0 / (N + 2.0) * bracket
     # jet of beta_{-1}(s) including the u^{1/2-s-j} dependence
-    deriv = beta0 * (digamma(j - 0.5) - digamma(-0.5) - math.log(u))
+    deriv = beta0 * residue_log_deriv(j, u)
     return ActionValue(value, "closed-anomalous", j, Jet1(beta0, deriv))
 
 
@@ -155,18 +156,6 @@ def adaptive_tail(spec: PotentialSpec, q: float, abs_tol: float = 1e-11,
                     + _FINITE_PART_SHIFT * residue.value / spec.N)
 
 
-def _momentum(spec: PotentialSpec):
-    def pi(q):
-        return np.sqrt(spec.value(q))
-    return pi
-
-
-def _check_positive_momentum(spec: PotentialSpec):
-    # V is nondecreasing on [0, inf) for u > 0, v >= 0, so the minimum is at 0
-    if spec.lam < 0.0:
-        raise DomainError("Pi^2 vanishes on the integration path (lam < 0)")
-
-
 def choose_split_point(spec: PotentialSpec) -> float:
     """Split point of improper_action, and where shooting_det starts its walk
     out to the WKB matching point: the smallest q at or beyond the length
@@ -205,8 +194,9 @@ def improper_action(spec: PotentialSpec, tol: float = 1e-9) -> ActionValue:
     where s = 4.6e-6, the head in q missed 1.9e-9).  The tail series is
     summed to tol / 10.  A value, or a Pi on the way, beyond double range
     raises AccuracyError."""
-    _check_positive_momentum(spec)
-    pi = _momentum(spec)
+    # V is nondecreasing on [0, inf) for u > 0, v >= 0, so the minimum is at 0
+    if spec.lam < 0.0:
+        raise DomainError("Pi^2 vanishes on the integration path (lam < 0)")
     try:
         q_split = choose_split_point(spec)
         # below 1e-8 Q the constant's share of the head is below 1e-16 of
@@ -214,7 +204,7 @@ def improper_action(spec: PotentialSpec, tol: float = 1e-9) -> ActionValue:
         p0, s = spec.value(0.0), q_split
         if p0 > 0.0:
             s = max(1e-8 * q_split, increasing_root(spec.value, spec.deriv, 2.0 * p0))
-        head = float(integrate(lambda t: pi(s * np.sinh(t)) * s * np.cosh(t),
+        head = float(integrate(lambda t: np.sqrt(spec.value(s * np.sinh(t))) * s * np.cosh(t),
                                0.0, math.asinh(q_split / s)))
         value = head + adaptive_tail(spec, q_split, tol / 10.0)
     except OverflowError:

@@ -83,23 +83,8 @@ def _json_text(payload) -> str:
     return json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
 
 
-def _spec_from_args(args) -> PotentialSpec:
-    if args.spec is not None:
-        return PotentialSpec.from_text(args.spec)
-    return PotentialSpec(N=args.N, M=args.M, u=args.u, v=args.v, lam=args.lam)
-
-
-def _add_spec_arguments(p):
-    p.add_argument("--spec", help="potential as 'N M u v lambda'")
-    p.add_argument("--N", type=int, default=4)
-    p.add_argument("--M", type=int, default=2)
-    p.add_argument("--u", type=float, default=1.0)
-    p.add_argument("--v", type=float, default=1.0)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.0)
-
-
 def cmd_spectrum(args):
-    spec = _spec_from_args(args)
+    spec = PotentialSpec.from_text(args.spec)
     result = eigenvalues(spec, args.count, args.tol)
     rows = [["k", "parity", "value", "err_est"]]
     rows += [[str(e.k), e.parity, repr(e.value), repr(e.err_est)]
@@ -109,12 +94,16 @@ def cmd_spectrum(args):
 
 
 def cmd_action(args):
-    spec = _spec_from_args(args)
+    spec = PotentialSpec.from_text(args.spec)
     out = {"spec": spec.to_text()}
     if args.method == "closed":
+        if spec.lam != 0.0:
+            raise DomainError("the closed form takes lambda = 0; use --method numeric")
         a = binomial_action(spec.u, spec.v, spec.N, spec.M)
         out.update(value=a.value, method=a.method, level=a.level)
     elif args.method == "asymptotic":
+        if spec.u != 1.0:
+            raise DomainError("the asymptotic form takes u = 1; use --method numeric")
         out.update(value=trinomial_action_asymptotic(spec.N, spec.M, spec.v, spec.lam),
                    method="asymptotic")
     else:
@@ -155,7 +144,7 @@ def cmd_poles(args):
 
 
 def cmd_det(args):
-    spec = _spec_from_args(args)
+    spec = PotentialSpec.from_text(args.spec)
     if spec.N == 2:   # u q^2 + v + lam: the constant joins the shift
         d = harmonic_det(spec.u, spec.v + spec.lam + args.shift)
     else:
@@ -174,17 +163,14 @@ def cmd_det(args):
 
 
 def cmd_zeta(args):
-    if args.harmonic:
-        z = (harmonic_zeta_skew(args.s, args.E) if args.skew
-             else harmonic_zeta_full(args.s, args.E))
-        spec_text = "harmonic (exact levels)"
+    spec = PotentialSpec.from_text(args.spec)
+    if spec.N == 2:   # the exact ladder of u q^2, with v + lam moved into E
+        zeta = harmonic_zeta_skew if args.skew else harmonic_zeta_full
+        z = zeta(args.s, args.E - (spec.v + spec.lam), spec.u)
     else:
-        spec = _spec_from_args(args)
-        z = (zeta_skew(spec, args.s, args.E, count=args.count, tol=args.tol)
-             if args.skew else
-             zeta_full(spec, args.s, args.E, count=args.count, tol=args.tol))
-        spec_text = spec.to_text()
-    out = {"spec": spec_text, "s": z.s, "E": z.E, "skew": args.skew,
+        zeta = zeta_skew if args.skew else zeta_full
+        z = zeta(spec, args.s, args.E, count=args.count, tol=args.tol)
+    out = {"spec": spec.to_text(), "s": z.s, "E": args.E, "skew": args.skew,
            "value": z.value, "tail_fraction": z.tail_fraction}
     _emit_text(_json_text(out), _out_path(args, "zeta.json"))
     return 0
@@ -217,7 +203,7 @@ def cmd_verify(args):
     if args.format == "csv":
         _emit_rows(report.to_csv_rows(), _out_path(args, "verify.csv"))
     else:
-        _emit_text(report.to_json(), _out_path(args, "verify.json"))
+        _emit_text(_json_text(report.payload()), _out_path(args, "verify.json"))
     return 0 if report.passed else 1
 
 
@@ -241,16 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "of even anharmonic oscillators.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--spec", default="4 2 1.0 1.0 0.0", help="potential as 'N M u v lambda'")
 
-    p = sub.add_parser("spectrum", help="parity-split eigenvalues as CSV")
-    _add_spec_arguments(p)
+    p = sub.add_parser("spectrum", parents=[spec], help="parity-split eigenvalues as CSV")
     p.add_argument("--count", type=int, default=16)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("action", help="regularized improper action integral")
-    _add_spec_arguments(p)
+    p = sub.add_parser("action", parents=[spec], help="regularized improper action integral")
     p.add_argument("--method", choices=("closed", "numeric", "asymptotic"),
                    default="closed")
     p.add_argument("--tol", type=float, default=1e-9)
@@ -265,20 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_poles)
 
-    p = sub.add_parser("det", help="spectral determinants (shooting or closed)")
-    _add_spec_arguments(p)
+    p = sub.add_parser("det", parents=[spec], help="spectral determinants (shooting or closed)")
     p.add_argument("--shift", type=float, default=0.0,
                    help="additional constant added to the potential")
     p.add_argument("--out")
     p.set_defaults(func=cmd_det)
 
-    p = sub.add_parser("zeta", help="spectral zeta values")
-    _add_spec_arguments(p)
+    p = sub.add_parser("zeta", parents=[spec], help="spectral zeta values")
     p.add_argument("--s", type=int, default=2)
     p.add_argument("--E", type=float, default=0.0)
     p.add_argument("--skew", action="store_true")
-    p.add_argument("--harmonic", action="store_true",
-                   help="exact harmonic levels instead of a solved spectrum")
     p.add_argument("--count", type=int, default=160)
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--out")

@@ -47,24 +47,12 @@ class PotentialSpec:
     def value(self, q):
         return self.u * q**self.N + self.v * q**self.M + self.lam
 
-    def deriv(self, q):
-        out = self.N * self.u * q ** (self.N - 1)
-        if self.M > 0:
-            out += self.M * self.v * q ** (self.M - 1)
-        return out
-
-    def deriv2(self, q):
-        out = self.N * (self.N - 1) * self.u * q ** (self.N - 2)
-        if self.M > 1:
-            out += self.M * (self.M - 1) * self.v * q ** (self.M - 2)
-        return out
-
-    def deriv3(self, q):
+    def deriv(self, q, k=1):
+        """The k-th derivative in q."""
         out = 0.0
-        if self.N > 2:
-            out += self.N * (self.N - 1) * (self.N - 2) * self.u * q ** (self.N - 3)
-        if self.M > 2:
-            out += self.M * (self.M - 1) * (self.M - 2) * self.v * q ** (self.M - 3)
+        for power, coef in ((self.N, self.u), (self.M, self.v)):
+            if power >= k:
+                out = out + math.perm(power, k) * coef * q ** (power - k)
         return out
 
     def length(self) -> float:
@@ -104,23 +92,10 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class AnomalyType:
-    """Normal (identically vanishing residue) or Anomalous of level j."""
+    """Normal (level None, identically vanishing residue) or anomalous of level j."""
 
-    tag: str                 # "normal" | "anomalous"
     level: int | None
     beta_m1: Jet1
-
-    @staticmethod
-    def normal() -> "AnomalyType":
-        return AnomalyType("normal", None, Jet1.zero())
-
-    @staticmethod
-    def anomalous(level: int, beta_m1: Jet1) -> "AnomalyType":
-        return AnomalyType("anomalous", level, beta_m1)
-
-    @property
-    def is_anomalous(self) -> bool:
-        return self.tag == "anomalous"
 
 
 @dataclass(frozen=True)
@@ -168,15 +143,15 @@ def classify(spec: PotentialSpec) -> AnomalyType:
     """
     j = level_candidate(spec.N, spec.M)
     if j is None:
-        return AnomalyType.normal()
+        return AnomalyType(None, Jet1.zero())
     if spec.N > 2:
         value = residue_level_coefficient(j) * spec.u ** (0.5 - j) * spec.v**j
     else:
         value = 0.5 * (spec.v + spec.lam) / math.sqrt(spec.u)
     if value == 0.0:
-        return AnomalyType.normal()
+        return AnomalyType(None, Jet1.zero())
     deriv = value * residue_log_deriv(j, spec.u)
-    return AnomalyType.anomalous(j, Jet1(value, deriv))
+    return AnomalyType(j, Jet1(value, deriv))
 
 
 def expansion_parameter(spec: PotentialSpec, q: float) -> float:

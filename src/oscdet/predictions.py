@@ -10,7 +10,6 @@ besides the family; the verdict thresholds are fixed module constants.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -71,7 +70,7 @@ def predict_det_ratio_g(N: int, M: int, g: float, E: float) -> float:
     if M == 2:
         total -= (1.0 / (N - 2.0)) * (0.25 * (N + 2.0) * math.log(v) + N * LOG2) * E
     anomaly = classify(PotentialSpec.trinomial(N, M, v))
-    if anomaly.is_anomalous:
+    if anomaly.level is not None:
         total -= 4.0 * anomaly.beta_m1.value / (N * (M + 2.0)) * math.log(v)
     return total
 
@@ -165,8 +164,9 @@ class PredictionReport:
     def passed(self) -> bool:
         return all(self.verdicts.values())
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The report as the JSON object that ``verify --format json`` writes."""
+        return {
             "family": {"N": self.family[0], "M": self.family[1]},
             "grid": self.grid,
             "predicted": self.predicted,
@@ -176,7 +176,6 @@ class PredictionReport:
             "passed": self.passed,
             "notes": self.notes,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
     def to_csv_rows(self):
         names = sorted(self.residuals.keys())
@@ -200,7 +199,7 @@ def verify(N: int, grid=GRID) -> PredictionReport:
     """
     grid = _check_grid(grid)
     _check_family(N)
-    points = measure_grid(N, grid)
+    points = [measure_point(N, g) for g in grid]
 
     predicted = {
         "z1": [predict_Z1(N, g) for g in grid],
@@ -254,11 +253,6 @@ def verify(N: int, grid=GRID) -> PredictionReport:
                             verdicts=verdicts, notes=notes)
 
 
-def measure_grid(N: int, grid) -> list[PointMeasurement]:
-    """measure_point at every coupling of the grid, largest first."""
-    return [measure_point(N, g) for g in _check_grid(grid)]
-
-
 # --------------------------------------------------------------------------
 # Fig. 2 datasets
 # --------------------------------------------------------------------------
@@ -273,7 +267,8 @@ def fig2_rows(families=(4, 6), grid=GRID):
     left = [["family", "N", "g", "v", "inv_v", "ZP1", "Z2", "ZP2"]]
     right = [["family", "N", "g", "log_g", "Z1", "Z1_predicted"]]
     for N in families:
-        for p in measure_grid(N, grid):
+        for g in grid:
+            p = measure_point(N, g)
             left.append([f"q2+gq{N}", str(N), repr(p.g), repr(p.v), repr(1.0 / p.v),
                          repr(p.zp1), repr(p.z2), repr(p.zp2)])
             right.append([f"q2+gq{N}", str(N), repr(p.g), repr(math.log(p.g)),

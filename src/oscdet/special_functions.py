@@ -2,13 +2,13 @@
 
 Scalar log-gamma with explicit sign tracking (negative arguments such as
 Gamma(-5/4) occur routinely in the action formulas), digamma, the zeta sum
-over an arithmetic ladder, generalized binomial coefficients with their
-derivative in the upper argument (by recurrence in k).
+over an arithmetic ladder and its alternating sibling, generalized binomial
+coefficients with their derivative in the upper argument (by recurrence in k).
 
-Digamma and the ladder zeta share one table of Bernoulli numbers: both shift
-the argument up until the large-argument series converges to rounding, so
-that scipy.special, and the import time it costs every interpreter, is not
-needed for two scalar functions.
+Digamma and the two ladder zetas share one table of Bernoulli numbers: each
+shifts the argument up until the large-argument series converges to
+rounding, so that scipy.special, and the import time it costs every
+interpreter, is not needed for three scalar functions.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ BERNOULLI = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42),
 # omitted term is 3e-18
 _PSI_SERIES = tuple(float(b / n) for n, b in BERNOULLI.items())
 _PSI_SHIFT = 10.0
-# Euler-Maclaurin weights B_n/n!
+# Euler-Maclaurin weights B_n/n!, and Boole's (2^n - 1) B_n/n! for alternating sums
 _EM_SERIES = tuple(float(b / math.factorial(n)) for n, b in BERNOULLI.items())
+_BOOLE_SERIES = tuple(float((2**n - 1) * b / math.factorial(n)) for n, b in BERNOULLI.items())
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,44 @@ def ladder_zeta(s: int, first: float, step: float) -> float:
     bracket = 1.0 / (s - 1) + w * (0.5 + series)
     terms.append(_inverse_power(level, s - 1) / step * bracket)
     return _sum_or_inf(terms)
+
+
+def alternating_ladder_zeta(s: int, first: float, step: float) -> float:
+    """sum_k>=0 (-1)^k (first + k step)^-s for an integer s >= 1.
+
+    Summed as ``ladder_zeta`` sums its ladder: the levels below y = 3 (s + 16)
+    steps directly, until a term is below rounding, and the rest by Boole's
+    summation (Euler-Maclaurin for alternating sums), (-1)^K Y^-s [1/2 +
+    sum_n (2^n - 1) B_n/n! (s)_(n-1) y^(1-n)], with Y the K-th level and
+    y = Y/step; from that y on, the first term left out, n = 18, is below
+    2^-54 of the bracket.  The sum lies between half its first term and that
+    term, and is inf once the first term is beyond double range.
+    """
+    if s < 1:
+        raise DomainError("alternating ladder zeta needs s >= 1")
+    if not (first > 0.0 and step > 0.0):
+        raise DomainError("alternating ladder zeta needs a positive first level and step")
+    y_min = 3.0 * (s + 16)
+    terms = []
+    total = 0.0
+    level, y = first, first / step
+    while y < y_min:
+        term = (-1.0) ** len(terms) * _inverse_power(level, s)
+        terms.append(term)
+        total += term
+        # what is left is at most the next term, which is below this one
+        if abs(term) <= 2.0 ** -54 * abs(total):
+            return math.fsum(terms)
+        level = first + len(terms) * step
+        y = level / step
+    w = 1.0 / y
+    rising = s * w                      # (s)_(n-1) y^-(n-1), from n = 2
+    series = 0.0
+    for n, c in zip(BERNOULLI, _BOOLE_SERIES):
+        series += c * rising
+        rising *= (s + n - 1) * (s + n) * (w * w)
+    terms.append((-1.0) ** len(terms) * _inverse_power(level, s) * (0.5 + series))
+    return math.fsum(terms)
 
 
 def binomial_jets(alpha: float):

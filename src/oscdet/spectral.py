@@ -58,7 +58,7 @@ from .spectrum import (
     eigenvalues,
     turning_point,
 )
-from .special_functions import BERNOULLI, digamma, ladder_zeta, log_gamma
+from .special_functions import BERNOULLI, alternating_ladder_zeta, ladder_zeta, log_gamma
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # log Gamma(x + 1/2) - log Gamma(x) - (1/2) log x ~ sum_k c_k x^-(2k+1): the
@@ -144,7 +144,7 @@ def _wkb_next_correction(work: PotentialSpec, q: float) -> float:
     correction of the start: the magnitudes of the three terms of y3 are
     added, so the bound does not vanish where the terms cancel."""
     p = work.value(q)
-    b1, b2, b3 = work.deriv(q) / p, work.deriv2(q) / p, work.deriv3(q) / p
+    b1, b2, b3 = (work.deriv(q, k) / p for k in (1, 2, 3))
     y3 = (abs(b3) / 16.0 + 9.0 * abs(b1 * b2) / 32.0 + 15.0 * abs(b1) ** 3 / 64.0) / p
     return y3 / math.sqrt(p)
 
@@ -346,7 +346,7 @@ def _shoot(work: PotentialSpec, order: int):
     not resolved, or a leg the propagator cannot resolve within its panel
     budget, raises AccuracyError.
     """
-    P, dP, d2P, d3P = work.value, work.deriv, work.deriv2, work.deriv3
+    P = work.value
     length = work.length()
     threshold = _PLAIN_THRESHOLD / length**2
 
@@ -355,7 +355,7 @@ def _shoot(work: PotentialSpec, order: int):
         q_max = _choose_q_max(work, max(q_cut, choose_split_point(work)))
         if not math.isfinite(P(q_max)):
             raise AccuracyError(f"P is beyond double range at the tail point q = {q_max:.3g}")
-        p0, dp0, d2p0, d3p0, p_cut = P(q_max), dP(q_max), d2P(q_max), d3P(q_max), P(q_cut)
+        p0, p_cut = P(q_max), P(q_cut)
         # P(q_cut) is the powers' sum less |lam|, rounded by eps |lam|
         if not p_cut * 1e-8 > abs(work.lam) * sys.float_info.epsilon:
             raise AccuracyError(f"P = {p_cut:.3g} is lost to cancellation against "
@@ -363,7 +363,8 @@ def _shoot(work: PotentialSpec, order: int):
         scale = q_cut or turning_point(work, 2.0 * p_cut)
         # the WKB terms c P^{-beta} at q_max as (value, beta): y1, y2 and y3
         # of w, and y2's boundary term and (1/2) y2/Pi of ell
-        b1, b2, b3, root = dp0 / p0, d2p0 / p0, d3p0 / p0, math.sqrt(p0)
+        b1, b2, b3 = (work.deriv(q_max, k) / p0 for k in (1, 2, 3))
+        root = math.sqrt(p0)
         w_terms = ((-b1 / 4.0, 1.0), (-b2 / (8.0 * root), 1.5),
                    (5.0 * b1 * b1 / (32.0 * root), 2.5), (-b3 / (16.0 * p0), 2.0),
                    (9.0 * b1 * b2 / (32.0 * p0), 3.0), (-15.0 * b1**3 / (64.0 * p0), 4.0))
@@ -561,26 +562,22 @@ def _harmonic_ground(E: float, v: float) -> tuple[float, float]:
 
 def harmonic_zeta_full(s: int, E: float = 0.0, v: float = 1.0) -> ZetaValue:
     """Full zeta over the exact ladder sqrt(v)(2k+1) - E, of spacing 2r."""
-    if s < 2:
+    if s < 1:
+        raise DomainError("s must be a positive integer")
+    if s == 1:
         raise DivergenceError("harmonic full zeta diverges at s = 1")
     root, ground = _harmonic_ground(E, v)
     return ZetaValue(s, E, ladder_zeta(s, ground, 2.0 * root), 0.0)
 
 
 def harmonic_zeta_skew(s: int, E: float = 0.0, v: float = 1.0) -> ZetaValue:
-    """Skew zeta over the exact ladder: the even and odd levels are ladders
-    of spacing 4r from r - E and 3r - E, and at s = 1 the difference of
-    their sums is [psi((a+1)/2) - psi(a/2)] / (4r), a = (r - E)/(2r)."""
+    """Skew zeta over the exact ladder: the alternating sum over r(2k+1) - E,
+    of spacing 2r, summed once, so that no digits go to a difference of the
+    even and odd sums."""
     if s < 1:
         raise DomainError("s must be a positive integer")
     root, ground = _harmonic_ground(E, v)
-    if s == 1:
-        a = ground / (2.0 * root)
-        value = (digamma(0.5 * (a + 1.0)) - digamma(0.5 * a)) / (4.0 * root)
-    else:
-        value = (ladder_zeta(s, ground, 4.0 * root)
-                 - ladder_zeta(s, ground + 2.0 * root, 4.0 * root))
-    return ZetaValue(s, E, value, 0.0)
+    return ZetaValue(s, E, alternating_ladder_zeta(s, ground, 2.0 * root), 0.0)
 
 
 # --------------------------------------------------------------------------

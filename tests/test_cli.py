@@ -28,7 +28,7 @@ def run_cli(capsys, *argv):
 
 
 def test_action_command_bc4(capsys):
-    code, out = run_cli(capsys, "action", "--N", "4", "--M", "2", "--u", "1", "--v", "1")
+    code, out = run_cli(capsys, "action", "--spec", "4 2 1 1 0")
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(-1.0 / 3.0, rel=1e-10)
@@ -36,7 +36,7 @@ def test_action_command_bc4(capsys):
 
 
 def test_action_numeric_route(capsys):
-    code, out = run_cli(capsys, "action", "--N", "6", "--M", "4", "--v", "1",
+    code, out = run_cli(capsys, "action", "--spec", "6 4 1 1 0",
                         "--method", "numeric", "--tol", "1e-8")
     assert code == 0
     payload = json.loads(out)
@@ -52,7 +52,7 @@ def test_action_numeric_with_constant_and_shift(capsys):
 
 
 def test_zeta_harmonic_constant(capsys):
-    code, out = run_cli(capsys, "zeta", "--harmonic", "--s", "2")
+    code, out = run_cli(capsys, "zeta", "--spec", "2 0 1 0 0", "--s", "2")
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(math.pi**2 / 8.0, abs=1e-10)
@@ -60,23 +60,25 @@ def test_zeta_harmonic_constant(capsys):
 
 def test_zeta_harmonic_far_up_the_ladder(capsys):
     # 2^1000 is printed; 100^400 is beyond double range and printed as null
-    code, out = run_cli(capsys, "zeta", "--harmonic", "--s", "1000", "--skew", "--E", "0.5")
+    code, out = run_cli(capsys, "zeta", "--spec", "2 0 1 0 0", "--s", "1000", "--skew",
+                        "--E", "0.5")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(2.0**1000, rel=1e-15)
-    code, out = run_cli(capsys, "zeta", "--harmonic", "--s", "400", "--E", "0.99")
+    code, out = run_cli(capsys, "zeta", "--spec", "2 0 1 0 0", "--s", "400", "--E", "0.99")
     assert code == 0
     assert _strict_json(out)["value"] is None
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-# the s = 1 skew, which takes digamma of inf and of nan
+# the s = 1 skew at an energy of inf and of nan
 @example(s=1, skew=True, E=-math.inf)
 @example(s=1, skew=True, E=math.nan)
 @given(s=st.integers(-2, 10**6), skew=st.booleans(),
        E=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                    st.floats(-12.0, 0.0).map(lambda e: 1.0 - 10.0 ** e)))
 def test_zeta_harmonic_exits_with_a_documented_code(s, skew, E):
-    argv = ["zeta", "--harmonic", f"--s={s}", f"--E={E!r}"] + (["--skew"] if skew else [])
+    argv = ["zeta", "--spec", "2 0 1 0 0", f"--s={s}", f"--E={E!r}"]
+    argv += ["--skew"] if skew else []
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -90,10 +92,73 @@ def test_zeta_harmonic_exits_with_a_documented_code(s, skew, E):
 
 
 def test_zeta_divergent_exit_code(capsys):
-    code, out = run_cli(capsys, "zeta", "--harmonic", "--s", "1")
+    code, out = run_cli(capsys, "zeta", "--spec", "2 0 1 0 0", "--s", "1")
     assert code == 3
     payload = json.loads(out)
     assert payload["error"] == "DivergenceError"
+
+
+@pytest.mark.parametrize("u, v, lam, E, s, skew", [
+    (1.0, 0.0, 0.0, 0.0, 2, False), (1.0, 0.0, 0.0, 0.0, 1, True),
+    (2.5, 1.0, 3.0, -0.7, 1, True), (2.5, 1.0, 3.0, -0.7, 3, False),
+    (1e-3, 100.0, -50.0, 0.5, 3, True), (4.0, 0.0, 1e6, 10.0, 2, False),
+    (0.3, 2.0, 0.25, 2.5, 5, True), (1e6, 0.5, -0.25, -1e3, 2, True)])
+def test_zeta_of_n_two_is_the_exact_ladder(capsys, u, v, lam, E, s, skew):
+    # u q^2 + v + lam has the levels sqrt(u)(2k+1) + v + lam: the constant
+    # moves into E, and the E echoed is the one asked for
+    spec = f"2 0 {u!r} {v!r} {lam!r}"
+    code, out = run_cli(capsys, "zeta", "--spec", spec, "--s", str(s), f"--E={E!r}",
+                        *(["--skew"] if skew else []))
+    assert code == 0
+    zeta = harmonic_zeta_skew if skew else harmonic_zeta_full
+    assert _strict_json(out) == {"spec": spec, "s": s, "E": E, "skew": skew,
+                                 "value": zeta(s, E - (v + lam), u).value,
+                                 "tail_fraction": 0.0}
+
+
+def test_zeta_of_n_two_keeps_its_digits_far_above_the_ground_state(capsys):
+    # sum_k (-1)^k (2k + 1 + lam)^-s = 4^-s [zeta(s, b) - zeta(s, b + 1/2)],
+    # b = (1 + lam)/4, in polygamma form
+    import mpmath
+
+    with mpmath.workdps(40):
+        for lam in (0.0, 1e2, 1e4, 1e6, 1e8):
+            b = (1 + mpmath.mpf(lam)) / 4
+            for s in (1, 2, 3):
+                hurwitz = [(-1) ** s * mpmath.psi(s - 1, x) / mpmath.factorial(s - 1)
+                           for x in (b, b + 0.5)]
+                want = (hurwitz[0] - hurwitz[1]) / 4**s
+                code, out = run_cli(capsys, "zeta", "--spec", f"2 0 1 0 {lam!r}",
+                                    "--s", str(s), "--skew")
+                assert code == 0
+                assert abs(_strict_json(out)["value"] - want) <= 1e-14 * want, (lam, s)
+
+
+@pytest.mark.parametrize("spec", ("2 0 1 0 0", "4 2 1 1 0"))
+@pytest.mark.parametrize("skew", (False, True))
+def test_zeta_below_s_one_exit_two(capsys, spec, skew):
+    _exit_two_without_traceback(capsys, "zeta", "--spec", spec, "--s", "0",
+                                *(["--skew"] if skew else []))
+
+
+@pytest.mark.parametrize("command", ("spectrum", "action", "det", "zeta"))
+def test_potential_is_named_only_by_spec(capsys, command):
+    # --spec is the one way to name a potential: per-coefficient flags, and
+    # a zeta flag for the harmonic ladder, are usage errors
+    flags = ["--N=4", "--M=2", "--u=1", "--v=1", "--lam=0", "--lambda=0"]
+    for flag in flags + (["--harmonic"] if command == "zeta" else []):
+        err = _exit_two_without_traceback(capsys, command, flag)
+        assert f"unrecognized arguments: {flag}" in err
+
+
+def test_action_refuses_a_coefficient_its_form_leaves_out(capsys):
+    # the closed form is the action of u q^N + v q^M, at lambda = 0, and
+    # the asymptotic form that of q^N + v q^M + lambda, at u = 1
+    for spec, method in (("4 2 1 1 5", "closed"), ("4 2 2 1 0", "asymptotic")):
+        err = _exit_two_without_traceback(capsys, "action", "--spec", spec, "--method", method)
+        assert "use --method numeric" in err
+    for spec, method in (("4 2 2 1 0", "closed"), ("4 2 1 1 5", "asymptotic")):
+        assert run_cli(capsys, "action", "--spec", spec, "--method", method)[0] == 0
 
 
 def test_det_harmonic(capsys):
@@ -203,8 +268,8 @@ def test_emitted_json_validates_against_shipped_schemas(capsys):
     cases = [
         (["poles", "--N", "4", "--M", "2"], schemas.POLES_SCHEMA),
         (["det", "--spec", "4 0 1.0 0.0 0.0", "--shift", "0.5"], schemas.DET_SCHEMA),
-        (["zeta", "--harmonic", "--s", "2"], schemas.ZETA_SCHEMA),
-        (["action", "--N", "4", "--M", "2"], schemas.ACTION_SCHEMA),
+        (["zeta", "--spec", "2 0 1 0 0", "--s", "2"], schemas.ZETA_SCHEMA),
+        (["action", "--spec", "4 2 1 1 0"], schemas.ACTION_SCHEMA),
         (["predict", "--N", "4", "--g", "1e-2"], schemas.PREDICT_SCHEMA),
     ]
     for argv, schema in cases:
@@ -228,7 +293,7 @@ def test_predict_command(capsys):
 
 def test_parse_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["action", "--N", "not-a-number"])
+        main(["action", "--tol", "not-a-number"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -387,8 +452,9 @@ import contextlib, io, sys
 from oscdet.cli import main
 runs = (["verify", "--N", "4", "--grid", "0.01"], ["det", "--spec", "4 2 1 1 0"],
         ["zeta", "--spec", "4 2 1 1 0", "--s", "2", "--count", "16"],
-        ["zeta", "--harmonic", "--s", "2"], ["zeta", "--harmonic", "--s", "1", "--skew"],
-        ["zeta", "--harmonic", "--s", "2", "--skew"],
+        ["zeta", "--spec", "2 0 1 0 0", "--s", "2"],
+        ["zeta", "--spec", "2 0 1 0 0", "--s", "1", "--skew"],
+        ["zeta", "--spec", "2 0 1 0 0", "--s", "2", "--skew"],
         ["action", "--spec", "4 2 1 1 0.5", "--method", "numeric"],
         ["spectrum", "--spec", "4 2 1 1 0", "--count", "8"],
         ["predict", "--N", "4", "--g", "0.01"], ["poles", "--N", "4", "--M", "2"],
@@ -434,7 +500,7 @@ def test_non_finite_energy_is_a_domain_error(capsys, E):
                   lambda: predict_det_ratio_g(4, 2, 0.01, E)):
         with pytest.raises(DomainError, match="E must be finite"):
             entry()
-    for argv in (["zeta", "--harmonic", "--s", "1", "--skew", f"--E={E!r}"],
+    for argv in (["zeta", "--spec", "2 0 1 0 0", "--s", "1", "--skew", f"--E={E!r}"],
                  ["predict", "--N", "4", "--g", "0.01", f"--E={E!r}"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -483,7 +549,7 @@ def _case(spec, command, method="closed", shift=0.0, s=1, count=1):
 @_case("4 2 1 1e300 0", "action", "numeric")
 @_case("4 2 1 1e300 0", "action", "asymptotic")
 @_case("2 0 0.006 3e182 1", "action", "numeric")
-@_case("8 6 6e-05 4e162 -5", "action", "asymptotic")
+@_case("8 6 1 4e162 -5", "action", "asymptotic")
 @_case("4 0 1e-300 1e300 0", "action", "numeric")
 @_case("4 2 1 1e6 0", "det")
 @_case("4 0 1e-60 0 0", "det")
@@ -535,10 +601,25 @@ def test_verify_at_strong_coupling_is_quiet(capsys):
         code = main(["verify", "--N", "4", "--grid", "1e-8,1e-9"])
     captured = capsys.readouterr()
     assert caught == [] and captured.err == ""
-    payload = json.loads(captured.out)
+    payload = _strict_json(captured.out)
     assert not any("zeta route discrepancy" in note for note in payload["notes"])
     assert code in (0, 1)
     assert payload["measured"]["z2"] == pytest.approx([math.pi**2 / 8.0] * 2, rel=1e-6)
+
+
+def test_verify_json_writes_a_non_finite_value_as_null(capsys, monkeypatch):
+    import oscdet.predictions as predictions
+
+    def fake(N, g, *, count=64, tol=1e-6):
+        return predictions.PointMeasurement(g=g, v=2.0, z1=math.nan, zp1_det=0.5, z2_det=1.5,
+                                            zp1=0.5, z2=1.5, zp2=0.25, slope=0.0,
+                                            ratio0=0.0, skew_ratio0=0.0)
+
+    monkeypatch.setattr(predictions, "measure_point", fake)
+    assert main(["verify", "--grid", "1e-1,3e-2"]) == 1
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["measured"]["z1"] == payload["residuals"]["z1"] == [None, None]
+    assert payload["measured"]["zp1"] == [0.5, 0.5]
 
 
 def test_readme_cli_examples_run(tmp_path, capsys):
@@ -558,10 +639,10 @@ def test_readme_cli_examples_run(tmp_path, capsys):
         assert code == 0, line
         outputs[line.split("#")[0].strip()] = out
     assert len(outputs) == 10
-    assert json.loads(outputs["oscdet action   --N 4 --M 2 --u 1 --v 1"])["value"] == \
+    assert json.loads(outputs['oscdet action   --spec "4 2 1 1 0"'])["value"] == \
         pytest.approx(-1.0 / 3.0, rel=1e-12)
     assert json.loads(outputs['oscdet det      --spec "2 0 1.0 0.0 0.0"'])["value"]["full"] == \
         pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert json.loads(outputs["oscdet zeta     --harmonic --s 2"])["value"] == \
+    assert json.loads(outputs['oscdet zeta     --spec "2 0 1 0 0" --s 2'])["value"] == \
         pytest.approx(math.pi**2 / 8.0, rel=1e-12)
     assert (tmp_path / "fig2_left.csv").exists() and (tmp_path / "fig2_right.csv").exists()

@@ -109,13 +109,11 @@ def test_verify_truncated_grid_structure():
     # on a short grid the trend verdicts already hold
     assert report.verdicts["z1_monotone"]
     assert report.verdicts["zp1_regular"]
-    import json
-
     import jsonschema
 
     from oscdet import schemas
 
-    jsonschema.validate(json.loads(report.to_json()), schemas.VERIFY_SCHEMA)
+    jsonschema.validate(report.payload(), schemas.VERIFY_SCHEMA)
     rows = list(report.to_csv_rows())
     assert rows[0][0] == "g"
     assert len(rows) == 4

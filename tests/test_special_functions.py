@@ -12,6 +12,7 @@ from oscdet.special_functions import (
     EULER_GAMMA,
     LOG2,
     Jet1,
+    alternating_ladder_zeta,
     binomial_jets,
     digamma,
     gamma,
@@ -174,6 +175,41 @@ def test_ladder_zeta_beyond_double_range():
     for s, first, step in ((1, 1.0, 1.0), (2, 0.0, 1.0), (2, 1.0, 0.0), (2, math.nan, 1.0)):
         with pytest.raises(DomainError):
             ladder_zeta(s, first, step)
+
+
+def test_alternating_ladder_zeta_against_mpmath():
+    # sum_k (-1)^k (a + k)^-s = 2^-s [zeta(s, a/2) - zeta(s, (a+1)/2)], in
+    # polygamma form, which also holds at s = 1; a from 1e-6 to 1e12, and
+    # around 3 (s + 16), where Boole's summation takes over from the first level
+    import mpmath
+
+    checked = 0
+    with mpmath.workdps(30):
+        for s in range(1, 61):
+            y_min = 3.0 * (s + 16)
+            for a in [10.0**j for j in range(-6, 13)] + [0.99 * y_min, y_min, 1.01 * y_min]:
+                half = mpmath.mpf(a) / 2
+                alternating = (_mp_hurwitz(s, half) - _mp_hurwitz(s, half + 0.5)) / 2**s
+                for step in (1.0, 4.0, 2.0 ** -10):
+                    want = alternating * mpmath.mpf(step) ** -s
+                    if not sys.float_info.min <= want <= sys.float_info.max:
+                        continue
+                    checked += 1
+                    got = alternating_ladder_zeta(s, a * step, step)
+                    assert abs(got - want) <= 1e-14 * want, (s, a, step)
+    assert checked > 3000
+
+
+def test_alternating_ladder_zeta_beyond_double_range():
+    # 0.5^-1000 - 2.5^-1000 + ... = 2^1000 fits in a double although
+    # 4^-1000 does not; 100^400 does not fit and is inf; 2e6^-(10^6) is 0
+    assert alternating_ladder_zeta(1000, 0.5, 2.0) == pytest.approx(2.0**1000, rel=1e-15)
+    assert alternating_ladder_zeta(400, 0.01, 2.0) == math.inf
+    assert alternating_ladder_zeta(10**6, 2e6, 2.0) == 0.0
+    assert alternating_ladder_zeta(400, 10.0, 1.0) == 0.0
+    for s, first, step in ((0, 1.0, 1.0), (1, 0.0, 1.0), (1, 1.0, 0.0), (1, math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            alternating_ladder_zeta(s, first, step)
 
 
 def _binomial_jet(alpha, k):

@@ -453,6 +453,10 @@ def test_harmonic_zeta_constants():
 def test_harmonic_full_zeta_diverges_at_one():
     with pytest.raises(DivergenceError):
         harmonic_zeta_full(1)
+    # below s = 1 the zeta is not a sum at all: a domain error, as for the skew
+    for zeta in (harmonic_zeta_full, harmonic_zeta_skew):
+        with pytest.raises(DomainError):
+            zeta(0)
     with pytest.raises(DivergenceError):
         zeta_full(PotentialSpec.uncoupled(2, 1.0), 1)
 
