@@ -24,11 +24,9 @@ from .mellin import (
     enumerate_poles,
 )
 from .potential import (
-    AnomalyType,
     BetaTable,
     PotentialSpec,
     beta_coefficients,
-    classify,
     symanzik_map,
 )
 from .predictions import (

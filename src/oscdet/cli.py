@@ -165,8 +165,11 @@ def cmd_det(args):
 def cmd_zeta(args):
     spec = PotentialSpec.from_text(args.spec)
     if spec.N == 2:   # the exact ladder of u q^2, with v + lam moved into E
+        E = args.E - (spec.v + spec.lam)
+        if E == -math.inf and math.isfinite(args.E):   # every level is beyond double range
+            raise AccuracyError("the constant v + lambda - E is beyond double range")
         zeta = harmonic_zeta_skew if args.skew else harmonic_zeta_full
-        z = zeta(args.s, args.E - (spec.v + spec.lam), spec.u)
+        z = zeta(args.s, E, spec.u)
     else:
         zeta = zeta_skew if args.skew else zeta_full
         z = zeta(spec, args.s, args.E, count=args.count, tol=args.tol)

@@ -31,8 +31,8 @@ _INTEGRATE = np.linalg.inv(_DIFF[1:, 1:])   # d/ds inverted from the start point
 _PANEL = 0.5             # first panel width in every variable a leg or an integral runs in
 # from the values at points 1.._K: the integral over the panel, by the last
 # row of _INTEGRATE refined once (as it stands it integrates a constant to
-# 1.3e-15, a bias that a head cancelling against its tail keeps), and the last
-# two Chebyshev coefficients of the integral from the panel's start
+# 1.3e-15, a bias a shot's traces or a head cancelling its tail would keep),
+# and the last two Chebyshev coefficients of the integral from the panel's start
 _QUAD_ROWS = np.vstack([_INTEGRATE[-1] @ (2.0 * np.eye(_K) - _DIFF[1:, 1:] @ _INTEGRATE),
                         _TAIL[:, 1:] @ _INTEGRATE])
 # a quadrature's tolerance, relative to int |f|: a head that cancels against

@@ -1,9 +1,9 @@
 """Momentum-squared polynomials u q^N + v q^M + lambda.
 
-Holds the potential record consumed by every other module, the anomaly
-classification, the large-q expansion coefficients as order-1 jets at s = 0,
-and the coordinate-dilation map between the (q^M + g q^N, E) and
-(q^N + v q^M, lambda) parametrizations.
+Holds the potential record consumed by every other module, the large-q
+expansion coefficients as order-1 jets at s = 0 (a family is anomalous where
+the rho = -1 residue does not vanish), and the coordinate-dilation map
+between the (q^M + g q^N, E) and (q^N + v q^M, lambda) parametrizations.
 """
 
 from __future__ import annotations
@@ -91,14 +91,6 @@ class PotentialSpec:
 
 
 @dataclass(frozen=True)
-class AnomalyType:
-    """Normal (level None, identically vanishing residue) or anomalous of level j."""
-
-    level: int | None
-    beta_m1: Jet1
-
-
-@dataclass(frozen=True)
 class BetaTable:
     """Coefficients of (V + lam)^{1/2-s} ~ sum_rho beta_rho(s) q^{rho - N s}.
 
@@ -112,15 +104,8 @@ class BetaTable:
         return self.entries.get(rho, Jet1.zero())
 
     def residue(self) -> Jet1:
+        """beta_{-1}, the coefficient of the log term: zero on a normal family."""
         return self.at(-1)
-
-
-def level_candidate(N: int, M: int) -> int | None:
-    """j = (N+2)/(2(N-M)) when that is a positive integer, else None."""
-    num, den = N + 2, 2 * (N - M)
-    if num % den == 0:
-        return num // den
-    return None
 
 
 def residue_level_coefficient(j: int) -> float:
@@ -132,26 +117,6 @@ def residue_level_coefficient(j: int) -> float:
 def residue_log_deriv(j: int, u: float) -> float:
     """d/ds log beta_{-1}(s) at s=0: psi(j - 1/2) - psi(-1/2) - log u."""
     return digamma(j - 0.5) - digamma(-0.5) - math.log(u)
-
-
-def classify(spec: PotentialSpec) -> AnomalyType:
-    """Anomaly type of the spec, from the closed-form residue.
-
-    The rho = -1 coefficient can only come from pure powers of the
-    subleading term when N > 2; for N = 2 (so M = 0) the constant v + lam
-    takes over the role of the harmonic spectral parameter.
-    """
-    j = level_candidate(spec.N, spec.M)
-    if j is None:
-        return AnomalyType(None, Jet1.zero())
-    if spec.N > 2:
-        value = residue_level_coefficient(j) * spec.u ** (0.5 - j) * spec.v**j
-    else:
-        value = 0.5 * (spec.v + spec.lam) / math.sqrt(spec.u)
-    if value == 0.0:
-        return AnomalyType(None, Jet1.zero())
-    deriv = value * residue_log_deriv(j, spec.u)
-    return AnomalyType(j, Jet1(value, deriv))
 
 
 def expansion_parameter(spec: PotentialSpec, q: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .actions import binomial_action
 from .errors import DomainError
-from .potential import PotentialSpec, classify, symanzik_map
+from .potential import PotentialSpec, beta_coefficients, symanzik_map
 from .spectral import det_jet, dilate_det, harmonic_det, zeta_full, zeta_skew
 from .special_functions import CATALAN, EULER_GAMMA, LOG2, digamma
 
@@ -60,7 +60,8 @@ def predict_det_ratio_g(N: int, M: int, g: float, E: float) -> float:
     """log of det(q^M + g q^N - E) / det(q^M - E) for g -> 0.
 
     Twice the binomial action, an E-linear term when M = 2, and an extra
-    power of v when the coupled problem is anomalous.
+    power of v when the coupled problem is anomalous: beta_{-1} log v, with
+    the residue of its large-q series, which is 0 on a normal family.
     """
     if not (N > M >= 2):
         raise DomainError("need even N > M >= 2")
@@ -69,9 +70,9 @@ def predict_det_ratio_g(N: int, M: int, g: float, E: float) -> float:
     total = 2.0 * binomial_action(1.0, v, N, M).value
     if M == 2:
         total -= (1.0 / (N - 2.0)) * (0.25 * (N + 2.0) * math.log(v) + N * LOG2) * E
-    anomaly = classify(PotentialSpec.trinomial(N, M, v))
-    if anomaly.level is not None:
-        total -= 4.0 * anomaly.beta_m1.value / (N * (M + 2.0)) * math.log(v)
+    residue = beta_coefficients(PotentialSpec.trinomial(N, M, v), -1).residue()
+    if residue.value:
+        total -= 4.0 * residue.value / (N * (M + 2.0)) * math.log(v)
     return total
 
 

@@ -175,12 +175,21 @@ def alternating_ladder_zeta(s: int, first: float, step: float) -> float:
     sum_n (2^n - 1) B_n/n! (s)_(n-1) y^(1-n)], with Y the K-th level and
     y = Y/step; from that y on, the first term left out, n = 18, is below
     2^-54 of the bracket.  The sum lies between half its first term and that
-    term, and is inf once the first term is beyond double range.
+    term.  A first term beyond double range is factored out: the ladder in
+    units of the first level sums to a ratio in [1/2, 1], which is multiplied
+    by first^-s in two factors, so the result is inf only where the sum is.
     """
     if s < 1:
         raise DomainError("alternating ladder zeta needs s >= 1")
     if not (first > 0.0 and step > 0.0):
         raise DomainError("alternating ladder zeta needs a positive first level and step")
+    if _inverse_power(first, s) == math.inf:
+        unit_step = step / first     # inf leaves the later terms below the first's rounding
+        ratio = alternating_ladder_zeta(s, 1.0, unit_step) if unit_step < math.inf else 1.0
+        try:
+            return ratio / first ** (s - s // 2) * first ** -(s // 2)
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
     y_min = 3.0 * (s + 16)
     terms = []
     total = 0.0

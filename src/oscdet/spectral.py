@@ -48,16 +48,9 @@ import numpy as np
 
 from .actions import adaptive_tail, choose_split_point
 from .errors import AccuracyError, DivergenceError, DomainError
-from .numerics import _DIFF, _INTEGRATE, _K, _NODES, _PANEL, _TAIL, integrate, refine
-from .potential import PotentialSpec, classify
-from .spectrum import (
-    MAX_COUNT,
-    SpectrumResult,
-    bs_level,
-    bs_tail,
-    eigenvalues,
-    turning_point,
-)
+from .numerics import _DIFF, _INTEGRATE, _K, _NODES, _PANEL, _QUAD_ROWS, _TAIL, integrate, refine
+from .potential import PotentialSpec, beta_coefficients
+from .spectrum import SpectrumResult, bs_level, bs_tail, eigenvalues, turning_point
 from .special_functions import BERNOULLI, alternating_ladder_zeta, ladder_zeta, log_gamma
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -195,8 +188,9 @@ def _collocate(blocks, a: np.ndarray, b: np.ndarray, order: int):
     """The propagators X0, ..., X_order of the jets over the panels
     [a_i, b_i] (a_i the start), as values at the panel's Chebyshev points,
     shape (panel, component, point, start); each panel's integrals of
-    tr J0, ..., tr J_order; and a flag on each panel where a tr J_m has a
-    last-two Chebyshev coefficient above _TAIL_TOL of its size there.
+    tr J0, ..., tr J_order, by the row ``integrate`` uses; and a flag on each
+    panel where a tr J_m has a last-two Chebyshev coefficient above _TAIL_TOL
+    of its size there.
 
     ``blocks(x, order)`` gives J0, ..., J_order at the points x, each of
     shape (2, 2) + x.shape, with J0[1][1] = 0.  X0 solves L X0 = 0 from the
@@ -228,7 +222,7 @@ def _collocate(blocks, a: np.ndarray, b: np.ndarray, order: int):
     if order:
         X.append(solve(force(1, X[0]), np.zeros((2, 2))))
         X.append(solve(force(2, X[0]) + 2.0 * force(1, X[1]), np.zeros((2, 2))))
-    return X, (trace[:, :, 1:] @ _INTEGRATE[-1]).T, unresolved
+    return X, (trace[:, :, 1:] @ _QUAD_ROWS[0]).T, unresolved
 
 
 @np.errstate(all="ignore")    # a non-finite value fails the tail test
@@ -475,7 +469,6 @@ def harmonic_det(v: float, lam: float) -> DeterminantValue:
 # spectral zeta functions over computed spectra
 # --------------------------------------------------------------------------
 
-_TAIL_CAP = 0.1              # largest tail fraction zeta_full accepts
 _DEPTH = 12                  # averaging passes over a computed spectrum
 
 
@@ -486,11 +479,11 @@ def _check_below_ground(spectrum: SpectrumResult, E: float):
 
 def zeta_full(spec: PotentialSpec, s: int, E: float = 0.0, *,
               count: int = 128, tol: float = 1e-6) -> ZetaValue:
-    """sum_k (lam_k - E)^{-s}: head over computed levels plus a tail over the
-    Bohr-Sommerfeld levels (``bs_tail``).
+    """sum_k (lam_k - E)^{-s}: head over the first ``count`` computed levels
+    plus a tail over the Bohr-Sommerfeld levels (``bs_tail``).
 
-    The eigenvalue count doubles, up to MAX_COUNT, until the tail is at most
-    a tenth of the total.
+    One eigen solve at the count given; ``tail_fraction`` is the tail's share
+    of the total, which says how much the tail carries, not how wrong it is.
     """
     if s < 1:
         raise DomainError("s must be a positive integer")
@@ -501,23 +494,12 @@ def zeta_full(spec: PotentialSpec, s: int, E: float = 0.0, *,
     def f(lam):
         return (lam - E) ** (-float(s))
 
-    def df(lam):
-        return -s * (lam - E) ** (-float(s) - 1.0)
-
-    while True:
-        spectrum = eigenvalues(spec, count, tol)
-        _check_below_ground(spectrum, E)
-        head = float(np.sum(f(spectrum.values())))
-        tail = bs_tail(spec, len(spectrum), f, df)
-        total = head + tail
-        frac = abs(tail) / abs(total)
-        if frac <= _TAIL_CAP:
-            return ZetaValue(s, E, float(total), float(frac))
-        if count >= MAX_COUNT:
-            raise AccuracyError(
-                f"tail fraction {frac:.3f} above {_TAIL_CAP} at the count cap",
-                best_estimate=total, err_est=abs(tail))
-        count = min(2 * count, MAX_COUNT)
+    spectrum = eigenvalues(spec, count, tol)
+    _check_below_ground(spectrum, E)
+    head = float(np.sum(f(spectrum.values())))
+    tail = bs_tail(spec, len(spectrum), f, lambda lam: -s * (lam - E) ** (-float(s) - 1.0))
+    total = head + tail
+    return ZetaValue(s, E, float(total), float(abs(tail) / abs(total)))
 
 
 def _alternating_sum(terms) -> tuple[float, float]:
@@ -624,8 +606,8 @@ def det_ratio_skew(spec: PotentialSpec, lam: float, *,
 # --------------------------------------------------------------------------
 
 def zeta0_value(ref_spec: PotentialSpec) -> float:
-    """Z(0, lam) = -2 beta_{-1}(0) / N of the reference problem."""
-    return -2.0 * classify(ref_spec).beta_m1.value / ref_spec.N
+    """Z(0, lam) = -2 beta_{-1}(0) / N of the reference problem, from its series."""
+    return -2.0 * beta_coefficients(ref_spec, -1).residue().value / ref_spec.N
 
 
 def dilate_det(det: DeterminantValue, r: float, ref_spec: PotentialSpec) -> DeterminantValue:

@@ -1,0 +1,61 @@
+"""The names of oscdet that the benchmark under bench/ pins.
+
+``bench/tracer.py`` patches the functions its ``TRACED`` table names, and
+``bench/ops.py`` and ``bench/make_refs.py`` call oscdet through module
+attributes; a rename in the package would break a traced run or a reference
+rebuild without failing any other test.  The bench scripts are read, not
+imported: ``ops.py`` imports scipy.
+"""
+
+import ast
+import importlib
+import inspect
+import runpy
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_traced_names_are_plain_functions():
+    # Tracer.install raises on a missing name and skips a name bound to
+    # anything but a function (an lru_cache wrapper, say) without a word
+    traced = runpy.run_path(str(BENCH / "tracer.py"))["TRACED"]
+    for layer, names in traced.items():
+        module = importlib.import_module(f"oscdet.{layer}")
+        for name in names or ():
+            assert inspect.isfunction(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def _oscdet_names(path: Path):
+    """(module, attribute) for every oscdet name the script imports or reads
+    off an imported oscdet module or object."""
+    tree = ast.parse(path.read_text())
+    bound = {}    # local name -> (module, attribute or None)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("oscdet.") and alias.asname:
+                    bound[alias.asname] = (alias.name, None)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("oscdet"):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (node.module, alias.name)
+    pairs = {pair for pair in bound.values() if pair[1]}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            module, attr = bound[node.value.id]
+            pairs.add((module, f"{attr}.{node.attr}" if attr else node.attr))
+    return pairs
+
+
+@pytest.mark.parametrize("script", ["ops.py", "make_refs.py"])
+def test_bench_calls_resolve(script):
+    pairs = _oscdet_names(BENCH / script)
+    assert pairs
+    for module, dotted in sorted(pairs):
+        obj = importlib.import_module(module)
+        for part in dotted.split("."):
+            assert hasattr(obj, part), f"{script}: {module}.{dotted}"
+            obj = getattr(obj, part)

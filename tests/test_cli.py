@@ -523,6 +523,20 @@ def test_action_beyond_double_range_exit_three(capsys, method):
         assert "double range" in _strict_json(out)["message"], spec
 
 
+@pytest.mark.parametrize("command", ["zeta", "det"])
+def test_harmonic_constant_beyond_double_range_exit_three(capsys, command):
+    # v + lambda = 2e308 overflows: every level of q^2 + v + lambda is beyond
+    # double range, so both commands fail as accuracy errors, not on E
+    extra = {"zeta": ("--s", "2"), "det": ()}[command]
+    code, out = run_cli(capsys, command, "--spec", "2 0 1 1e308 1e308", *extra)
+    assert code == 3
+    assert "double range" in _strict_json(out)["message"]
+    if command == "zeta":
+        code, out = run_cli(capsys, "zeta", "--spec", "2 0 1 1e308 1e308", "--skew")
+        assert code == 3
+        assert "v + lambda - E" in _strict_json(out)["message"]
+
+
 @st.composite
 def _fuzz_spec(draw):
     N = draw(st.sampled_from(range(2, 11, 2)))

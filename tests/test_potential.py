@@ -11,12 +11,27 @@ from oscdet.potential import (
     PotentialSpec,
     beta_coefficients,
     residue_level_coefficient,
-    classify,
+    residue_log_deriv,
     symanzik_map,
 )
 from oscdet.special_functions import Jet1
 
 
+def _residue(spec):
+    return beta_coefficients(spec, -1).residue()
+
+
+def _closed_residue(spec):
+    """residue_level_coefficient(j) u^(1/2-j) v^j, j = (N+2)/(2(N-M)), for
+    N > 2 where j is an integer; 0 where it is not (a normal family)."""
+    j, rest = divmod(spec.N + 2, 2 * (spec.N - spec.M))
+    if rest:
+        return 0.0
+    return residue_level_coefficient(j) * spec.u ** (0.5 - j) * spec.v**j
+
+
+# a family is anomalous of level j when the series has a residue beta_{-1},
+# which comes from the j-th power of the subleading term
 @pytest.mark.parametrize("N,M,kind,level", [
     (4, 2, "normal", None),       # the basic quartic example
     (6, 4, "anomalous", 2),
@@ -24,31 +39,38 @@ from oscdet.special_functions import Jet1
     (8, 4, "normal", None),
 ])
 def test_classify_reference_families(N, M, kind, level):
-    a = classify(PotentialSpec.trinomial(N, M, 1.0))
-    assert (a.level is not None) == (kind == "anomalous")
-    assert a.level == level
+    residue = _residue(PotentialSpec.trinomial(N, M, 1.0))
+    assert (residue.value != 0.0) == (kind == "anomalous")
+    if level is not None:
+        assert residue.value == residue_level_coefficient(level)
+    else:
+        assert residue == Jet1.zero()
 
 
 def test_classify_residue_values():
     for v in (0.5, 1.0, 2.0):
-        a = classify(PotentialSpec.trinomial(6, 4, v))
-        assert a.beta_m1.value == pytest.approx(-v * v / 8.0, rel=1e-14)
-        b = classify(PotentialSpec.trinomial(6, 2, v))
-        assert b.beta_m1.value == pytest.approx(v / 2.0, rel=1e-14)
+        assert _residue(PotentialSpec.trinomial(6, 4, v)).value == pytest.approx(
+            -v * v / 8.0, rel=1e-14)
+        assert _residue(PotentialSpec.trinomial(6, 2, v)).value == pytest.approx(v / 2.0, rel=1e-14)
 
 
 def test_classify_uncoupled_harmonic():
-    # v q^2 + lam is anomalous of level 1 iff lam != 0
-    a = classify(PotentialSpec.uncoupled(2, 3.0, 1.5))
-    assert a.level == 1
-    assert a.beta_m1.value == pytest.approx(1.5 / (2.0 * math.sqrt(3.0)), rel=1e-14)
-    assert classify(PotentialSpec.uncoupled(2, 3.0, 0.0)).level is None
+    # u q^2 + v + lam has the residue (v + lam)/(2 sqrt u), and
+    # d/ds log beta_{-1} = psi(1/2) - psi(-1/2) - log u = -2 - log u
+    for u, v, lam in ((3.0, 0.0, 1.5), (0.2, 1.0, 0.7), (1.0, 2.0, -0.5)):
+        residue = _residue(PotentialSpec(2, 0, u, v, lam))
+        want = 0.5 * (v + lam) / math.sqrt(u)
+        assert residue.value == pytest.approx(want, rel=1e-14)
+        assert residue.deriv == pytest.approx(want * (-2.0 - math.log(u)), rel=1e-13)
+    assert _residue(PotentialSpec.uncoupled(2, 3.0, 0.0)) == Jet1.zero()
     # other uncoupled powers are normal
-    assert classify(PotentialSpec.uncoupled(4, 1.0, 2.0)).level is None
+    assert _residue(PotentialSpec.uncoupled(4, 1.0, 2.0)) == Jet1.zero()
 
 
 def test_classify_zero_coupling_degenerates_to_normal():
-    assert classify(PotentialSpec(6, 4, 1.0, 0.0, 0.0)).level is None
+    for N, M in ((6, 4), (6, 2), (10, 8)):
+        assert _residue(PotentialSpec(N, M, 1.0, 0.0, 0.0)) == Jet1.zero()
+        assert _residue(PotentialSpec(N, M, 1.0, 0.0, 3.0)) == Jet1.zero()
 
 
 def test_residue_level_coefficient():
@@ -112,15 +134,19 @@ def test_beta_top_entry_jet():
 
 
 def test_residue_two_routes_agree():
-    # closed-form classify against the generic lattice expansion
-    for N, M in ((6, 4), (6, 2), (10, 8)):
-        for v in (0.5, 1.0, 2.0):
-            for lam in (0.0, 0.7):
-                spec = PotentialSpec.trinomial(N, M, v, lam)
-                a = classify(spec)
-                jet = beta_coefficients(spec, -1).residue()
-                assert jet.value == pytest.approx(a.beta_m1.value, rel=1e-12)
-                assert jet.deriv == pytest.approx(a.beta_m1.deriv, rel=1e-12)
+    # the series against the closed form, with the digamma form of its
+    # derivative, on anomalous (6,4), (6,2), (10,8) and normal (4,2), (8,4)
+    for N, M in ((6, 4), (6, 2), (10, 8), (4, 2), (8, 4)):
+        for u in (0.3, 1.0, 2.5):
+            for v in (0.5, 1.0, 2.0):
+                for lam in (0.0, 0.7):
+                    spec = PotentialSpec(N, M, u, v, lam)
+                    want = _closed_residue(spec)
+                    jet = _residue(spec)
+                    assert jet.value == pytest.approx(want, rel=1e-14, abs=0.0)
+                    j = (N + 2) // (2 * (N - M))
+                    want_deriv = want * residue_log_deriv(j, u) if want else 0.0
+                    assert jet.deriv == pytest.approx(want_deriv, rel=1e-12, abs=1e-15)
 
 
 def test_residue_lambda_independent_for_N_above_two():

@@ -212,6 +212,33 @@ def test_alternating_ladder_zeta_beyond_double_range():
             alternating_ladder_zeta(s, first, step)
 
 
+def test_alternating_ladder_zeta_with_its_first_term_beyond_double_range():
+    # the first term first^-s overflows from first = 7.46e-155 (s = 2) down,
+    # the sum, near half of it on these ladders, only from 5.28e-155; s = 3
+    # and s = 7 cross over likewise, a few steps to the first level sum it
+    # directly, and for s = 1 the first level is subnormal
+    import mpmath
+
+    cases = [(2, f * 1e-155, 1e-160) for f in (8.0, 7.46, 7.0, 6.0, 5.4, 5.3, 5.2, 5.0, 1.0)]
+    cases += [(2, 7e-155, 1e-155), (2, 6e-155, 2e-155), (2, 4e-155, 1e-155)]
+    cases += [(3, f * 1e-103, 1e-110) for f in (2.0, 1.77, 1.6, 1.45, 1.4, 1.0)]
+    cases += [(7, f * 1e-45, 1e-52) for f in (10.0, 9.0, 8.6, 8.4, 8.0)]
+    cases += [(1, 5e-309, 1e-310), (1, 1e-310, 1e-311), (1, 1e-310, 1.0)]
+    finite = overflow = 0
+    with mpmath.workdps(30):
+        for s, first, step in cases:
+            half = mpmath.mpf(first) / step / 2
+            want = (_mp_hurwitz(s, half) - _mp_hurwitz(s, half + 0.5)) / (2 * mpmath.mpf(step)) ** s
+            got = alternating_ladder_zeta(s, first, step)
+            if want > sys.float_info.max:
+                overflow += 1
+                assert got == math.inf, (s, first, step)
+            else:
+                finite += 1
+                assert abs(got - want) <= 1e-14 * want, (s, first, step)
+    assert finite >= 10 and overflow >= 6
+
+
 def _binomial_jet(alpha, k):
     return next(itertools.islice(binomial_jets(alpha), k, None))
 

@@ -543,11 +543,34 @@ def test_zeta_parity_combinations():
 
 
 def test_zeta_from_det_matches_zeta_full():
-    # s = 1 on q^4 + q^2 needs 512 levels and still takes 9% from the tail
+    # s = 1 on q^4 + q^2 at the default 128 levels takes 14% from the tail
     for spec, s in ((PotentialSpec.uncoupled(4, 1.0), 2), (PotentialSpec.trinomial(4, 2, 1.0), 1)):
         z_det = zeta_from_det(spec, s, 0.0)
         z_sum = zeta_full(spec, s, 0.0)
         assert z_det.value == pytest.approx(z_sum.value, abs=1e-5), (spec, s)
+
+
+@pytest.mark.parametrize("spec", [PotentialSpec.uncoupled(4, 1.0),
+                                  PotentialSpec.trinomial(4, 2, 1.0),
+                                  PotentialSpec.uncoupled(6, 1.0),
+                                  PotentialSpec.uncoupled(8, 1.0)])
+def test_zeta_full_is_one_solve_at_the_count_given(monkeypatch, spec):
+    # the tail carries 4% to 17% of Z(1) at 64 levels; the sum is still
+    # within 5.4e-11 of the determinant route there, and 1.1e-12 at 160
+    counts = []
+
+    def counting(spec, count, tol):
+        counts.append(count)
+        return eigenvalues(spec, count, tol)
+
+    monkeypatch.setattr(spectral, "eigenvalues", counting)
+    want = zeta_from_det(spec, 1).value
+    for count, rel in ((64, 1e-10), (160, 2e-12)):
+        z = zeta_full(spec, 1, count=count)
+        assert counts == [count]
+        assert z.value == pytest.approx(want, rel=rel), count
+        assert 0.0 < z.tail_fraction < 0.2
+        counts.clear()
 
 
 def test_zeta_full_at_eight_levels_matches_zeta_from_det():
