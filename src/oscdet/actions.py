@@ -120,35 +120,35 @@ def binomial_action(u: float, v: float, N: float, M: float) -> ActionValue:
     return action
 
 
-def adaptive_tail(spec: PotentialSpec, q: float, abs_tol: float = 1e-11,
-                  lam_deriv: int = 0) -> float:
+def adaptive_tail(spec: PotentialSpec, q: float, lam_deriv: int = 0) -> float:
     """int_q^inf Pi dq with the zeta-regularized finite-part normalization,
-    or its lam_deriv-th derivative n in lam = spec.lam.
+    or its lam_deriv-th derivative n = 0, 1, 2 in lam = spec.lam, to rounding.
 
     Integrates the orders of ``binomial_series`` (of the n-th lam-derivative)
     term by term, beta_rho q^rho -> -beta_rho q^{rho+1} / (rho + 1), and stops
-    after the first order with bound q^{N/2+1} <= abs_tol, bound the order's
-    cap from ``binomial_series``.  That bounds the order's integrated terms
-    (|rho + 1| >= 1), and each later bound is at most c x times the one
-    before, c = max(1, n - 1/2), x = expansion_parameter(spec, q), so the
-    orders left out add at most abs_tol c x / (1 - c x): below abs_tol for
-    n <= 1, since x <= 1/2 is required (DomainError otherwise; the q of
-    ``choose_split_point`` has x <= 0.2), and below 3 abs_tol for n = 2.  The
-    rho = -1 term is replaced by its finite part, read off the residue jet of
+    after the first order with 3 bound q^{N/2+1} <= 2^-54 of the magnitudes
+    summed so far, bound the order's cap from ``binomial_series``, which
+    bounds its integrated terms (|rho + 1| >= 1).  Each later bound is at most
+    (3/2) x <= 3/4 times the one before, x = expansion_parameter(spec, q) <= 1/2
+    (DomainError otherwise; the q of ``choose_split_point`` has x <= 0.2), so
+    the orders left out add at most 3 bound q^{N/2+1}.  The rho = -1
+    term is replaced by its finite part, read off the residue jet of
     ``beta_coefficients``; only for N = 2 does that residue depend on lam.
     """
-    if q <= 0.0:
-        raise DomainError("tail point q must be positive")
+    if not 0.0 < q < math.inf:
+        raise DomainError(f"tail point q must be positive and finite, not {q}")
     x = expansion_parameter(spec, q)
-    if x > 0.5:
+    if not x <= 0.5:
         raise DomainError(f"large-q series not decreasing at q = {q} (expansion parameter {x:.3g})")
     scale = q ** (spec.N // 2 + 1)
-    total = 0.0
+    total = magnitude = 0.0
     for bound, terms in binomial_series(spec, q, lam_deriv):
         for rho, value, _ in terms:
             if rho != -1:
-                total -= value * scale / (rho + 1)
-        if bound * scale <= abs_tol:
+                term = value * scale / (rho + 1)
+                total -= term
+                magnitude += abs(term)
+        if 3.0 * bound * scale <= 2.0 ** -54 * magnitude:
             break
     # finite part of the rho = -1 term plus the fixed normalization shift
     residue = beta_coefficients(spec, -1, lam_deriv).residue()
@@ -184,16 +184,16 @@ def choose_split_point(spec: PotentialSpec) -> float:
     return increasing_root(lambda q: -expansion_parameter(spec, q), slope, -0.2)
 
 
-def improper_action(spec: PotentialSpec, tol: float = 1e-9) -> ActionValue:
+def improper_action(spec: PotentialSpec) -> ActionValue:
     """int_0^inf Pi dq = quadrature on [0, Q] + regularized tail from Q,
     Q = ``choose_split_point(spec)``.  The panel rule (``integrate``) takes
     the head to 1e-14 or to rounding, in t with q = s sinh t, s the q where
     P is twice P(0), at least 1e-8 Q (Q when P(0) = 0): the constant's
     correction to Pi spreads evenly over the decades beyond s, linear in t,
     where in q it lies below every point of a panel (at 1e-8 + 464 q^2,
-    where s = 4.6e-6, the head in q missed 1.9e-9).  The tail series is
-    summed to tol / 10.  A value, or a Pi on the way, beyond double range
-    raises AccuracyError."""
+    where s = 4.6e-6, the head in q missed 1.9e-9).  The tail series
+    (``adaptive_tail``) is summed to rounding.  A value, or a Pi on the way,
+    beyond double range raises AccuracyError."""
     # V is nondecreasing on [0, inf) for u > 0, v >= 0, so the minimum is at 0
     if spec.lam < 0.0:
         raise DomainError("Pi^2 vanishes on the integration path (lam < 0)")
@@ -206,7 +206,7 @@ def improper_action(spec: PotentialSpec, tol: float = 1e-9) -> ActionValue:
             s = max(1e-8 * q_split, increasing_root(spec.value, spec.deriv, 2.0 * p0))
         head = float(integrate(lambda t: np.sqrt(spec.value(s * np.sinh(t))) * s * np.cosh(t),
                                0.0, math.asinh(q_split / s)))
-        value = head + adaptive_tail(spec, q_split, tol / 10.0)
+        value = head + adaptive_tail(spec, q_split)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):

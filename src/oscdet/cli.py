@@ -107,7 +107,7 @@ def cmd_action(args):
         out.update(value=trinomial_action_asymptotic(spec.N, spec.M, spec.v, spec.lam),
                    method="asymptotic")
     else:
-        a = improper_action(spec, tol=args.tol)
+        a = improper_action(spec)
         out.update(value=a.value, method=a.method,
                    residue=a.residue_used.value)
     _emit_text(_json_text(out), _out_path(args, "action.json"))
@@ -166,6 +166,8 @@ def cmd_zeta(args):
     spec = PotentialSpec.from_text(args.spec)
     if spec.N == 2:   # the exact ladder of u q^2, with v + lam moved into E
         E = args.E - (spec.v + spec.lam)
+        if E == math.inf and math.isfinite(args.E):    # E far above every level
+            raise DomainError("E must lie below the ground state")
         if E == -math.inf and math.isfinite(args.E):   # every level is beyond double range
             raise AccuracyError("the constant v + lambda - E is beyond double range")
         zeta = harmonic_zeta_skew if args.skew else harmonic_zeta_full
@@ -242,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("action", parents=[spec], help="regularized improper action integral")
     p.add_argument("--method", choices=("closed", "numeric", "asymptotic"),
                    default="closed")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(func=cmd_action)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .special_functions import Jet1, binomial_jets, digamma
 
 
@@ -145,7 +145,8 @@ def binomial_series(spec: PotentialSpec, q: float, lam_deriv: int = 0):
     is left out.  bound = sqrt(u) |binom(1/2, k)| k!/(k-n)! x^{k-n} y^n,
     x = expansion_parameter(spec, q), caps the sum of the magnitudes of the
     values.  At q = 1 the values are the contributions to beta_rho (or to its
-    n-th lam-derivative).
+    n-th lam-derivative).  An order whose terms or bound are beyond double
+    range raises AccuracyError.
     """
     N, M, n = spec.N, spec.M, lam_deriv
     u_half, logu = math.sqrt(spec.u), math.log(spec.u)
@@ -159,16 +160,23 @@ def binomial_series(spec: PotentialSpec, q: float, lam_deriv: int = 0):
         # with one small term zero, only its lowest surviving power is kept
         powers = range(k - n + 1) if X and Y else ((k - n,) if X else (0,))
         terms = []
-        for a in powers:
-            b = k - a
-            weight = math.comb(k, a) * X**a * Y ** (b - n) * u_half
-            if n:
-                weight *= math.perm(b, n) * y**n
-            value = binom * weight
-            # d/ds of u^{1/2-s} binom(1/2-s, k) at s = 0
-            terms.append((N // 2 + a * (M - N) - b * N, value,
-                          -logu * value - dbinom * weight))
-        yield u_half * abs(binom) * math.perm(k, n) * x ** (k - n) * y**n, terms
+        try:
+            for a in powers:
+                b = k - a
+                weight = math.comb(k, a) * X**a * Y ** (b - n) * u_half
+                if n:
+                    weight *= math.perm(b, n) * y**n
+                value = binom * weight
+                # d/ds of u^{1/2-s} binom(1/2-s, k) at s = 0
+                terms.append((N // 2 + a * (M - N) - b * N, value,
+                              -logu * value - dbinom * weight))
+            bound = u_half * abs(binom) * math.perm(k, n) * x ** (k - n) * y**n
+        except OverflowError:
+            bound = math.inf
+        if not bound < math.inf:    # it caps the order's terms
+            raise AccuracyError(f"order {k} of the large-q series of {spec.to_text()!r} "
+                                f"at q = {q!r} is beyond double range")
+        yield bound, terms
 
 
 def beta_coefficients(spec: PotentialSpec, rho_min: int, lam_deriv: int = 0) -> BetaTable:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .actions import binomial_action
 from .errors import DomainError
 from .potential import PotentialSpec, beta_coefficients, symanzik_map
-from .spectral import det_jet, dilate_det, harmonic_det, zeta_full, zeta_skew
+from .spectral import _check_energy, det_jet, dilate_det, harmonic_det, zeta_full, zeta_skew
 from .special_functions import CATALAN, EULER_GAMMA, LOG2, digamma
 
 _PI = math.pi
@@ -48,12 +48,6 @@ def _check_family(N: int) -> None:
     """Raise DomainError unless q^2 + g q^N is a family the harness measures:
     the partner q^N + v q^2 needs an even N > 2."""
     PotentialSpec.trinomial(N, 2, 1.0)
-
-
-def _check_energy(E: float) -> None:
-    """Raise DomainError unless the energy E is a finite number."""
-    if not math.isfinite(E):
-        raise DomainError(f"E must be finite, not {E}")
 
 
 def predict_det_ratio_g(N: int, M: int, g: float, E: float) -> float:

@@ -169,48 +169,51 @@ def ladder_zeta(s: int, first: float, step: float) -> float:
 def alternating_ladder_zeta(s: int, first: float, step: float) -> float:
     """sum_k>=0 (-1)^k (first + k step)^-s for an integer s >= 1.
 
-    Summed as ``ladder_zeta`` sums its ladder: the levels below y = 3 (s + 16)
-    steps directly, until a term is below rounding, and the rest by Boole's
-    summation (Euler-Maclaurin for alternating sums), (-1)^K Y^-s [1/2 +
+    Summed in units of the first level, as first^-s times the ratio
+    sum_k (-1)^k (1 + k t)^-s, t = step/first, which lies in [1/2, 1].  Each
+    term is exp(-s log1p(k t)): a level rounded before its s-th power would
+    carry s times its rounding into the term.  As ``ladder_zeta`` sums
+    its ladder, the levels below y = 3 (s + 16) steps are summed directly,
+    until a term is below rounding, and the rest by Boole's summation
+    (Euler-Maclaurin for alternating sums), (-1)^K Y^-s [1/2 +
     sum_n (2^n - 1) B_n/n! (s)_(n-1) y^(1-n)], with Y the K-th level and
     y = Y/step; from that y on, the first term left out, n = 18, is below
-    2^-54 of the bracket.  The sum lies between half its first term and that
-    term.  A first term beyond double range is factored out: the ladder in
-    units of the first level sums to a ratio in [1/2, 1], which is multiplied
-    by first^-s in two factors, so the result is inf only where the sum is.
+    2^-54 of the bracket.  A first^-s beyond double range is taken in two
+    factors, so the result is inf only where the sum is.
     """
     if s < 1:
         raise DomainError("alternating ladder zeta needs s >= 1")
     if not (first > 0.0 and step > 0.0):
         raise DomainError("alternating ladder zeta needs a positive first level and step")
-    if _inverse_power(first, s) == math.inf:
-        unit_step = step / first     # inf leaves the later terms below the first's rounding
-        ratio = alternating_ladder_zeta(s, 1.0, unit_step) if unit_step < math.inf else 1.0
-        try:
-            return ratio / first ** (s - s // 2) * first ** -(s // 2)
-        except (OverflowError, ZeroDivisionError):
-            return math.inf
-    y_min = 3.0 * (s + 16)
+    t, y0 = step / first, first / step
+
+    def term(k):     # (-1)^k (1 + k t)^-s; t = inf leaves the first level alone
+        return (-1.0) ** k * (math.exp(-s * math.log1p(k * t)) if k else 1.0)
+
     terms = []
     total = 0.0
-    level, y = first, first / step
-    while y < y_min:
-        term = (-1.0) ** len(terms) * _inverse_power(level, s)
-        terms.append(term)
-        total += term
+    while y0 + len(terms) < 3.0 * (s + 16):
+        terms.append(term(len(terms)))
+        total += terms[-1]
         # what is left is at most the next term, which is below this one
-        if abs(term) <= 2.0 ** -54 * abs(total):
-            return math.fsum(terms)
-        level = first + len(terms) * step
-        y = level / step
-    w = 1.0 / y
-    rising = s * w                      # (s)_(n-1) y^-(n-1), from n = 2
-    series = 0.0
-    for n, c in zip(BERNOULLI, _BOOLE_SERIES):
-        series += c * rising
-        rising *= (s + n - 1) * (s + n) * (w * w)
-    terms.append((-1.0) ** len(terms) * _inverse_power(level, s) * (0.5 + series))
-    return math.fsum(terms)
+        if abs(terms[-1]) <= 2.0 ** -54 * abs(total):
+            break
+    else:
+        w = 1.0 / (y0 + len(terms))
+        rising = s * w                  # (s)_(n-1) y^-(n-1), from n = 2
+        series = 0.0
+        for n, c in zip(BERNOULLI, _BOOLE_SERIES):
+            series += c * rising
+            rising *= (s + n - 1) * (s + n) * (w * w)
+        terms.append(term(len(terms)) * (0.5 + series))
+    ratio = math.fsum(terms)
+    scale = _inverse_power(first, s)
+    if scale < math.inf:
+        return ratio * scale
+    try:
+        return ratio / first ** (s - s // 2) * first ** -(s // 2)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def binomial_jets(alpha: float):

@@ -472,6 +472,12 @@ def harmonic_det(v: float, lam: float) -> DeterminantValue:
 _DEPTH = 12                  # averaging passes over a computed spectrum
 
 
+def _check_energy(E: float) -> None:
+    """Raise DomainError unless the energy E is a finite number."""
+    if not math.isfinite(E):
+        raise DomainError(f"E must be finite, not {E}")
+
+
 def _check_below_ground(spectrum: SpectrumResult, E: float):
     if E >= spectrum.entries[0].value:
         raise DomainError("E must lie below the lowest eigenvalue")
@@ -484,9 +490,11 @@ def zeta_full(spec: PotentialSpec, s: int, E: float = 0.0, *,
 
     One eigen solve at the count given; ``tail_fraction`` is the tail's share
     of the total, which says how much the tail carries, not how wrong it is.
+    A total of 0, every term below double range, raises AccuracyError.
     """
     if s < 1:
         raise DomainError("s must be a positive integer")
+    _check_energy(E)
     growth = 2.0 * spec.N / (spec.N + 2.0)
     if s * growth <= 1.0:
         raise DivergenceError(f"zeta(s={s}) diverges for growth exponent {growth}")
@@ -498,8 +506,10 @@ def zeta_full(spec: PotentialSpec, s: int, E: float = 0.0, *,
     _check_below_ground(spectrum, E)
     head = float(np.sum(f(spectrum.values())))
     tail = bs_tail(spec, len(spectrum), f, lambda lam: -s * (lam - E) ** (-float(s) - 1.0))
-    total = head + tail
-    return ZetaValue(s, E, float(total), float(abs(tail) / abs(total)))
+    total = float(head + tail)
+    if total == 0.0:
+        raise AccuracyError(f"every term of zeta({s}) at E = {E!r} is below double range")
+    return ZetaValue(s, E, total, float(abs(tail) / abs(total)))
 
 
 def _alternating_sum(terms) -> tuple[float, float]:
@@ -522,6 +532,7 @@ def zeta_skew(spec: PotentialSpec, s: int, E: float = 0.0, *,
     iterated averaging of the partial sums."""
     if s < 1:
         raise DomainError("s must be a positive integer")
+    _check_energy(E)
     spectrum = eigenvalues(spec, count, tol)
     _check_below_ground(spectrum, E)
     value, frac = _alternating_sum((spectrum.values() - E) ** (-float(s)))
@@ -534,8 +545,7 @@ def _harmonic_ground(E: float, v: float) -> tuple[float, float]:
     """r = sqrt(v) and the ground level r - E of the ladder r(2k+1) - E."""
     if not 0.0 < v < math.inf:
         raise DomainError("v must be positive and finite")
-    if not math.isfinite(E):
-        raise DomainError(f"E must be finite, not {E}")
+    _check_energy(E)
     root = math.sqrt(v)
     if not E < root:
         raise DomainError("E must lie below the ground state")
@@ -663,18 +673,20 @@ def zeta_from_det(spec: PotentialSpec, s: int, E: float = 0.0, *,
     spec and E): the mu-derivatives of the recessive solution, of its WKB
     start and of the normalization (the integrals of 1/(2 Pi) and
     -1/(4 Pi^3) from the traces of the leg's mu-derivative blocks, the tail
-    series term by term) are propagated with it, so the error is that of the
-    shot itself, the collocation's Chebyshev tail of 1e-12 and the
-    third-order WKB start at q_max, not that of a difference quotient.  The
+    series term by term, to rounding) are propagated with it, so the error is
+    that of the shot itself, the collocation's Chebyshev tail of 1e-12 and the
+    third-order WKB start at q_max, not that of a difference quotient, also
+    at E << 0, where the tail's mu-derivatives are near 1e-11.  The
     traces peak at q_cut and are resolved there like the solution, also on
     strongly coupled partners, and a quadrature that does not converge
     raises AccuracyError rather than a warning.  s >= 3
     raises DomainError up front, and so does an E at or above the first
     Bohr-Sommerfeld excited level, or an E above the ground state, where a
-    parity determinant turns negative.
+    parity determinant turns negative, and so does an E that is not finite.
     """
     if s not in (1, 2):
         raise DomainError("zeta_from_det takes s = 1 or 2")
+    _check_energy(E)
     if E >= bs_level(spec, 1.0):
         raise DomainError("E must lie below the ground state")
     _, full, skew_logs = det_jet(spec, -E)

@@ -66,14 +66,14 @@ def test_c2_anomalous_closed_forms():
 
 def test_c3_split_point_independence():
     spec = PotentialSpec.trinomial(4, 2, 1.0)
-    # improper_action splits at choose_split_point; the other splits take its
-    # head and tail with its tolerances
+    # improper_action splits at choose_split_point; the other splits take a
+    # head by quad and the same tail series
     base = choose_split_point(spec)
     values = [improper_action(spec).value]
     for q in (2.0 * base, 4.0 * base):
         head, _ = quad(lambda x: math.sqrt(spec.value(x)), 0.0, q,
                        epsabs=1e-10, epsrel=1e-12, limit=200)
-        values.append(head + adaptive_tail(spec, q, 1e-10))
+        values.append(head + adaptive_tail(spec, q))
     spread = max(values) - min(values)
     _report("C3  additivity", spread < 1e-7, f"spread = {spread:.2e}")
 

@@ -3,10 +3,11 @@ import sys
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from oscdet import actions
 from oscdet.actions import (
     adaptive_tail,
     level_one_log_correction,
@@ -18,7 +19,7 @@ from oscdet.actions import (
     trinomial_action_asymptotic,
 )
 from oscdet.errors import AccuracyError, DomainError
-from oscdet.potential import PotentialSpec, beta_coefficients
+from oscdet.potential import PotentialSpec, beta_coefficients, binomial_series, expansion_parameter
 from oscdet.special_functions import LOG2
 
 
@@ -191,6 +192,60 @@ def test_tail_precondition_is_a_domain_error():
         adaptive_tail(spec, 1.5)
 
 
+def _tail_point(spec, x):
+    """A q where the expansion parameter is at most x, and near it."""
+    lo = hi = 1.0
+    while expansion_parameter(spec, hi) > x:
+        lo, hi = hi, 2.0 * hi
+    while expansion_parameter(spec, lo) <= x and lo > 1e-30:
+        lo, hi = 0.5 * lo, lo
+    for _ in range(60):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (lo, mid) if expansion_parameter(spec, mid) <= x else (mid, hi)
+    return hi
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+# N = 2 with a lam-derivative: order 1 holds only the rho = -1 residue,
+# which the sum leaves out, so nothing is summed when its bound is checked
+@example(N=2, M=0, u=1.0, v=0.0, lam=0.0, x=0.5, n=1)
+@example(N=2, M=0, u=1.0, v=0.0, lam=0.7, x=0.5, n=1)
+@example(N=2, M=0, u=3.0, v=2.0, lam=-1.0, x=0.5, n=2)
+@example(N=10, M=8, u=1.0, v=1e3, lam=-1e5, x=0.5, n=2)
+@given(N=st.sampled_from(range(2, 11, 2)), M=st.sampled_from(range(0, 10, 2)),
+       u=st.floats(-20.0, 20.0).map(lambda e: 10.0 ** e),
+       v=st.one_of(st.just(0.0), st.floats(-20.0, 20.0).map(lambda e: 10.0 ** e)),
+       lam=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)), x=st.floats(1e-6, 0.5),
+       n=st.sampled_from((0, 1, 2)))
+def test_adaptive_tail_ends_on_every_spec_it_accepts(N, M, u, v, lam, x, n):
+    # the relative stop alone ends the sum for every x <= 1/2, well inside
+    # 300 orders, with a finite tail or an accuracy error
+    spec = PotentialSpec(N, min(M, N - 2), u, v, lam)
+    q = _tail_point(spec, x) if expansion_parameter(spec, 1.0) else 1.0
+    orders = []
+
+    def counted(*args):
+        for order in binomial_series(*args):
+            orders.append(order)
+            assert len(orders) <= 300, (spec, q, n)
+            yield order
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(actions, "binomial_series", counted)
+        try:
+            tail = adaptive_tail(spec, q, lam_deriv=n)
+        except AccuracyError:
+            return
+    assert math.isfinite(tail), (spec, q, n)
+
+
+@pytest.mark.parametrize("q", (0.0, -1.0, math.inf, math.nan))
+def test_tail_point_must_be_positive_and_finite(q):
+    # at q = inf each term is 0 inf = nan, and no stop would ever hold
+    with pytest.raises(DomainError, match="tail point"):
+        adaptive_tail(PotentialSpec.trinomial(4, 2, 1.0), q)
+
+
 @pytest.mark.parametrize("v,q", [(100.0, 10.93), (316.228, 12.14)])
 def test_adaptive_tail_against_mpmath_head(v, q):
     # q^6 + v q^2: the level-1 anomalous tail is the closed action minus the
@@ -241,14 +296,14 @@ def test_improper_action_of_a_steep_power_keeps_its_tolerance():
 
 def test_improper_action_split_independence():
     spec = PotentialSpec.trinomial(4, 2, 1.0, 0.0)
-    # improper_action splits at choose_split_point; the other splits take its
-    # head and tail with its tolerances
+    # improper_action splits at choose_split_point; the other splits take a
+    # head by quad and the same tail series
     base = choose_split_point(spec)
     values = [improper_action(spec).value]
     for q in (2.0 * base, 4.0 * base):
         head, _ = quad(lambda x: math.sqrt(spec.value(x)), 0.0, q,
                        epsabs=1e-10, epsrel=1e-12, limit=200)
-        values.append(head + adaptive_tail(spec, q, 1e-10))
+        values.append(head + adaptive_tail(spec, q))
     assert max(values) - min(values) < 1e-7
 
 

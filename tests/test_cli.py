@@ -36,8 +36,7 @@ def test_action_command_bc4(capsys):
 
 
 def test_action_numeric_route(capsys):
-    code, out = run_cli(capsys, "action", "--spec", "6 4 1 1 0",
-                        "--method", "numeric", "--tol", "1e-8")
+    code, out = run_cli(capsys, "action", "--spec", "6 4 1 1 0", "--method", "numeric")
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(-0.06817893171, abs=1e-7)
@@ -49,6 +48,16 @@ def test_action_numeric_with_constant_and_shift(capsys):
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(
         binomial_action(1.0, 2.0, 6, 0).value, abs=1e-9)
+
+
+def test_action_numeric_sums_its_tail_to_rounding(capsys):
+    # the tail series stops once the orders left out are below rounding, so
+    # there is no tolerance to pass: q^4 + q^2 comes out within 1e-14 of -1/3
+    code, out = run_cli(capsys, "action", "--spec", "4 2 1 1 0", "--method", "numeric")
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(-1.0 / 3.0, abs=1e-14)
+    _exit_two_without_traceback(capsys, "action", "--spec", "4 2 1 1 0", "--method", "numeric",
+                                "--tol", "1e-8")
 
 
 def test_zeta_harmonic_constant(capsys):
@@ -293,7 +302,7 @@ def test_predict_command(capsys):
 
 def test_parse_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["action", "--tol", "not-a-number"])
+        main(["spectrum", "--tol", "not-a-number"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -316,6 +325,34 @@ def _exit_two_without_traceback(capsys, *argv):
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     return err
+
+
+# every option of every subcommand, --help aside: an option added or taken
+# away changes this table and README's CLI section with it
+_CLI_OPTIONS = {
+    "spectrum": ("--spec", "--count", "--tol", "--out"),
+    "action": ("--spec", "--method", "--out"),
+    "poles": ("--N", "--M", "--window-lo", "--window-hi", "--out"),
+    "det": ("--spec", "--shift", "--out"),
+    "zeta": ("--spec", "--s", "--E", "--skew", "--count", "--tol", "--out"),
+    "predict": ("--N", "--g", "--E", "--out"),
+    "verify": ("--N", "--grid", "--format", "--out"),
+    "fig2": ("--families", "--grid", "--outdir"),
+}
+
+
+def test_cli_option_set_is_pinned():
+    import argparse
+
+    from oscdet.cli import build_parser
+
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    got = {name: {option for action in parser._actions for option in action.option_strings
+                  if option not in ("-h", "--help")}
+           for name, parser in sub.choices.items()}
+    assert got == {name: set(options) for name, options in _CLI_OPTIONS.items()}
+    assert sum(map(len, got.values())) == 33
 
 
 def test_malformed_spec_exit_two(capsys):
@@ -507,6 +544,48 @@ def test_non_finite_energy_is_a_domain_error(capsys, E):
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         assert "E must be finite" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--spec", "4 0 1 0 0", "--E", "nan", "--skew"), "E must be finite"),
+    (("--spec", "4 0 1 0 0", "--E", "nan"), "E must be finite"),
+    (("--spec", "4 0 1 0 0", "--E=-inf"), "E must be finite"),
+    (("--spec", "4 0 1 0 0", "--E=inf", "--skew", "--s", "1"), "E must be finite"),
+    # E - lambda = 2e308 is beyond double range, and far above the ground state
+    (("--spec", "2 0 1 0 -1e308", "--E", "1e308"), "below the ground state"),
+])
+def test_zeta_at_an_energy_it_cannot_use_exit_two(capsys, argv, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _exit_two_without_traceback(capsys, "zeta", *argv)
+    assert caught == []
+    assert err.count("\n") == 1 and message in err
+
+
+def test_zeta_with_every_term_below_double_range_exit_three(capsys):
+    # each (lam_k + 1e200)^-2 underflows, although the sum, near 4.6e-251,
+    # does not: an accuracy error, not a value of 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["zeta", "--spec", "4 0 1 0 0", "--E=-1e200", "--s", "2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err == "" and caught == []
+    payload = _strict_json(captured.out)
+    assert payload["error"] == "AccuracyError" and "below double range" in payload["message"]
+
+
+@pytest.mark.parametrize("g", ("6e-232", "1e-300"))
+def test_predict_with_its_series_beyond_double_range_exit_three(capsys, g):
+    # v = g^(-2/3) is 1.4e154 and 1e200, and the term v^2 of the partner's
+    # large-q series is beyond double range; at 7e-232 it is not
+    code = main(["predict", "--N", "4", "--g", g])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err == ""
+    payload = _strict_json(captured.out)
+    assert payload["error"] == "AccuracyError" and "double range" in payload["message"]
+    assert "\n" not in payload["message"]
+    code, _ = run_cli(capsys, "predict", "--N", "4", "--g", "7e-232")
+    assert code == 0
 
 
 @pytest.mark.parametrize("method", ("closed", "numeric", "asymptotic"))

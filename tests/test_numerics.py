@@ -26,7 +26,7 @@ def test_panel_rule_takes_the_action_head(text):
 
         head = mp.quad(pi, [0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, q / 4, q / 2, q])
     got = actions.improper_action(spec).value
-    want = float(head) + actions.adaptive_tail(spec, q, 1e-10)
+    want = float(head) + actions.adaptive_tail(spec, q)
     assert abs(got - want) <= 1e-14 * head, (got, want)
 
 

@@ -200,6 +200,21 @@ def test_alternating_ladder_zeta_against_mpmath():
     assert checked > 3000
 
 
+@pytest.mark.parametrize("s", (60, 200, 1000))
+def test_alternating_ladder_zeta_at_large_s_against_mpmath(s):
+    # levels 1 + k t apart by t = 1e-3 of the first: raising each rounded
+    # level to the s-th power missed by 6.4e-14 at s = 1000; the levels left
+    # out of the reference are below 1e-36 of the first at s = 60
+    import mpmath
+
+    first = 2.0 ** -1.0243
+    step = 1e-3 * first
+    with mpmath.workdps(50):
+        f, h = mpmath.mpf(first), mpmath.mpf(step)
+        want = mpmath.fsum((-1) ** k * (f + k * h) ** -s for k in range(3000))
+        assert abs(alternating_ladder_zeta(s, first, step) - want) <= 1e-15 * want
+
+
 def test_alternating_ladder_zeta_beyond_double_range():
     # 0.5^-1000 - 2.5^-1000 + ... = 2^1000 fits in a double although
     # 4^-1000 does not; 100^400 does not fit and is inf; 2e6^-(10^6) is 0

@@ -552,6 +552,35 @@ def test_zeta_from_det_matches_zeta_full():
 
 @pytest.mark.parametrize("spec", [PotentialSpec.uncoupled(4, 1.0),
                                   PotentialSpec.trinomial(4, 2, 1.0),
+                                  PotentialSpec.uncoupled(6, 1.0)])
+def test_zeta_from_det_far_below_the_ground_state(spec):
+    # at E << 0 the mu-derivatives of the normalization's tail series are
+    # near 1e-11 in size, and the shot's zetas keep their digits only if
+    # that series is summed to rounding, not to an absolute 1e-11
+    for E in (-1e4, -1e6, -1e8, -1e12):
+        for s in (1, 2):
+            want = zeta_full(spec, s, E, count=160, tol=1e-7).value
+            got = zeta_from_det(spec, s, E).value
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0), (E, s)
+
+
+@pytest.mark.parametrize("E", (math.nan, math.inf, -math.inf))
+def test_zetas_refuse_a_non_finite_energy(E):
+    spec = PotentialSpec.uncoupled(4, 1.0)
+    for zeta in (zeta_full, zeta_skew, zeta_from_det):
+        with pytest.raises(DomainError, match="E must be finite"):
+            zeta(spec, 2, E)
+
+
+def test_zeta_full_with_every_term_below_double_range_is_an_accuracy_error():
+    # each (lam_k + 1e200)^-2 underflows, while Weyl's law puts the sum
+    # near 4.6e-251: a total of 0 is lost, not small
+    with pytest.raises(AccuracyError, match="below double range"):
+        zeta_full(PotentialSpec.uncoupled(4, 1.0), 2, -1e200)
+
+
+@pytest.mark.parametrize("spec", [PotentialSpec.uncoupled(4, 1.0),
+                                  PotentialSpec.trinomial(4, 2, 1.0),
                                   PotentialSpec.uncoupled(6, 1.0),
                                   PotentialSpec.uncoupled(8, 1.0)])
 def test_zeta_full_is_one_solve_at_the_count_given(monkeypatch, spec):
