@@ -8,6 +8,7 @@ between the (q^M + g q^N, E) and (q^N + v q^M, lambda) parametrizations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -183,15 +184,19 @@ def beta_coefficients(spec: PotentialSpec, rho_min: int, lam_deriv: int = 0) -> 
     """Expansion coefficients with rho >= rho_min, as jets at s = 0, or their
     lam_deriv-th derivatives in lam.
 
-    Sums the orders of ``binomial_series`` at q = 1 until every rho of an
-    order lies below rho_min; each (a, b) lands on rho = N/2 + a(M-N) - bN.
+    Sums the orders of ``binomial_series`` at q = 1 up to the last with a
+    rho >= rho_min; each (a, b) lands on rho = N/2 + a(M-N) - bN.  Order k
+    reaches at most rho = N/2 - kN + (k - n)M, n = lam_deriv, which falls
+    with k, so the orders kept are counted before any is formed: an order
+    wholly below rho_min is never formed, and only a kept term beyond double
+    range raises AccuracyError.
     """
-    if rho_min > spec.N // 2:
+    N, M, n = spec.N, spec.M, lam_deriv
+    if rho_min > N // 2:
         raise DomainError("rho_min must not exceed N/2")
+    last = (N // 2 - n * M - rho_min) // (N - M)
     cells: dict[int, list] = {}
-    for _, terms in binomial_series(spec, 1.0, lam_deriv):
-        if max(rho for rho, _, _ in terms) < rho_min:
-            break
+    for _, terms in itertools.islice(binomial_series(spec, 1.0, n), max(last - n + 1, 0)):
         for rho, value, deriv in terms:
             if rho >= rho_min:
                 cell = cells.setdefault(rho, [0.0, 0.0])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,51 +120,71 @@ def _inverse_power(x: float, s: int) -> float:
         return math.inf
 
 
-def _sum_or_inf(terms) -> float:
-    """Correctly rounded sum of non-negative terms, inf beyond double range."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        return math.inf
+def _bernoulli_series(s: int, y: float, weights) -> float:
+    """sum_n weights_n (s)_(n-1) y^(1-n) from n = 2, the Bernoulli terms of
+    Euler-Maclaurin (``_EM_SERIES``) or Boole's summation (``_BOOLE_SERIES``)
+    after the first level left out, y steps from the origin."""
+    w = 1.0 / y
+    rising = s * w                      # (s)_(n-1) y^-(n-1), from n = 2
+    series = 0.0
+    for n, c in zip(BERNOULLI, weights):
+        series += c * rising
+        rising *= (s + n - 1) * (s + n) * (w * w)
+    return series
 
 
 def ladder_zeta(s: int, first: float, step: float) -> float:
     """sum_k>=0 (first + k step)^-s for an integer s >= 2.
 
-    The sum is taken in the ladder's own units, with no factor step^-s
-    (which underflows where the Hurwitz zeta it multiplies overflows): the
-    levels below y = s + 10 steps are summed directly, and the rest by
-    Euler-Maclaurin, Y^(1-s)/step [1/(s-1) + 1/(2y) + sum_n B_n/n! (s)_(n-1)
-    y^-n] with Y the first level left out, y = Y/step and (s)_m the rising
-    factorial.  The direct sum stops once what is left is below rounding, so
-    the cost does not grow with s.
+    Summed in units of the first level, as first^-s times the ratio
+    sum_k (1 + k t)^-s, t = step/first, each term exp(-s log1p(k t)) as in
+    ``alternating_ladder_zeta``, so that no level's rounding is raised to the
+    s-th power: the levels below y = s + 10 steps are summed directly, until
+    what is left is below rounding, and the rest by Euler-Maclaurin,
+    (1 + K t)^-s y [1/(s-1) + 1/(2y) + sum_n B_n/n! (s)_(n-1) y^-n] with K
+    the first level left out, y = first/step + K and (s)_m the rising
+    factorial; the cost does not grow with s.  Below y = s + 10 steps the
+    ratio is at most 13, so the sum is inf or 0 only where first^-s
+    is.  A ladder that starts beyond that is the Euler-Maclaurin term alone,
+    first^(1-s)/step times the bracket, taken in two factors where
+    first^(1-s) is below double range, since the sum itself can be in range
+    (the step lifts it).
     """
     if s < 2:
         raise DomainError("ladder zeta needs s >= 2")
     if not (first > 0.0 and step > 0.0):
         raise DomainError("ladder zeta needs a positive first level and step")
+    t, y0 = step / first, first / step
     y_min = s + 10.0
+
+    def bracket(y):
+        return 1.0 / (s - 1) + 1.0 / y * (0.5 + _bernoulli_series(s, y, _EM_SERIES))
+
+    if y0 >= y_min:
+        head = _inverse_power(first, s - 1)
+        if head < sys.float_info.min:     # 0, or subnormal with digits lost
+            half = (s - 1) // 2
+            try:
+                return first ** -(s - 1 - half) / step * first ** -half * bracket(y0)
+            except OverflowError:
+                return math.inf
+        return head / step * bracket(y0)
+
+    def term(k):     # (1 + k t)^-s; t = inf leaves the first level alone
+        return math.exp(-s * math.log1p(k * t)) if k else 1.0
+
     terms = []
     total = 0.0
-    level, y = first, first / step
-    while y < y_min:
-        term = _inverse_power(level, s)
-        terms.append(term)
-        total += term
+    while y0 + len(terms) < y_min:
+        terms.append(term(len(terms)))
+        total += terms[-1]
         # what is left is at most the integral term y/(s-1) beyond this level
-        if term * y / (s - 1) <= 2.0 ** -54 * total:
-            return _sum_or_inf(terms)
-        level = first + len(terms) * step
-        y = level / step
-    w = 1.0 / y
-    rising = s * w                      # (s)_(n-1) y^-(n-1), from n = 2
-    series = 0.0
-    for n, c in zip(BERNOULLI, _EM_SERIES):
-        series += c * rising
-        rising *= (s + n - 1) * (s + n) * (w * w)
-    bracket = 1.0 / (s - 1) + w * (0.5 + series)
-    terms.append(_inverse_power(level, s - 1) / step * bracket)
-    return _sum_or_inf(terms)
+        if terms[-1] * (y0 + len(terms) - 1) / (s - 1) <= 2.0 ** -54 * total:
+            break
+    else:
+        y = y0 + len(terms)
+        terms.append(term(len(terms)) * y * bracket(y))
+    return math.fsum(terms) * _inverse_power(first, s)
 
 
 def alternating_ladder_zeta(s: int, first: float, step: float) -> float:
@@ -199,12 +220,7 @@ def alternating_ladder_zeta(s: int, first: float, step: float) -> float:
         if abs(terms[-1]) <= 2.0 ** -54 * abs(total):
             break
     else:
-        w = 1.0 / (y0 + len(terms))
-        rising = s * w                  # (s)_(n-1) y^-(n-1), from n = 2
-        series = 0.0
-        for n, c in zip(BERNOULLI, _BOOLE_SERIES):
-            series += c * rising
-            rising *= (s + n - 1) * (s + n) * (w * w)
+        series = _bernoulli_series(s, y0 + len(terms), _BOOLE_SERIES)
         terms.append(term(len(terms)) * (0.5 + series))
     ratio = math.fsum(terms)
     scale = _inverse_power(first, s)

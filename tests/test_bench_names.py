@@ -1,6 +1,7 @@
 """The names of oscdet that the benchmark under bench/ pins.
 
-``bench/tracer.py`` patches the functions its ``TRACED`` table names, and
+``bench/tracer.py`` patches the functions its ``TRACED`` table names and
+reads the arguments and results of two of them by name, and
 ``bench/ops.py`` and ``bench/make_refs.py`` call oscdet through module
 attributes; a rename in the package would break a traced run or a reference
 rebuild without failing any other test.  The bench scripts are read, not
@@ -15,6 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from oscdet import predictions, spectrum
+from oscdet.potential import PotentialSpec
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -26,6 +30,28 @@ def test_traced_names_are_plain_functions():
         module = importlib.import_module(f"oscdet.{layer}")
         for name in names or ():
             assert inspect.isfunction(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def _traced_call(fn, *args, **kwargs):
+    """The result of a call, and its arguments bound as the tracer binds them."""
+    result = fn(*args, **kwargs)
+    bound = inspect.signature(fn).bind(*args, **kwargs)
+    bound.apply_defaults()
+    return bound, result
+
+
+def test_traced_info_reads_resolve():
+    # the tracer reads spec, count, tol and the basis size and error
+    # estimates off an eigen solve, and N, g, count and tol off a measured
+    # point; a rename would raise there only in a traced benchmark run
+    info = runpy.run_path(str(BENCH / "tracer.py"))["_INFO"]
+    spec = PotentialSpec.uncoupled(4, 1.0)
+    bound, result = _traced_call(spectrum.eigenvalues, spec, 8, tol=1e-7)
+    eigen = info["spectrum.eigenvalues"](bound, result)
+    assert eigen == {"key": repr((spec, 8, 1e-7)), "n": result.params.n,
+                     "err_over_tol": max(e.err_est for e in result.entries) / 1e-7}
+    bound, result = _traced_call(predictions.measure_point, 4, 1e-2, count=64, tol=1e-6)
+    assert info["predictions.measure_point"](bound, result) == {"key": repr((4, 1e-2, 64, 1e-6))}
 
 
 def _oscdet_names(path: Path):

@@ -228,11 +228,12 @@ def test_det_tail_point_beyond_double_range(capsys):
     assert "double range" in payload["message"] and "\n" not in payload["message"]
 
 
-@pytest.mark.parametrize("spec", ("6 2 1 1e200 0", "4 0 1e-300 1e300 0",
+@pytest.mark.parametrize("spec", ("6 2 1 1e300 0", "4 0 1e-300 1e300 0",
                                   "2 0 1e-14 1e300 0", "2 0 1e-300 1e200 0"))
 def test_det_terms_beyond_double_range(capsys, spec):
-    # dp^2 of the shot's start, a tail point (4 v / u)^(1/4) beyond double
-    # range, and log Gamma of the harmonic ladder at lambda/sqrt(u) = 1e307 and inf
+    # P where the shot's start is chosen, a tail point (4 v / u)^(1/4) beyond
+    # double range, and log Gamma of the harmonic ladder at lambda/sqrt(u) =
+    # 1e307 and inf
     code, out = run_cli(capsys, "det", "--spec", spec)
     assert code == 3
     assert "double range" in _strict_json(out)["message"]
@@ -575,17 +576,19 @@ def test_zeta_with_every_term_below_double_range_exit_three(capsys):
 
 
 @pytest.mark.parametrize("g", ("6e-232", "1e-300"))
-def test_predict_with_its_series_beyond_double_range_exit_three(capsys, g):
+def test_predict_forms_no_series_order_it_discards(capsys, g):
     # v = g^(-2/3) is 1.4e154 and 1e200, and the term v^2 of the partner's
-    # large-q series is beyond double range; at 7e-232 it is not
+    # large-q series is beyond double range; it lands on rho = -2, below the
+    # rho >= -1 that the prediction keeps, so it is never formed and the
+    # prediction is the one at 7e-232, whose log det ratio scales as 1/g
     code = main(["predict", "--N", "4", "--g", g])
     captured = capsys.readouterr()
-    assert code == 3 and captured.err == ""
+    assert code == 0 and captured.err == ""
     payload = _strict_json(captured.out)
-    assert payload["error"] == "AccuracyError" and "double range" in payload["message"]
-    assert "\n" not in payload["message"]
-    code, _ = run_cli(capsys, "predict", "--N", "4", "--g", "7e-232")
+    code, out = run_cli(capsys, "predict", "--N", "4", "--g", "7e-232")
     assert code == 0
+    ref = _strict_json(out)
+    assert payload["log_det_ratio"] * float(g) == pytest.approx(ref["log_det_ratio"] * 7e-232, rel=1e-13)
 
 
 @pytest.mark.parametrize("method", ("closed", "numeric", "asymptotic"))

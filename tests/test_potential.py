@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscdet.errors import DomainError
+from oscdet.errors import AccuracyError, DomainError
 from oscdet.potential import (
     PotentialSpec,
     beta_coefficients,
+    binomial_series,
     residue_level_coefficient,
     residue_log_deriv,
     symanzik_map,
@@ -156,6 +158,33 @@ def test_residue_lambda_independent_for_N_above_two():
         r0 = beta_coefficients(spec0, -1).residue()
         r7 = beta_coefficients(spec7, -1).residue()
         assert r0.value == pytest.approx(r7.value, rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("N, M", ((2, 0), (4, 2), (6, 4), (6, 2), (8, 6), (10, 4)))
+def test_beta_coefficients_sum_every_order_that_reaches_rho_min(N, M):
+    # the orders counted up front are the ones whose terms reach rho_min:
+    # the same table as summing twelve orders and dropping the terms below
+    for rho_min, n, lam in itertools.product((N // 2, 0, -1, -3, -7), (0, 1, 2), (0.0, 0.7)):
+        spec = PotentialSpec(N, M, 1.3, 0.6, lam)
+        cells = {}
+        for _, terms in itertools.islice(binomial_series(spec, 1.0, n), 12):
+            for rho, value, deriv in terms:
+                if rho >= rho_min:
+                    cells[rho] = [a + b for a, b in zip(cells.get(rho, (0.0, 0.0)), (value, deriv))]
+        table = beta_coefficients(spec, rho_min, n)
+        assert table.entries == {rho: Jet1(*cells[rho]) for rho in sorted(cells, reverse=True)}
+
+
+def test_beta_coefficients_form_no_order_below_rho_min():
+    # order 2 of q^4 + v q^2, v^2 at rho = -2, is beyond double range at
+    # v = 1.4e154 but lies below rho_min = -1; order 2 of q^6 + v q^4, v^2 at
+    # rho = -1, is kept, and beyond double range at v = 1e200
+    v = 1.4e154
+    table = beta_coefficients(PotentialSpec.trinomial(4, 2, v), -1)
+    assert table.entries == {2: Jet1(1.0, 0.0), 0: Jet1(0.5 * v, -v)}
+    assert beta_coefficients(PotentialSpec.trinomial(6, 4, 1e200), 0).at(1).value == 5e199
+    with pytest.raises(AccuracyError, match="order 2 .* beyond double range"):
+        beta_coefficients(PotentialSpec.trinomial(6, 4, 1e200), -1)
 
 
 def test_empty_lattice_slots_are_zero():

@@ -177,6 +177,32 @@ def test_ladder_zeta_beyond_double_range():
             ladder_zeta(s, first, step)
 
 
+@pytest.mark.parametrize("s, first", ((1000, 2.0 ** -0.0243), (3000, 1.2)))
+def test_ladder_zeta_at_large_s_against_mpmath(s, first):
+    # levels 1 + k t apart by t = 1e-3 of the first: raising each rounded
+    # level to the s-th power missed by 1.4e-14 at s = 1000 and 1.0e-14 at
+    # s = 3000; the levels left out of the reference are below 1e-600 of it
+    import mpmath
+
+    step = 1e-3 * first
+    with mpmath.workdps(50):
+        f, h = mpmath.mpf(first), mpmath.mpf(step)
+        want = mpmath.fsum((f + k * h) ** -s for k in range(3000))
+        assert abs(ladder_zeta(s, first, step) - want) <= 1e-15 * want
+
+
+def test_ladder_zeta_with_its_first_term_below_double_range():
+    # first^-s underflows, or first^(1-s) is subnormal (1e-320), but a small
+    # step lifts the sum, about first^(1-s)/((s-1) step), back into range
+    import mpmath
+
+    cases = ((3, 1e200, 1e-300), (3, 1e160, 1e-300), (5, 1e100, 1e-250), (2, 1e200, 1e-200))
+    for s, first, step in cases:
+        with mpmath.workdps(30):
+            want = mpmath.zeta(s, mpmath.mpf(first) / step) * mpmath.mpf(step) ** -s
+        assert ladder_zeta(s, first, step) == pytest.approx(float(want), rel=1e-15), (s, first, step)
+
+
 def test_alternating_ladder_zeta_against_mpmath():
     # sum_k (-1)^k (a + k)^-s = 2^-s [zeta(s, a/2) - zeta(s, (a+1)/2)], in
     # polygamma form, which also holds at s = 1; a from 1e-6 to 1e12, and

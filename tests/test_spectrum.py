@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -47,12 +48,20 @@ def test_symanzik_spectral_equivalence():
 
 
 def test_err_est_covers_a_doubled_basis():
-    # the levels solved on twice the final basis stay within err_est
-    for spec in (PotentialSpec.uncoupled(6, 1.0), PotentialSpec.trinomial(4, 2, 1.0)):
-        res = eigenvalues(spec, 128, 1e-6)
-        finer, _ = _ritz_levels(spec, res.params.omega, 2 * res.params.n, len(res))
+    # the levels solved on twice the final basis stay within err_est: on a
+    # pure power and a coupled quartic at 128 levels, then on near-harmonic
+    # (u = 1e-3) to coupled spectra of four shapes; not four times, since
+    # where err_est is the rounding floor a solve on 4n states rounds on a
+    # 1-norm up to 4^(N/2) times larger and can itself move a level by more
+    grid = [(PotentialSpec(N, M, u, 1.0, lam), count)
+            for (N, M), u, lam, count in itertools.product(
+                ((4, 2), (6, 4), (8, 2), (10, 4)), (1e-3, 1.0), (0.0, 3.0), (1, 64, 256))]
+    cases = [(PotentialSpec.uncoupled(6, 1.0), 128), (PotentialSpec.trinomial(4, 2, 1.0), 128)]
+    for spec, count in cases + grid:
+        res = eigenvalues(spec, count, 1e-6)
+        finer, _ = _ritz_levels(spec, res.params.omega, 2 * res.params.n, count)
         err = np.array([e.err_est for e in res.entries])
-        assert np.all(np.abs(finer - res.values()) <= err)
+        assert np.all(np.abs(finer - res.values()) <= err), (spec, count)
 
 
 def _csr_sector_band(spec, omega, n, parity):
@@ -87,10 +96,13 @@ def test_sector_band_matches_sparse_horner(spec):
 
 
 # near-harmonic spectra, where the solver's rounding sets err_est, and pure
-# and coupled anharmonic ones, where the basis doubling does
+# and coupled anharmonic ones, where the change over the last basis step
+# does; q^2 + 1e-10 q^6, whose Hamiltonian has a 1-norm of only about twice
+# its top level, rounds like its levels' own size
 ROUNDING_SPECS = (PotentialSpec(4, 2, 1e-2, 1.0, 0.0), PotentialSpec(4, 2, 1e-3, 1.0, 0.0),
                   PotentialSpec(4, 2, 1e-4, 1.0, 0.0), PotentialSpec(6, 2, 1e-2, 1.0, 0.0),
-                  PotentialSpec.uncoupled(6, 1.0), PotentialSpec.trinomial(4, 2, 1.0))
+                  PotentialSpec.uncoupled(6, 1.0), PotentialSpec.trinomial(4, 2, 1.0),
+                  PotentialSpec(6, 2, 1e-10, 1.0, 0.0))
 
 
 @pytest.mark.parametrize("count", (128, 256))
@@ -134,6 +146,45 @@ def test_ritz_levels_take_every_level_of_a_block(monkeypatch):
     monkeypatch.setattr(spectrum, "_dsbevd", spy)
     _ritz_levels(PotentialSpec.trinomial(4, 2, 1.0), 1.3, 64, 10)
     assert calls == [(dict(compute_v=0, lower=1, overwrite_ab=0), True)] * 2
+
+
+def _spy_on_blocks(monkeypatch):
+    """States per parity of every block ``dsbevd`` solves, in order."""
+    blocks = []
+    dsbevd = spectrum._dsbevd
+
+    def spy(band, **kwargs):
+        blocks.append(band.shape[1])
+        return dsbevd(band, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_dsbevd", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("spec", (PotentialSpec.uncoupled(6, 1.0), PotentialSpec.trinomial(4, 2, 1.0)))
+def test_eigenvalues_grow_the_basis_by_thirds(monkeypatch, spec):
+    # 256 levels, 128 per parity, start on 192 states per parity and are
+    # certified one third further on, at 256; a doubling solved 256 and 512
+    blocks = _spy_on_blocks(monkeypatch)
+    res = spectrum._eigenvalues_cached.__wrapped__(spec, 256, 1e-6)
+    assert blocks == [192, 192, 256, 256]
+    assert res.params.n == 256
+
+
+@pytest.mark.parametrize("spec, count, tol, sizes", (
+    # q^6 settles within its 1-norm floor, above 1e-14, at 85 states: a
+    # larger basis only raises that floor, so the refusal stops there
+    (PotentialSpec.uncoupled(6, 1.0), 64, 1e-14, [48, 64, 85]),
+    # a near-harmonic level's floor is its own size, which no basis lowers
+    # below tol, but its 1-norm part stays below tol, so the steps go on to
+    # 8 * 16 states, the largest basis
+    (PotentialSpec(2, 0, 1e-8, 1.0, 0.0), 1, 1e-15, [16, 21, 28, 37, 49, 65, 86, 114, 128])))
+def test_refusal_solves_no_basis_that_cannot_reach_tol(monkeypatch, spec, count, tol, sizes):
+    blocks = _spy_on_blocks(monkeypatch)
+    with pytest.raises(AccuracyError) as exc:
+        spectrum._eigenvalues_cached.__wrapped__(spec, count, tol)
+    assert blocks == [n for n in sizes for _ in range(2)]
+    assert exc.value.best_estimate.params.n == sizes[-1] and exc.value.err_est > tol
 
 
 @pytest.mark.parametrize("n", (16, 64, 512))
