@@ -50,8 +50,6 @@ from .spectral import (
     det_ratio_skew,
     dilate_det,
     harmonic_det,
-    harmonic_zeta_full,
-    harmonic_zeta_skew,
     shooting_det,
     zeta_from_det,
     zeta_full,

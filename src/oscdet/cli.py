@@ -26,14 +26,7 @@ from .errors import AccuracyError, DivergenceError, DomainError
 from .mellin import contributing_poles, enumerate_poles
 from .potential import PotentialSpec, symanzik_map
 from .predictions import GRID, fig2_rows, predict_det_ratio_g, predict_Z1, verify
-from .spectral import (
-    harmonic_det,
-    harmonic_zeta_full,
-    harmonic_zeta_skew,
-    shooting_det,
-    zeta_full,
-    zeta_skew,
-)
+from .spectral import harmonic_det, shooting_det, zeta_full, zeta_skew
 from .spectrum import eigenvalues
 
 _OUTDIR_ENV = "OSCDET_OUTDIR"
@@ -145,10 +138,11 @@ def cmd_poles(args):
 
 def cmd_det(args):
     spec = PotentialSpec.from_text(args.spec)
-    if spec.N == 2:   # u q^2 + v + lam: the constant joins the shift
-        d = harmonic_det(spec.u, spec.v + spec.lam + args.shift)
+    work = spec.with_shift(args.shift)
+    if spec.N == 2:   # u q^2 + v + lam + shift: the constant takes the closed form
+        d = harmonic_det(work.u, work.v + work.lam)
     else:
-        d = shooting_det(spec, args.shift)
+        d = shooting_det(work)
     out = {
         "spec": spec.to_text(),
         "shift": args.shift,
@@ -164,17 +158,8 @@ def cmd_det(args):
 
 def cmd_zeta(args):
     spec = PotentialSpec.from_text(args.spec)
-    if spec.N == 2:   # the exact ladder of u q^2, with v + lam moved into E
-        E = args.E - (spec.v + spec.lam)
-        if E == math.inf and math.isfinite(args.E):    # E far above every level
-            raise DomainError("E must lie below the ground state")
-        if E == -math.inf and math.isfinite(args.E):   # every level is beyond double range
-            raise AccuracyError("the constant v + lambda - E is beyond double range")
-        zeta = harmonic_zeta_skew if args.skew else harmonic_zeta_full
-        z = zeta(args.s, E, spec.u)
-    else:
-        zeta = zeta_skew if args.skew else zeta_full
-        z = zeta(spec, args.s, args.E, count=args.count, tol=args.tol)
+    zeta = zeta_skew if args.skew else zeta_full
+    z = zeta(spec, args.s, args.E, count=args.count, tol=args.tol)
     out = {"spec": spec.to_text(), "s": z.s, "E": args.E, "skew": args.skew,
            "value": z.value, "tail_fraction": z.tail_fraction}
     _emit_text(_json_text(out), _out_path(args, "zeta.json"))

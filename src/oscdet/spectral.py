@@ -50,7 +50,7 @@ from .actions import adaptive_tail, choose_split_point
 from .errors import AccuracyError, DivergenceError, DomainError
 from .numerics import _DIFF, _INTEGRATE, _K, _NODES, _PANEL, _QUAD_ROWS, _TAIL, integrate, refine
 from .potential import PotentialSpec, beta_coefficients
-from .spectrum import SpectrumResult, bs_level, bs_tail, eigenvalues, turning_point
+from .spectrum import bs_level, bs_tail, eigenvalues, turning_point
 from .special_functions import BERNOULLI, alternating_ladder_zeta, ladder_zeta, log_gamma
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -431,14 +431,17 @@ def harmonic_det(v: float, lam: float) -> DeterminantValue:
 
     Parity spectra sqrt(v)(4k + a), a = 1, 3, are Hurwitz ladders, so each
     zeta-regularized parity determinant is an explicit Gamma expression;
-    eigenvalues of the full problem give determinant zero, and a log Gamma
-    beyond double range raises AccuracyError.  The skew is
+    eigenvalues of the full problem give determinant zero.  A w = lam/sqrt(v)
+    or a log Gamma beyond double range raises AccuracyError, a lam that is
+    not a number DomainError.  The skew is
     (1/2) log(4 sqrt v) + log Gamma(x + 1/2) - log Gamma(x), x = (1 + w)/4,
     with the Gamma ratio from its large-x series once x is large.
     """
-    if v <= 0.0:
-        raise DomainError("v must be positive")
+    if not v > 0.0 or math.isnan(lam):
+        raise DomainError("v must be positive and lambda a number")
     w = lam / math.sqrt(v)
+    if not math.isfinite(w):
+        raise AccuracyError(f"lambda/sqrt(v) = {w} is beyond double range")
     base = math.log(4.0) + 0.5 * math.log(v)   # log of the ladder spacing
     out = {}
     for a, name in ((1.0, "even"), (3.0, "odd")):
@@ -466,7 +469,7 @@ def harmonic_det(v: float, lam: float) -> DeterminantValue:
 
 
 # --------------------------------------------------------------------------
-# spectral zeta functions over computed spectra
+# sums over the levels: spectral zetas and Weierstrass-product ratios
 # --------------------------------------------------------------------------
 
 _DEPTH = 12                  # averaging passes over a computed spectrum
@@ -478,137 +481,133 @@ def _check_energy(E: float) -> None:
         raise DomainError(f"E must be finite, not {E}")
 
 
-def _check_below_ground(spectrum: SpectrumResult, E: float):
-    if E >= spectrum.entries[0].value:
-        raise DomainError("E must lie below the lowest eigenvalue")
+def _level_sum(spec: PotentialSpec, terms: np.ndarray, f=None, df=None) -> tuple[float, float]:
+    """A sum over the levels of spec from its ``terms`` at the computed
+    levels, and the share of the sum that the levels beyond them carry.
 
-
-def zeta_full(spec: PotentialSpec, s: int, E: float = 0.0, *,
-              count: int = 128, tol: float = 1e-6) -> ZetaValue:
-    """sum_k (lam_k - E)^{-s}: head over the first ``count`` computed levels
-    plus a tail over the Bohr-Sommerfeld levels (``bs_tail``).
-
-    One eigen solve at the count given; ``tail_fraction`` is the tail's share
-    of the total, which says how much the tail carries, not how wrong it is.
-    A total of 0, every term below double range, raises AccuracyError.
+    With f, which gives the terms, and its derivative df, the sum is
+    sum_k f(lam_k), and the levels beyond are the Bohr-Sommerfeld tail
+    (``bs_tail``).  Without, it is sum_k (-1)^k terms_k, and the levels
+    beyond are taken by iterated averaging of the last partial sums.
     """
+    if f is None:
+        partials = np.cumsum((-1.0) ** np.arange(len(terms)) * terms)
+        row = list(partials[-(2 * _DEPTH + 8):])
+        for _ in range(_DEPTH):
+            if len(row) < 2:
+                break
+            row = [0.5 * (a + b) for a, b in zip(row, row[1:])]
+        value, rest = row[-1], row[-1] - partials[-1]
+    else:
+        rest = bs_tail(spec, len(terms), f, df)
+        value = float(np.sum(terms)) + rest
+    return float(value), float(abs(rest) / abs(value)) if value else 0.0
+
+
+def _zeta(spec: PotentialSpec, s: int, E: float, count: int, tol: float,
+          skew: bool) -> ZetaValue:
+    # on N = 2 the levels are the ladder r(2k+1) + v + lam, r = sqrt(u), and
+    # v + lam moves into E; a finite E can leave double range there
+    shifted = E - (spec.v + spec.lam) if spec.N == 2 else E
+    if math.isfinite(E) and shifted == math.inf:
+        raise DomainError("E must lie below the ground state")
+    if math.isfinite(E) and shifted == -math.inf:
+        raise AccuracyError("the constant v + lambda - E is beyond double range")
     if s < 1:
         raise DomainError("s must be a positive integer")
-    _check_energy(E)
     growth = 2.0 * spec.N / (spec.N + 2.0)
-    if s * growth <= 1.0:
+    if not skew and s * growth <= 1.0:
         raise DivergenceError(f"zeta(s={s}) diverges for growth exponent {growth}")
+    _check_energy(E)
+    if spec.N == 2:
+        root = math.sqrt(spec.u)
+        if not shifted < root:
+            raise DomainError("E must lie below the ground state")
+        ladder = alternating_ladder_zeta if skew else ladder_zeta
+        return ZetaValue(s, E, ladder(s, root - shifted, 2.0 * root), 0.0)
 
     def f(lam):
         return (lam - E) ** (-float(s))
 
-    spectrum = eigenvalues(spec, count, tol)
-    _check_below_ground(spectrum, E)
-    head = float(np.sum(f(spectrum.values())))
-    tail = bs_tail(spec, len(spectrum), f, lambda lam: -s * (lam - E) ** (-float(s) - 1.0))
-    total = float(head + tail)
-    if total == 0.0:
+    def df(lam):
+        return -s * (lam - E) ** (-float(s) - 1.0)
+
+    levels = eigenvalues(spec, count, tol).values()
+    if E >= levels[0]:
+        raise DomainError("E must lie below the lowest eigenvalue")
+    terms = f(levels)
+    if skew:
+        return ZetaValue(s, E, *_level_sum(spec, terms))
+    # far below the spectrum df underflows across the tail, and bs_tail would
+    # drop a tail that carries the sum: refused while the last term is above
+    # the rounding of the first
+    if -df(levels[-1]) < sys.float_info.min and terms[-1] > sys.float_info.epsilon * terms[0]:
+        raise AccuracyError(f"the tail of zeta({s}) at E = {E!r} is lost: "
+                            "its integrand is below double range")
+    value, frac = _level_sum(spec, terms, f, df)
+    if value == 0.0:
         raise AccuracyError(f"every term of zeta({s}) at E = {E!r} is below double range")
-    return ZetaValue(s, E, total, float(abs(tail) / abs(total)))
+    return ZetaValue(s, E, value, frac)
 
 
-def _alternating_sum(terms) -> tuple[float, float]:
-    """sum_k (-1)^k terms_k by iterated averaging of the last partial sums,
-    and the fraction of the value that the averaging added."""
-    partials = np.cumsum((-1.0) ** np.arange(len(terms)) * terms)
-    row = list(partials[-(2 * _DEPTH + 8):])
-    for _ in range(_DEPTH):
-        if len(row) < 2:
-            break
-        row = [0.5 * (a + b) for a, b in zip(row, row[1:])]
-    value = row[-1]
-    frac = abs(value - partials[-1]) / abs(value) if value else 0.0
-    return float(value), float(frac)
+def zeta_full(spec: PotentialSpec, s: int, E: float = 0.0, *,
+              count: int = 128, tol: float = 1e-6) -> ZetaValue:
+    """Z(s; E) = sum_k (lam_k - E)^{-s} over the levels of spec.
+
+    On N = 2 the levels are the exact ladder sqrt(u)(2k+1) + v + lam, summed
+    by ``ladder_zeta`` with tail_fraction 0; s = 1 diverges there, and count
+    and tol are not used.  Otherwise the sum is the head over the first
+    ``count`` levels of one eigen solve plus the tail over the
+    Bohr-Sommerfeld levels (``bs_tail``), and ``tail_fraction`` is the tail's
+    share of the total, which says how much the tail carries, not how wrong
+    it is.  E must be finite and below the ground state (DomainError).  A
+    total of 0, every term below double range, or a tail whose integrand
+    underflows where it carries the sum, raises AccuracyError.
+    """
+    return _zeta(spec, s, E, count, tol, skew=False)
 
 
 def zeta_skew(spec: PotentialSpec, s: int, E: float = 0.0, *,
               count: int = 160, tol: float = 1e-6) -> ZetaValue:
-    """sum_k (-1)^k (lam_k - E)^{-s}, alternating tail accelerated by
-    iterated averaging of the partial sums."""
-    if s < 1:
-        raise DomainError("s must be a positive integer")
-    _check_energy(E)
-    spectrum = eigenvalues(spec, count, tol)
-    _check_below_ground(spectrum, E)
-    value, frac = _alternating_sum((spectrum.values() - E) ** (-float(s)))
-    return ZetaValue(s, E, value, frac)
+    """Z^P(s; E) = sum_k (-1)^k (lam_k - E)^{-s} over the levels of spec.
+
+    On N = 2 the alternating ladder is summed once, by
+    ``alternating_ladder_zeta``, so that no digits go to a difference of the
+    even and odd sums.  Otherwise the sum runs over one eigen solve at
+    ``count`` levels, its tail accelerated by iterated averaging of the
+    partial sums; ``tail_fraction`` is the share the averaging added.  E is
+    checked as in ``zeta_full``.
+    """
+    return _zeta(spec, s, E, count, tol, skew=True)
 
 
-# exact harmonic references ------------------------------------------------
-
-def _harmonic_ground(E: float, v: float) -> tuple[float, float]:
-    """r = sqrt(v) and the ground level r - E of the ladder r(2k+1) - E."""
-    if not 0.0 < v < math.inf:
-        raise DomainError("v must be positive and finite")
-    _check_energy(E)
-    root = math.sqrt(v)
-    if not E < root:
-        raise DomainError("E must lie below the ground state")
-    return root, root - E
-
-
-def harmonic_zeta_full(s: int, E: float = 0.0, v: float = 1.0) -> ZetaValue:
-    """Full zeta over the exact ladder sqrt(v)(2k+1) - E, of spacing 2r."""
-    if s < 1:
-        raise DomainError("s must be a positive integer")
-    if s == 1:
-        raise DivergenceError("harmonic full zeta diverges at s = 1")
-    root, ground = _harmonic_ground(E, v)
-    return ZetaValue(s, E, ladder_zeta(s, ground, 2.0 * root), 0.0)
-
-
-def harmonic_zeta_skew(s: int, E: float = 0.0, v: float = 1.0) -> ZetaValue:
-    """Skew zeta over the exact ladder: the alternating sum over r(2k+1) - E,
-    of spacing 2r, summed once, so that no digits go to a difference of the
-    even and odd sums."""
-    if s < 1:
-        raise DomainError("s must be a positive integer")
-    root, ground = _harmonic_ground(E, v)
-    return ZetaValue(s, E, alternating_ladder_zeta(s, ground, 2.0 * root), 0.0)
-
-
-# --------------------------------------------------------------------------
-# Weierstrass-product determinant ratios (zero-free form, N > 2)
-# --------------------------------------------------------------------------
-
-def _log_factors(spec: PotentialSpec, lam: float, count: int,
-                 tol: float) -> tuple[np.ndarray, float]:
-    """log|1 + lam/lam_k| over the computed levels and the sign of their
-    product; the sign is 0 when a factor vanishes."""
+def _det_ratio(spec: PotentialSpec, lam: float, count: int, tol: float, skew: bool) -> float:
     if spec.N == 2:
         raise DomainError("N = 2 is not zero-free; use harmonic_det")
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, not {lam}")
     factors = 1.0 + lam / eigenvalues(spec, count, tol).values()
     if np.any(np.abs(factors) < 1e-12):
-        return factors, 0.0
+        return 0.0
     sign = -1.0 if int(np.sum(factors < 0.0)) % 2 else 1.0
-    return np.log(np.abs(factors)), sign
+    tail = () if skew else (lambda x: math.log1p(lam / x), lambda x: -lam / (x * (x + lam)))
+    return sign * math.exp(_level_sum(spec, np.log(np.abs(factors)), *tail)[0])
 
 
 def det_ratio(spec: PotentialSpec, lam: float, *,
               count: int = 384, tol: float = 1e-6) -> float:
-    """D(lam)/D(0) = prod_k (1 + lam/lam_k): computed levels plus the tail
-    over the Bohr-Sommerfeld levels (``bs_tail``), which converges for N > 2."""
-    logs, sign = _log_factors(spec, lam, count, tol)
-    if sign == 0.0:
-        return 0.0
-    tail = bs_tail(spec, len(logs), lambda x: math.log1p(lam / x),
-                   lambda x: -lam / (x * (x + lam)))
-    return sign * math.exp(float(np.sum(logs)) + tail)
+    """D(lam)/D(0) = prod_k (1 + lam/lam_k) for N > 2: the computed levels
+    plus the tail over the Bohr-Sommerfeld levels (``bs_tail``), which
+    converges for N > 2.  A factor within 1e-12 of 0 gives 0; N = 2, which
+    is not zero-free, and a lam that is not finite raise DomainError."""
+    return _det_ratio(spec, lam, count, tol, skew=False)
 
 
 def det_ratio_skew(spec: PotentialSpec, lam: float, *,
                    count: int = 384, tol: float = 1e-6) -> float:
-    """D^P(lam)/D^P(0) = prod_k (1 + lam/lam_k)^{(-1)^k}, accelerated."""
-    logs, sign = _log_factors(spec, lam, count, tol)
-    if sign == 0.0:
-        return 0.0
-    value, _ = _alternating_sum(logs)
-    return sign * math.exp(value)
+    """D^P(lam)/D^P(0) = prod_k (1 + lam/lam_k)^{(-1)^k} for N > 2, its log
+    accelerated by iterated averaging; zeros and the domain as ``det_ratio``."""
+    return _det_ratio(spec, lam, count, tol, skew=True)
 
 
 # --------------------------------------------------------------------------

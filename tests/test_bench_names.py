@@ -54,11 +54,9 @@ def test_traced_info_reads_resolve():
     assert info["predictions.measure_point"](bound, result) == {"key": repr((4, 1e-2, 64, 1e-6))}
 
 
-def _oscdet_names(path: Path):
-    """(module, attribute) for every oscdet name the script imports or reads
-    off an imported oscdet module or object."""
-    tree = ast.parse(path.read_text())
-    bound = {}    # local name -> (module, attribute or None)
+def _oscdet_bindings(tree) -> dict:
+    """local name -> (module, attribute or None) for every oscdet import."""
+    bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -67,17 +65,54 @@ def _oscdet_names(path: Path):
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("oscdet"):
             for alias in node.names:
                 bound[alias.asname or alias.name] = (node.module, alias.name)
+    return bound
+
+
+def _resolve(node, bound):
+    """(module, dotted attribute) of a name or an attribute read off an
+    imported oscdet module or object, else None."""
+    if isinstance(node, ast.Name) and node.id in bound and bound[node.id][1]:
+        return bound[node.id]
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in bound):
+        module, attr = bound[node.value.id]
+        return module, f"{attr}.{node.attr}" if attr else node.attr
+    return None
+
+
+def _oscdet_names(path: Path):
+    """(module, attribute) for every oscdet name the script imports or reads
+    off an imported oscdet module or object."""
+    tree = ast.parse(path.read_text())
+    bound = _oscdet_bindings(tree)
     pairs = {pair for pair in bound.values() if pair[1]}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in bound):
-            module, attr = bound[node.value.id]
-            pairs.add((module, f"{attr}.{node.attr}" if attr else node.attr))
+    pairs.update(filter(None, (_resolve(node, bound) for node in ast.walk(tree))))
     return pairs
+
+
+def _oscdet_calls(path: Path):
+    """(line, module, dotted name, positional count, keyword names) of every
+    call of an oscdet name whose arguments are all spelled out."""
+    tree = ast.parse(path.read_text())
+    bound = _oscdet_bindings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (target := _resolve(node.func, bound)):
+            keywords = [kw.arg for kw in node.keywords]
+            if None not in keywords and not any(isinstance(a, ast.Starred) for a in node.args):
+                yield node.lineno, *target, len(node.args), keywords
+
+
+def _lookup(module: str, dotted: str):
+    obj = importlib.import_module(module)
+    for part in dotted.split("."):
+        obj = getattr(obj, part)
+    return obj
 
 
 @pytest.mark.parametrize("script", ["ops.py", "make_refs.py"])
 def test_bench_calls_resolve(script):
+    # every name resolves, and every call binds to its callee's signature,
+    # so a renamed keyword such as count= fails here, not in a benchmark run
     pairs = _oscdet_names(BENCH / script)
     assert pairs
     for module, dotted in sorted(pairs):
@@ -85,3 +120,11 @@ def test_bench_calls_resolve(script):
         for part in dotted.split("."):
             assert hasattr(obj, part), f"{script}: {module}.{dotted}"
             obj = getattr(obj, part)
+    calls = list(_oscdet_calls(BENCH / script))
+    assert calls
+    for line, module, dotted, positional, keywords in calls:
+        try:
+            inspect.signature(_lookup(module, dotted)).bind(*range(positional),
+                                                            **dict.fromkeys(keywords))
+        except TypeError as exc:
+            pytest.fail(f"{script}:{line}: {module}.{dotted}: {exc}")

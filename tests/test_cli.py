@@ -18,7 +18,9 @@ from oscdet.actions import binomial_action
 from oscdet.cli import main
 from oscdet.errors import DomainError
 from oscdet.predictions import predict_det_ratio_g, predict_Z1
-from oscdet.spectral import harmonic_zeta_full, harmonic_zeta_skew
+from oscdet.potential import PotentialSpec
+from oscdet.special_functions import alternating_ladder_zeta, ladder_zeta
+from oscdet.spectral import zeta_full, zeta_skew
 
 
 def run_cli(capsys, *argv):
@@ -119,9 +121,10 @@ def test_zeta_of_n_two_is_the_exact_ladder(capsys, u, v, lam, E, s, skew):
     code, out = run_cli(capsys, "zeta", "--spec", spec, "--s", str(s), f"--E={E!r}",
                         *(["--skew"] if skew else []))
     assert code == 0
-    zeta = harmonic_zeta_skew if skew else harmonic_zeta_full
+    ladder = alternating_ladder_zeta if skew else ladder_zeta
+    root = math.sqrt(u)
     assert _strict_json(out) == {"spec": spec, "s": s, "E": E, "skew": skew,
-                                 "value": zeta(s, E - (v + lam), u).value,
+                                 "value": ladder(s, root - (E - (v + lam)), 2.0 * root),
                                  "tail_fraction": 0.0}
 
 
@@ -237,6 +240,30 @@ def test_det_terms_beyond_double_range(capsys, spec):
     code, out = run_cli(capsys, "det", "--spec", spec)
     assert code == 3
     assert "double range" in _strict_json(out)["message"]
+
+
+@pytest.mark.parametrize("spec, shift, code", [
+    # a finite potential whose lambda/sqrt(u) is beyond double range
+    ("2 0 1e-300 0 -1e300", "0", 3),
+    # lambda + shift overflows, or the shift is not a finite number: there is
+    # no potential, for N = 2 as for N > 2
+    ("2 0 1 0 -1e308", "-1e308", 2),
+    *[(spec, shift, 2) for spec in ("2 0 1 0 0", "4 2 1 1 0") for shift in ("nan", "inf", "-inf")],
+])
+def test_det_at_a_shift_it_cannot_use_is_one_line(capsys, spec, shift, code):
+    try:
+        got = main(["det", "--spec", spec, f"--shift={shift}"])
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code and "Traceback" not in captured.err
+    if code == 3:
+        payload = _strict_json(captured.out)
+        assert "double range" in payload["message"] and "\n" not in payload["message"]
+        assert captured.err == ""
+    else:
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "must be finite" in captured.err
 
 
 def test_det_of_a_huge_constant_is_finite(capsys):
@@ -533,8 +560,9 @@ def test_spectrum_of_a_non_finite_band_exit_three(capsys, monkeypatch):
 
 @pytest.mark.parametrize("E", (math.inf, -math.inf, math.nan))
 def test_non_finite_energy_is_a_domain_error(capsys, E):
-    for entry in (lambda: harmonic_zeta_full(2, E), lambda: harmonic_zeta_skew(1, E),
-                  lambda: harmonic_zeta_skew(2, E), lambda: predict_Z1(4, 0.01, E),
+    q2 = PotentialSpec.uncoupled(2, 1.0)
+    for entry in (lambda: zeta_full(q2, 2, E), lambda: zeta_skew(q2, 1, E),
+                  lambda: zeta_skew(q2, 2, E), lambda: predict_Z1(4, 0.01, E),
                   lambda: predict_det_ratio_g(4, 2, 0.01, E)):
         with pytest.raises(DomainError, match="E must be finite"):
             entry()

@@ -12,14 +12,12 @@ from oscdet.cli import main
 from oscdet.errors import AccuracyError, DivergenceError, DomainError
 from oscdet.potential import PotentialSpec
 from oscdet.predictions import measure_point
-from oscdet.special_functions import CATALAN
+from oscdet.special_functions import CATALAN, alternating_ladder_zeta, ladder_zeta
 from oscdet.spectral import (
     det_ratio,
     det_ratio_skew,
     dilate_det,
     harmonic_det,
-    harmonic_zeta_full,
-    harmonic_zeta_skew,
     shooting_det,
     zeta0_value,
     zeta_from_det,
@@ -44,6 +42,15 @@ def test_harmonic_det_vanishes_on_spectrum():
         assert d.full == 0.0
     d = harmonic_det(4.0, -2.0 * 3.0)   # lam = -(2k+1) sqrt(v), k = 1
     assert d.full == 0.0
+
+
+def test_harmonic_det_beyond_double_range_or_not_a_number():
+    # lam/sqrt(v) = -1e300/1e-150 overflows to -inf, where round() would raise
+    for lam in (-1e300, 1e300):
+        with pytest.raises(AccuracyError, match="double range"):
+            harmonic_det(1e-300, lam)
+    with pytest.raises(DomainError):
+        harmonic_det(1.0, math.nan)
 
 
 def test_harmonic_det_parity_split():
@@ -440,25 +447,34 @@ def test_det_ratio_requires_zero_free_form():
         det_ratio(PotentialSpec.uncoupled(2, 1.0), 0.5)
 
 
+@pytest.mark.parametrize("lam", (math.nan, math.inf, -math.inf))
+def test_det_ratios_refuse_a_non_finite_lambda(lam):
+    # a product over the levels at lambda = nan or +-inf is no ratio at all,
+    # as a zeta at a non-finite E is no sum
+    for ratio in (det_ratio, det_ratio_skew):
+        with pytest.raises(DomainError, match="lambda must be finite"):
+            ratio(PotentialSpec.uncoupled(4, 1.0), lam)
+
+
 # --------------------------------------------------------------------------
 # zeta functions
 # --------------------------------------------------------------------------
 
 def test_harmonic_zeta_constants():
-    assert harmonic_zeta_skew(1).value == pytest.approx(math.pi / 4.0, abs=1e-12)
-    assert harmonic_zeta_full(2).value == pytest.approx(math.pi**2 / 8.0, abs=1e-12)
-    assert harmonic_zeta_skew(2).value == pytest.approx(CATALAN, abs=1e-12)
+    q2 = PotentialSpec.uncoupled(2, 1.0)
+    assert zeta_skew(q2, 1).value == pytest.approx(math.pi / 4.0, abs=1e-12)
+    assert zeta_full(q2, 2).value == pytest.approx(math.pi**2 / 8.0, abs=1e-12)
+    assert zeta_skew(q2, 2).value == pytest.approx(CATALAN, abs=1e-12)
 
 
 def test_harmonic_full_zeta_diverges_at_one():
+    q2 = PotentialSpec.uncoupled(2, 1.0)
     with pytest.raises(DivergenceError):
-        harmonic_zeta_full(1)
+        zeta_full(q2, 1)
     # below s = 1 the zeta is not a sum at all: a domain error, as for the skew
-    for zeta in (harmonic_zeta_full, harmonic_zeta_skew):
+    for zeta in (zeta_full, zeta_skew):
         with pytest.raises(DomainError):
-            zeta(0)
-    with pytest.raises(DivergenceError):
-        zeta_full(PotentialSpec.uncoupled(2, 1.0), 1)
+            zeta(q2, 0)
 
 
 def test_harmonic_skew_accelerated_vs_partial_sums():
@@ -467,37 +483,58 @@ def test_harmonic_skew_accelerated_vs_partial_sums():
     terms = (-1.0) ** k / (2.0 * k + 1.0) ** 2
     partial = np.cumsum(terms)
     oracle = 0.5 * (partial[-1] + partial[-2])
-    assert harmonic_zeta_skew(2).value == pytest.approx(oracle, abs=1e-8)
+    assert zeta_skew(PotentialSpec.uncoupled(2, 1.0), 2).value == pytest.approx(oracle, abs=1e-8)
+
+
+@pytest.mark.parametrize("lam", (0.0, 1e4, 1e8))
+def test_zeta_of_n_two_is_the_shifted_ladder(lam):
+    # u q^2 + v + lam has the levels sqrt(u)(2k+1) + v + lam, which the zetas
+    # sum as the ladder at E - (v + lam); an eigen solve at lam = 1e8 is
+    # refused, the ladder is exact
+    for u, v, E in ((1.0, 0.0, 0.0), (2.5, 1.0, -0.7), (1e-3, 100.0, 0.5)):
+        spec = PotentialSpec(2, 0, u, v, lam)
+        root = math.sqrt(u)
+        first, step = root - (E - (v + lam)), 2.0 * root
+        for s in (1, 2, 3):
+            skew = zeta_skew(spec, s, E)
+            assert (skew.value, skew.E, skew.tail_fraction) == \
+                (alternating_ladder_zeta(s, first, step), E, 0.0)
+            if s == 1:
+                with pytest.raises(DivergenceError):
+                    zeta_full(spec, s, E)
+            else:
+                assert zeta_full(spec, s, E).value == ladder_zeta(s, first, step)
 
 
 def test_harmonic_zetas_against_mpmath_nsum():
     # closed Hurwitz forms against the ladder sqrt(v)(2k+1) - E summed by mpmath
     for v in (1.0, 2.5):
+        spec = PotentialSpec.uncoupled(2, v)
         for E in (0.0, -1.3, 0.6):
             r = mp.sqrt(v)
             for s in (1, 2, 3):
                 skew = mp.nsum(lambda k: (-1) ** k / (r * (2 * k + 1) - E) ** s, [0, mp.inf])
-                assert harmonic_zeta_skew(s, E, v).value == pytest.approx(float(skew), rel=1e-14)
+                assert zeta_skew(spec, s, E).value == pytest.approx(float(skew), rel=1e-14)
                 if s > 1:
                     full = mp.nsum(lambda k: 1 / (r * (2 * k + 1) - E) ** s, [0, mp.inf])
-                    assert harmonic_zeta_full(s, E, v).value == pytest.approx(float(full),
-                                                                              rel=1e-14)
+                    assert zeta_full(spec, s, E).value == pytest.approx(float(full), rel=1e-14)
 
 
 def test_harmonic_skew_zeta_far_up_the_ladder():
     # 0.5^-1000 - 2.5^-1000 + ... = 2^1000 fits in a double although
     # 4^-1000 does not; 100^400 does not fit and is inf
-    assert harmonic_zeta_skew(1000, 0.5).value == pytest.approx(2.0**1000, rel=1e-15)
-    assert harmonic_zeta_skew(400, 0.99).value == math.inf
-    assert harmonic_zeta_full(10**6, -1e6).value == 0.0
+    q2 = PotentialSpec.uncoupled(2, 1.0)
+    assert zeta_skew(q2, 1000, 0.5).value == pytest.approx(2.0**1000, rel=1e-15)
+    assert zeta_skew(q2, 400, 0.99).value == math.inf
+    assert zeta_full(q2, 10**6, -1e6).value == 0.0
 
 
 def test_harmonic_zeta_domain():
     # E at or above the ground level r, or not a number; v not positive and finite
     for E, v in ((1.0, 1.0), (math.nan, 1.0), (0.0, 0.0), (0.0, -1.0), (0.0, math.inf)):
-        for zeta in (harmonic_zeta_full, harmonic_zeta_skew):
+        for zeta in (zeta_full, zeta_skew):
             with pytest.raises(DomainError):
-                zeta(2, E, v)
+                zeta(PotentialSpec.uncoupled(2, v), 2, E)
 
 
 def test_skew_series_from_the_bernoulli_table():
@@ -579,6 +616,34 @@ def test_zeta_full_with_every_term_below_double_range_is_an_accuracy_error():
         zeta_full(PotentialSpec.uncoupled(4, 1.0), 2, -1e200)
 
 
+def test_zeta_full_far_below_the_spectrum_is_weyl_or_refused():
+    # at E << 0 the zetas of q^4 tend to the leading Weyl forms
+    # Z(1; E) = (3 sqrt 2 / 2) I |E|^(-1/4) and
+    # Z(2; E) = (2/pi) I (3/4) Gamma(3/4) Gamma(5/4) |E|^(-5/4), with
+    # I = int_0^1 sqrt(1 - x^4) dx; where the tail's integrand underflows the
+    # sum is refused, not returned as its head alone
+    spec = PotentialSpec.uncoupled(4, 1.0)
+    area = math.gamma(0.25) * math.gamma(1.5) / (4.0 * math.gamma(1.75))
+    forms = {1: (1.5 * math.sqrt(2.0) * area, -0.25),
+             2: (2.0 / math.pi * area * 0.75 * math.gamma(0.75) * math.gamma(1.25), -1.25)}
+    refused = set()
+    for k in range(20, 310, 5):
+        for s, (c, power) in forms.items():
+            try:
+                value = zeta_full(spec, s, -(10.0**k)).value
+            except AccuracyError:
+                refused.add((s, k))
+                continue
+            assert value == pytest.approx(c * 10.0 ** (k * power), rel=1e-10), (s, k)
+    # the sums that came back as the head alone: s = 1 from 1e165, s = 2 from 1e110
+    assert {(1, k) for k in range(165, 310, 5)} | {(2, k) for k in range(110, 310, 5)} <= refused
+    assert (1, 100) not in refused and (2, 60) not in refused
+    # the refusal is relative to the head: at s = 200 the tail's integrand
+    # underflows too, but the ground level carries the sum
+    ground = eigenvalues(spec, 128, 1e-6).values()[0]
+    assert zeta_full(spec, 200).value == pytest.approx(ground**-200.0, rel=1e-15)
+
+
 @pytest.mark.parametrize("spec", [PotentialSpec.uncoupled(4, 1.0),
                                   PotentialSpec.trinomial(4, 2, 1.0),
                                   PotentialSpec.uncoupled(6, 1.0),
@@ -624,10 +689,10 @@ def test_zeta_from_det_harmonic_closed_forms():
     spec = PotentialSpec.uncoupled(2, 2.5)
     for E in (0.0, -1.3, 0.6):
         assert zeta_from_det(spec, 2, E).value == pytest.approx(
-            harmonic_zeta_full(2, E, 2.5).value, rel=1e-9)
+            zeta_full(spec, 2, E).value, rel=1e-9)
         for s in (1, 2):
             assert zeta_from_det(spec, s, E, skew=True).value == pytest.approx(
-                harmonic_zeta_skew(s, E, 2.5).value, rel=1e-9)
+                zeta_skew(spec, s, E).value, rel=1e-9)
 
 
 def test_zeta_from_det_ground_state_guard():
@@ -640,7 +705,7 @@ def test_zeta_from_det_ground_state_guard():
     # close below the ground state, and below the ground state 101 of q^2 + 100
     for spec, E in ((q2, 0.9), (PotentialSpec.uncoupled(2, 1.0, 100.0), 90.0)):
         assert zeta_from_det(spec, 2, E).value == pytest.approx(
-            harmonic_zeta_full(2, E - spec.lam, 1.0).value, rel=1e-9)
+            zeta_full(spec, 2, E).value, rel=1e-9)
 
 
 @pytest.mark.parametrize("N,M,g", [(8, 6, 1e-4), (10, 8, 1e-3), (10, 8, 1e-4)])
