@@ -48,7 +48,6 @@ from .spectral import (
     ZetaValue,
     det_ratio,
     det_ratio_skew,
-    dilate_det,
     harmonic_det,
     shooting_det,
     zeta_from_det,

@@ -2,9 +2,9 @@
 
 Predictions assemble the closed large-v forms of the determinant
 prefactors and the small-g law for the resolvent trace; the harness
-measures the same quantities from raw numerics (shooting determinants on
-the rescaled side, eigenvalue sums on the direct side) over a decreasing
-coupling grid and grades the residual trends.  The grid is the only input
+measures the same quantities from raw numerics (a shooting determinant
+and eigenvalue sums, both of q^2 + g q^N itself) over a decreasing coupling
+grid and grades the residual trends.  The grid is the only input
 besides the family; the verdict thresholds are fixed module constants.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .actions import binomial_action
 from .errors import DomainError
 from .potential import PotentialSpec, beta_coefficients, symanzik_map
-from .spectral import _check_energy, det_jet, dilate_det, harmonic_det, zeta_full, zeta_skew
+from .spectral import _check_energy, det_jet, harmonic_det, zeta_full, zeta_skew
 from .special_functions import CATALAN, EULER_GAMMA, LOG2, digamma
 
 _PI = math.pi
@@ -46,7 +46,7 @@ def _check_grid(grid) -> list[float]:
 
 def _check_family(N: int) -> None:
     """Raise DomainError unless q^2 + g q^N is a family the harness measures:
-    the partner q^N + v q^2 needs an even N > 2."""
+    an even N > 2."""
     PotentialSpec.trinomial(N, 2, 1.0)
 
 
@@ -105,40 +105,30 @@ class PointMeasurement:
 def measure_point(N: int, g: float, *, count: int = 64, tol: float = 1e-6) -> PointMeasurement:
     """Measure the M = 2 family q^2 + g q^N at one coupling.
 
-    s >= 1 zeta values and determinant data come from one sensitivity shot
-    of the Symanzik partner q^N + v q^2 (exact eigenvalue correspondence
-    E_k(g) = v^{-1/2} lam_k(v)); the regular quantities are also summed
-    directly over the first ``count`` levels of q^2 + g q^N.  The second-order
+    s >= 1 zeta values and the determinants at E = 0 come from one
+    sensitivity shot of q^2 + g q^N; the regular quantities are also summed
+    directly over its first ``count`` levels.  The second-order
     Bohr-Sommerfeld tail of Z(2) leaves it within 1e-11 of its value at 512
     levels on N = 4, 6 and g = 1e-1 to 1e-4, and the alternating sums of
-    Z^P(1), Z^P(2) need no tail.
+    Z^P(1), Z^P(2) need no tail.  ``v`` is the Symanzik partner's coupling,
+    for the Fig. 2 axis.
     """
-    v, _ = symanzik_map(2, N, g, 0.0)
-    root = math.sqrt(v)
-    spec_v = PotentialSpec.trinomial(N, 2, v)
+    spec = PotentialSpec(N, 2, g, 1.0, 0.0)
 
-    # one sensitivity shot of the partner: its determinants at E = 0 and the
-    # mu-derivatives of log D and log D+ - log D-, which give Z(1), Z^P(1), Z(2)
-    det, full, skew = det_jet(spec_v, 0.0)
-    z1 = root * full[0]
-    zp1_det = root * skew[0]
-    z2_det = v * -full[1]
-
-    # determinant data at E = 0, dilated back to the spectrum of q^2 + g q^N
-    d0 = dilate_det(det, v**-0.5, spec_v)
-    ratio0 = d0.log_abs_full - _LOG_SQRT2
-    skew_ratio0 = d0.log_abs_skew - _HARMONIC_SKEW0
+    # the determinants at E = 0 and the mu-derivatives of log D and of
+    # log D+ - log D-, which give Z(1), Z^P(1), Z(2)
+    det, full, skew = det_jet(spec, 0.0)
+    z1 = full[0]
     slope = -z1 + 0.5 * (EULER_GAMMA + LOG2)
 
-    # direct spectrum route on q^2 + g q^N
-    spec_g = PotentialSpec(N, 2, g, 1.0, 0.0)
-    zp1 = zeta_skew(spec_g, 1, 0.0, count=count, tol=tol).value
-    z2 = zeta_full(spec_g, 2, 0.0, count=count, tol=tol).value
-    zp2 = zeta_skew(spec_g, 2, 0.0, count=count, tol=tol).value
+    zp1 = zeta_skew(spec, 1, 0.0, count=count, tol=tol).value
+    z2 = zeta_full(spec, 2, 0.0, count=count, tol=tol).value
+    zp2 = zeta_skew(spec, 2, 0.0, count=count, tol=tol).value
 
-    return PointMeasurement(g=g, v=v, z1=z1, zp1_det=zp1_det, z2_det=z2_det,
-                            zp1=zp1, z2=z2, zp2=zp2, slope=slope,
-                            ratio0=ratio0, skew_ratio0=skew_ratio0)
+    return PointMeasurement(g=g, v=symanzik_map(2, N, g, 0.0)[0], z1=z1, zp1_det=skew[0],
+                            z2_det=-full[1], zp1=zp1, z2=z2, zp2=zp2, slope=slope,
+                            ratio0=det.log_abs_full - _LOG_SQRT2,
+                            skew_ratio0=det.log_abs_skew - _HARMONIC_SKEW0)
 
 
 def _monotone_decreasing(values) -> bool:

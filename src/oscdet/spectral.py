@@ -49,7 +49,7 @@ import numpy as np
 from .actions import adaptive_tail, choose_split_point
 from .errors import AccuracyError, DivergenceError, DomainError
 from .numerics import _DIFF, _INTEGRATE, _K, _NODES, _PANEL, _QUAD_ROWS, _TAIL, integrate, refine
-from .potential import PotentialSpec, beta_coefficients
+from .potential import PotentialSpec
 from .spectrum import bs_level, bs_tail, eigenvalues, turning_point
 from .special_functions import BERNOULLI, alternating_ladder_zeta, ladder_zeta, log_gamma
 
@@ -312,8 +312,14 @@ def _shoot(work: PotentialSpec, order: int):
     Both legs run through one propagator (``_propagate``), which carries the
     jets of a two-component state.  The gauged leg runs in t, with
     q = q_cut + scale sinh t, from the WKB matching point q_max down to
-    q_cut, where P L^2 drops to order one, L = u^{-1/(N+2)} the potential's
-    length (``PotentialSpec.length``); its state is U = A + Bhat and
+    q_cut, where P L^2 drops to 4, L the length at which the larger power
+    there balances the kinetic term: u^{-1/(N+2)} (``PotentialSpec.length``),
+    or v^{-1/(M+2)} where v q^M is the larger once the powers reach
+    4 u^{2/(N+2)}.  So psi'/psi is of order Pi where the gauge ends (on
+    q^4 + v q^2 it is v^{1/4} at P = 4, which loses A from v = 1e20 on), and
+    q^2 + g q^N is shot in units of q^2, not of g^{-1/(N+2)}, which would
+    spend the plain leg's panel budget at g = 1e-10.  The gauge runs to the
+    origin where P(0) u^{2/(N+2)} >= 4.  Its state is U = A + Bhat and
     V = A - Bhat, whose system is J = dq/dt [[2 Pi, r], [r, 0]] with
     Pi = sqrt(P) and r = P'/(4P): U is the stiff mode, which the WKB start
     leaves at -r V/(2 Pi), and V the slow one.  t is linear where P doubles
@@ -345,7 +351,13 @@ def _shoot(work: PotentialSpec, order: int):
     threshold = _PLAIN_THRESHOLD / length**2
 
     try:
-        q_cut = 0.0 if P(0.0) >= threshold else turning_point(work, threshold)
+        if work.M and work.v:
+            # v q^M is the larger power where the powers reach threshold iff
+            # their sum is above it where they cross, at q^(N-M) = v/u
+            cross = (work.v / work.u) ** (1.0 / (work.N - work.M))
+            if 2.0 * work.v * cross**work.M > threshold:
+                length = work.v ** (-1.0 / (work.M + 2))
+        q_cut = 0.0 if P(0.0) >= threshold else turning_point(work, _PLAIN_THRESHOLD / length**2)
         q_max = _choose_q_max(work, max(q_cut, choose_split_point(work)))
         if not math.isfinite(P(q_max)):
             raise AccuracyError(f"P is beyond double range at the tail point q = {q_max:.3g}")
@@ -586,20 +598,27 @@ def _det_ratio(spec: PotentialSpec, lam: float, count: int, tol: float, skew: bo
         raise DomainError("N = 2 is not zero-free; use harmonic_det")
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, not {lam}")
-    factors = 1.0 + lam / eigenvalues(spec, count, tol).values()
+    levels = eigenvalues(spec, count, tol).values()
+    if -lam >= levels[-1]:
+        raise AccuracyError(f"lambda = {lam!r} reaches past the last of {count} computed "
+                            f"levels, {levels[-1]:.6g}")
+    factors = 1.0 + lam / levels
     if np.any(np.abs(factors) < 1e-12):
         return 0.0
     sign = -1.0 if int(np.sum(factors < 0.0)) % 2 else 1.0
     tail = () if skew else (lambda x: math.log1p(lam / x), lambda x: -lam / (x * (x + lam)))
-    return sign * math.exp(_level_sum(spec, np.log(np.abs(factors)), *tail)[0])
+    return _signed_exp(sign, _level_sum(spec, np.log(np.abs(factors)), *tail)[0])
 
 
 def det_ratio(spec: PotentialSpec, lam: float, *,
               count: int = 384, tol: float = 1e-6) -> float:
     """D(lam)/D(0) = prod_k (1 + lam/lam_k) for N > 2: the computed levels
     plus the tail over the Bohr-Sommerfeld levels (``bs_tail``), which
-    converges for N > 2.  A factor within 1e-12 of 0 gives 0; N = 2, which
-    is not zero-free, and a lam that is not finite raise DomainError."""
+    converges for N > 2.  A factor within 1e-12 of 0 gives 0, and a ratio
+    beyond double range a signed inf; N = 2, which is not zero-free, and a
+    lam that is not finite raise DomainError, and a -lam at or past the last
+    computed level, beyond which the tail and the averaging take every
+    factor to be positive, AccuracyError."""
     return _det_ratio(spec, lam, count, tol, skew=False)
 
 
@@ -608,32 +627,6 @@ def det_ratio_skew(spec: PotentialSpec, lam: float, *,
     """D^P(lam)/D^P(0) = prod_k (1 + lam/lam_k)^{(-1)^k} for N > 2, its log
     accelerated by iterated averaging; zeros and the domain as ``det_ratio``."""
     return _det_ratio(spec, lam, count, tol, skew=True)
-
-
-# --------------------------------------------------------------------------
-# spectral dilation laws
-# --------------------------------------------------------------------------
-
-def zeta0_value(ref_spec: PotentialSpec) -> float:
-    """Z(0, lam) = -2 beta_{-1}(0) / N of the reference problem, from its series."""
-    return -2.0 * beta_coefficients(ref_spec, -1).residue().value / ref_spec.N
-
-
-def dilate_det(det: DeterminantValue, r: float, ref_spec: PotentialSpec) -> DeterminantValue:
-    """Map det^pm of the reference (argument lam/r folded into ref_spec.lam)
-    to the determinant of the dilated spectrum lam_k -> r lam_k.
-
-    D -> r^{Z(0)} D, D^P -> r^{1/2} D^P; the parity exponents follow from
-    Z^pm(0) = (Z(0) +- 1/2)/2.
-    """
-    if r <= 0.0:
-        raise DomainError("dilation factor must be positive")
-    z0 = zeta0_value(ref_spec)
-    logr = math.log(r)
-    return DeterminantValue(
-        det.log_abs_even + 0.5 * (z0 + 0.5) * logr, det.sign_even,
-        det.log_abs_odd + 0.5 * (z0 - 0.5) * logr, det.sign_odd,
-        det.log_abs_skew + 0.5 * logr, det.method)
 
 
 # --------------------------------------------------------------------------

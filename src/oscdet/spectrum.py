@@ -263,10 +263,10 @@ def _sector_band(spec: PotentialSpec, omega: float, n: int, parity: int) -> np.n
 def _ritz_levels(spec: PotentialSpec, omega: float, n: int,
                  count: int) -> tuple[np.ndarray, float]:
     """Lowest ``count`` Ritz values in level order on n states per parity,
-    and the larger 1-norm of the two blocks.  ``dsbevd`` returns every level
-    of a block, 4-9 times faster than ``dsbevx`` bisection returns the lowest.
-    A block with a non-finite entry, or a solve that reports failure, raises
-    AccuracyError."""
+    and the larger 2-norm of the two blocks, the largest |level| of either.
+    ``dsbevd`` returns every level of a block, 4-9 times faster than
+    ``dsbevx`` bisection returns the lowest.  A block with a non-finite
+    entry, or a solve that reports failure, raises AccuracyError."""
     values = np.empty(count)
     norm = 0.0
     for parity in (0, 1):
@@ -275,15 +275,11 @@ def _ritz_levels(spec: PotentialSpec, omega: float, n: int,
         block = f"the {('even', 'odd')[parity]} block of H on {n} states"
         if not np.isfinite(band).all():
             raise AccuracyError(f"{block} is not finite in double precision")
-        # the band is read again below, so LAPACK works on a copy
         w, _, info = _dsbevd(band, compute_v=0, lower=1, overwrite_ab=0)
         if info != 0:
             raise AccuracyError(f"LAPACK dsbevd failed on {block} (info = {info})")
         values[parity::2] = w[:levels]
-        rows = np.abs(band).sum(axis=0)   # diagonal and right of it, by symmetry
-        for d in range(1, len(band)):
-            rows[d:] += np.abs(band[d, :n - d])
-        norm = max(norm, float(rows.max()))
+        norm = max(norm, abs(float(w[0])), abs(float(w[-1])))
     return values, norm
 
 
@@ -292,17 +288,18 @@ def eigenvalues(spec: PotentialSpec, count: int, tol: float = 1e-6) -> SpectrumR
 
     ``err_est`` is the change of each level over the last step of a basis
     grown by thirds, and the levels are those of the larger basis.  It is
-    floored at sqrt(count) * eps * max(||H||_1, 8 |level|) for the solver's
-    rounding: moving the basis frequency by 1 +- 1e-14 moved levels by up to
-    0.31 of that floor on 480 spectra (ten (N, M) shapes, u from 1e-10 to 1,
-    lam 0 and 3, 1 to 512 levels).  The second term is for near-harmonic
+    floored at sqrt(count) * eps * max(||H||_2, 8 |level|) for the solver's
+    rounding, ||H||_2 being the 2-norm that LAPACK's error bound uses:
+    moving the basis frequency by 1 +- 1e-14 moved levels by up to 0.35 of
+    that floor on 480 spectra (ten (N, M) shapes, u = 1e-10, 1e-6, 1e-3 and
+    1, lam 0 and 3, 1 to 512 levels).  The second term is for near-harmonic
     levels, which round like their own size, by up to 2.3 sqrt(count) eps
-    |level| there, where ||H||_1 is only about twice the top level.
+    |level| there, where ||H||_2 is only about twice the top level.
 
     Raises AccuracyError, with the best estimate attached, when ``tol`` is
     unreachable: on the largest basis, 8 max(count + count % 2, 16, N/2 + 1)
     states per parity, or as soon as every level has settled within its
-    floor while sqrt(count) * eps * ||H||_1 is above ``tol``, since ||H||_1
+    floor while sqrt(count) * eps * ||H||_2 is above ``tol``, since ||H||_2
     only grows with the basis.
     """
     if count < 1:
@@ -334,8 +331,8 @@ def _eigenvalues_cached(spec: PotentialSpec, count: int, tol: float) -> Spectrum
         change = np.abs(fine - coarse)
         floor = scale * np.maximum(norm, 8.0 * np.abs(fine))
         err = np.maximum(change, floor)
-        # once every level has settled within a floor whose 1-norm part is
-        # above tol, no larger basis reaches tol: the 1-norm only grows
+        # once every level has settled within a floor whose norm part is
+        # above tol, no larger basis reaches tol: the norm only grows
         hopeless = scale * norm > tol and np.all(change <= floor)
         if err.max() <= tol or hopeless or n == largest:
             break

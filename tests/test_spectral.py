@@ -8,23 +8,49 @@ import numpy as np
 import pytest
 
 from oscdet import numerics, spectral, spectrum
+from oscdet.actions import binomial_action
 from oscdet.cli import main
 from oscdet.errors import AccuracyError, DivergenceError, DomainError
-from oscdet.potential import PotentialSpec
+from oscdet.potential import PotentialSpec, beta_coefficients
 from oscdet.predictions import measure_point
 from oscdet.special_functions import CATALAN, alternating_ladder_zeta, ladder_zeta
 from oscdet.spectral import (
+    DeterminantValue,
     det_ratio,
     det_ratio_skew,
-    dilate_det,
     harmonic_det,
     shooting_det,
-    zeta0_value,
     zeta_from_det,
     zeta_full,
     zeta_skew,
 )
 from oscdet.spectrum import eigenvalues
+
+
+# --------------------------------------------------------------------------
+# the spectral dilation law, the oracle of the shot's scale handling
+# --------------------------------------------------------------------------
+
+def zeta0_value(ref_spec: PotentialSpec) -> float:
+    """Z(0, lam) = -2 beta_{-1}(0) / N of the reference problem, from its series."""
+    return -2.0 * beta_coefficients(ref_spec, -1).residue().value / ref_spec.N
+
+
+def dilate_det(det: DeterminantValue, r: float, ref_spec: PotentialSpec) -> DeterminantValue:
+    """Map det^pm of the reference (argument lam/r folded into ref_spec.lam)
+    to the determinant of the dilated spectrum lam_k -> r lam_k.
+
+    D -> r^{Z(0)} D, D^P -> r^{1/2} D^P; the parity exponents follow from
+    Z^pm(0) = (Z(0) +- 1/2)/2.
+    """
+    if r <= 0.0:
+        raise DomainError("dilation factor must be positive")
+    z0 = zeta0_value(ref_spec)
+    logr = math.log(r)
+    return DeterminantValue(
+        det.log_abs_even + 0.5 * (z0 + 0.5) * logr, det.sign_even,
+        det.log_abs_odd + 0.5 * (z0 - 0.5) * logr, det.sign_odd,
+        det.log_abs_skew + 0.5 * logr, det.method)
 
 
 # --------------------------------------------------------------------------
@@ -153,17 +179,20 @@ def test_shooting_integrator_failure_is_an_accuracy_error(monkeypatch, capsys):
 
 
 def test_shooting_refuses_to_lose_psi_where_the_gauge_ends():
-    # the gauge ends where P = 4/L^2, L = u^(-1/(N+2)) the potential's
-    # length, so on v q^2 psi'/psi ~ Pi there at every v.  On q^4 + v q^2
-    # (L = 1) it ends at P = 4, where psi'/psi ~ v^(1/4) and Pi = 2, so
-    # A = (U + V)/2 keeps only the digits that |Bhat/A| leaves: at v = 1e30
-    # the shot would lose them, and refuses instead
+    # the gauge ends where P = 4/L^2, L the length of the larger power
+    # there, so psi'/psi ~ Pi there at every v: on v q^2 alone, and on
+    # q^4 + v q^2, where at P = 4 psi'/psi ~ v^(1/4) would lose A to
+    # rounding in U + V from v = 1e20 on.  There log D is twice the action,
+    # and v q^2 carries the skew
     for v in (1e-30, 1e15, 1e30, 1e60, 1e300):
         d, want = shooting_det(PotentialSpec.uncoupled(2, v)), harmonic_det(v, 0.0)
         for name in ("log_abs_even", "log_abs_odd", "log_abs_skew"):
             assert getattr(d, name) == pytest.approx(getattr(want, name), abs=1e-10), (v, name)
-    with pytest.raises(AccuracyError, match="lost to rounding"):
-        shooting_det(PotentialSpec.trinomial(4, 2, 1e30))
+    for v in (1e20, 1e30, 1e100, 1e150):
+        d = shooting_det(PotentialSpec.trinomial(4, 2, v))
+        want = 2.0 * binomial_action(1.0, v, 4.0, 2.0).value
+        assert d.log_abs_full == pytest.approx(want, rel=1e-10), v
+        assert d.log_abs_skew == pytest.approx(harmonic_det(v, 0.0).log_abs_skew, abs=1e-10), v
 
 
 def test_shot_quadrature_failure_is_an_accuracy_error(monkeypatch, capsys):
@@ -447,6 +476,33 @@ def test_det_ratio_requires_zero_free_form():
         det_ratio(PotentialSpec.uncoupled(2, 1.0), 0.5)
 
 
+@pytest.mark.parametrize("spec", [PotentialSpec.uncoupled(4, 1.0), PotentialSpec.uncoupled(6, 1.0),
+                                  PotentialSpec.trinomial(4, 2, 1.0)])
+def test_det_ratios_far_from_the_origin(spec):
+    # a ratio beyond double range is a signed inf, and a -lambda past the top
+    # computed level (6088 on q^4 at 384 levels) is refused: there every
+    # factor beyond it is negative, and the skew's averaging gave the value
+    # at +lambda.  Every finite, nonzero ratio keeps the shot's log to 1e-8
+    d0 = shooting_det(spec)
+    lams = [3e3, 9132.0] + [10.0**e for e in (3, 4, 5, 8, 20, 100, 300)]
+    for lam in lams + [-lam for lam in lams]:
+        try:
+            shot = shooting_det(spec, lam)
+        except AccuracyError:
+            shot = None
+        for ratio, name in ((det_ratio, "log_abs_full"), (det_ratio_skew, "log_abs_skew")):
+            try:
+                got = ratio(spec, lam)
+            except (AccuracyError, DomainError, DivergenceError):
+                continue
+            if math.isfinite(got) and got and shot is not None:
+                want = getattr(shot, name) - getattr(d0, name)
+                assert abs(math.log(abs(got)) - want) <= 1e-8, (lam, name, got, want)
+            assert not math.isnan(got), (lam, name)
+    with pytest.raises(AccuracyError, match="past the last"):
+        det_ratio_skew(PotentialSpec.uncoupled(4, 1.0), -1e4)
+
+
 @pytest.mark.parametrize("lam", (math.nan, math.inf, -math.inf))
 def test_det_ratios_refuse_a_non_finite_lambda(lam):
     # a product over the levels at lambda = nan or +-inf is no ratio at all,
@@ -708,6 +764,22 @@ def test_zeta_from_det_ground_state_guard():
             zeta_full(spec, 2, E).value, rel=1e-9)
 
 
+def test_zeta_from_det_refuses_each_energy_by_one_guard():
+    # on q^4, between lam_3 = 11.64 and lam_4 = 16.26, both D+ and D- are
+    # positive, so only the Bohr-Sommerfeld guard (E at or above the first
+    # excited level) refuses E = 13.95; between lam_0 = 1.06 and lam_1 = 3.80,
+    # D+ < 0 and det_jet's sign check refuses E = 2.43
+    q4 = PotentialSpec.uncoupled(4, 1.0)
+    det, _, _ = spectral.det_jet(q4, -13.95)
+    assert det.sign_even == det.sign_odd == 1.0
+    with pytest.raises(DomainError, match="below the ground state"):
+        zeta_from_det(q4, 1, 13.95)
+    with pytest.raises(DomainError, match="below the ground state"):
+        spectral.det_jet(q4, -2.43)
+    with pytest.raises(DomainError, match="below the ground state"):
+        zeta_from_det(q4, 1, 2.43)
+
+
 @pytest.mark.parametrize("N,M,g", [(8, 6, 1e-4), (10, 8, 1e-3), (10, 8, 1e-4)])
 def test_zeta_from_det_on_small_g_partners(N, M, g):
     # q^N + v q^M with v = g^{-(M+2)/(N+2)}: |log D| up to 1e9 at g = 1e-4
@@ -819,6 +891,29 @@ def test_shooting_a_dilated_power_as_at_u_one(N):
         for name in ("log_abs_even", "log_abs_odd", "log_abs_skew"):
             x = getattr(want, name)
             assert abs(getattr(got, name) - x) <= 1e-10 * max(1.0, abs(x)), (u, name)
+
+
+@pytest.mark.parametrize("N", (4, 6, 8, 10))
+@pytest.mark.parametrize("g", (1e-2, 1e-6, 1e-10))
+def test_measure_point_matches_the_dilated_partner(N, g):
+    # q^2 + g q^N has the spectrum v^(-1/2) lam_k of its Symanzik partner
+    # q^N + v q^2, v = g^(-4/(N+2)): Z(s) = v^(s/2) Z_v(s), and the
+    # determinants dilate by r = v^(-1/2).  The partner's Z(2) carries the
+    # shot's error in d^2 log D/dmu^2 times v, 1.6e-9 at (4, 1e-10); z1 and
+    # zp1_det agree to 2e-12 relative, ratio0 to 1e-11 of max(1, |ratio0|)
+    # and skew_ratio0 to 1e-14
+    p = measure_point(N, g)
+    v = g ** (-4.0 / (N + 2))
+    partner = PotentialSpec.trinomial(N, 2, v)
+    det, full, skew = spectral.det_jet(partner, 0.0)
+    d0 = dilate_det(det, v**-0.5, partner)
+    assert p.z1 == pytest.approx(math.sqrt(v) * full[0], rel=1e-12)
+    assert p.zp1_det == pytest.approx(math.sqrt(v) * skew[0], rel=1e-11)
+    assert p.z2_det == pytest.approx(-v * full[1], rel=5e-9)
+    ratio0 = d0.log_abs_full - 0.5 * math.log(2.0)
+    assert abs(p.ratio0 - ratio0) <= 5e-11 * max(1.0, abs(ratio0))
+    skew_ratio0 = d0.log_abs_skew - harmonic_det(1.0, 0.0).log_abs_skew
+    assert p.skew_ratio0 == pytest.approx(skew_ratio0, abs=1e-13)
 
 
 @pytest.mark.parametrize("s", (1, 2))

@@ -52,7 +52,7 @@ def test_err_est_covers_a_doubled_basis():
     # pure power and a coupled quartic at 128 levels, then on near-harmonic
     # (u = 1e-3) to coupled spectra of four shapes; not four times, since
     # where err_est is the rounding floor a solve on 4n states rounds on a
-    # 1-norm up to 4^(N/2) times larger and can itself move a level by more
+    # norm up to 4^(N/2) times larger and can itself move a level by more
     grid = [(PotentialSpec(N, M, u, 1.0, lam), count)
             for (N, M), u, lam, count in itertools.product(
                 ((4, 2), (6, 4), (8, 2), (10, 4)), (1e-3, 1.0), (0.0, 3.0), (1, 64, 256))]
@@ -97,7 +97,7 @@ def test_sector_band_matches_sparse_horner(spec):
 
 # near-harmonic spectra, where the solver's rounding sets err_est, and pure
 # and coupled anharmonic ones, where the change over the last basis step
-# does; q^2 + 1e-10 q^6, whose Hamiltonian has a 1-norm of only about twice
+# does; q^2 + 1e-10 q^6, whose Hamiltonian has a 2-norm of only about twice
 # its top level, rounds like its levels' own size
 ROUNDING_SPECS = (PotentialSpec(4, 2, 1e-2, 1.0, 0.0), PotentialSpec(4, 2, 1e-3, 1.0, 0.0),
                   PotentialSpec(4, 2, 1e-4, 1.0, 0.0), PotentialSpec(6, 2, 1e-2, 1.0, 0.0),
@@ -133,7 +133,7 @@ def test_ritz_levels_match_bisection(spec, count):
 
 def test_ritz_levels_take_every_level_of_a_block(monkeypatch):
     # the all-level driver is 4-9 times faster than bisection on these blocks;
-    # the band is read again for its norm, so LAPACK must not overwrite it
+    # the call is eig_banded's own, which leaves the band to the caller
     calls = []
 
     def spy(band, **kwargs):
@@ -172,11 +172,11 @@ def test_eigenvalues_grow_the_basis_by_thirds(monkeypatch, spec):
 
 
 @pytest.mark.parametrize("spec, count, tol, sizes", (
-    # q^6 settles within its 1-norm floor, above 1e-14, at 85 states: a
+    # q^6 settles within its norm floor, above 1e-14, at 85 states: a
     # larger basis only raises that floor, so the refusal stops there
     (PotentialSpec.uncoupled(6, 1.0), 64, 1e-14, [48, 64, 85]),
     # a near-harmonic level's floor is its own size, which no basis lowers
-    # below tol, but its 1-norm part stays below tol, so the steps go on to
+    # below tol, but its norm part stays below tol, so the steps go on to
     # 8 * 16 states, the largest basis
     (PotentialSpec(2, 0, 1e-8, 1.0, 0.0), 1, 1e-15, [16, 21, 28, 37, 49, 65, 86, 114, 128])))
 def test_refusal_solves_no_basis_that_cannot_reach_tol(monkeypatch, spec, count, tol, sizes):
