@@ -44,34 +44,44 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 _QUAD_BUDGET = 512       # panels of one quadrature, over all rounds
 
 
-def refine(x0: float, x1: float, n: int, solve, flag, budget: int, what: str) -> tuple:
-    """The arrays ``solve`` gives over panels from x0 to x1, n of equal width
-    at first, each bisected while ``flag`` marks it.
+def refine(legs, solve, flag, budget: int, what: str) -> tuple:
+    """The arrays ``solve`` gives over a mesh of panels on the ``legs``
+    (x0, x1), leg by leg, each cut at first into the fewest equal panels of
+    width at most _PANEL, and each panel bisected while ``flag`` marks it.
 
-    ``solve(a, b)`` returns a tuple of arrays over the panels [a_i, b_i],
-    panel first, and ``flag(*arrays)``, given them over every panel of the
-    mesh, the panels to bisect.  Only the halves of bisected panels are
-    solved again.  A round that would take the solves beyond ``budget``
-    raises AccuracyError before it is built."""
-    spent, count, edges = 0, n, None
+    ``solve(a, b, counts)`` returns a tuple of arrays over the panels
+    [a_i, b_i], panel first, the first counts[0] of them on the first leg,
+    the next counts[1] on the second and so on; ``flag(sizes, *arrays)``,
+    given them over every panel of the mesh, sizes[i] of them on leg i,
+    returns the panels to bisect.  One call of each per round serves every
+    leg.  Only the halves of bisected panels are solved again.  A round that
+    would take the solves of a leg beyond ``budget`` raises AccuracyError
+    before it is built."""
+    counts = [max(1, math.ceil(abs(x1 - x0) / _PANEL)) for x0, x1 in legs]
+    spent, sizes, data = [0] * len(legs), counts, None
     while True:
-        if spent + count > budget:
-            raise AccuracyError(f"{what} unresolved after {spent} panel solves"
-                                f" ({count} more needed, budget {budget})")
-        spent += count
-        if edges is None:
-            edges = np.linspace(x0, x1, n + 1)
-            data = solve(edges[:-1], edges[1:])
+        for i, count in enumerate(counts):
+            if spent[i] + count > budget:
+                raise AccuracyError(f"{what} unresolved after {spent[i]} panel solves"
+                                    f" ({count} more needed, budget {budget})")
+            spent[i] += count
+        if data is None:
+            edges = [np.linspace(x0, x1, n + 1) for (x0, x1), n in zip(legs, counts)]
+            lo, hi = (np.concatenate(ends) for ends in zip(*((e[:-1], e[1:]) for e in edges)))
+            data = solve(lo, hi, counts)
         else:
-            new = solve(edges[:-1][fresh], edges[1:][fresh])
+            new = solve(lo[fresh], hi[fresh], counts)
             data = tuple(_interleave(kept, part, fresh) for kept, part in zip(data, new))
-        bad = flag(*data)
+        bad = flag(sizes, *data)
         if not bad.any():
             return data
-        edges = np.insert(edges, np.flatnonzero(bad) + 1, 0.5 * (edges[:-1] + edges[1:])[bad])
+        where, mid = np.flatnonzero(bad), 0.5 * (lo + hi)[bad]
+        lo, hi = np.insert(lo, where + 1, mid), np.insert(hi, where, mid)
         data = tuple(d[~bad] for d in data)
         fresh = np.repeat(bad, np.where(bad, 2, 1))
-        count = len(fresh) - len(data[0])
+        # each bisected panel adds one panel to its leg, and two to solve
+        split = np.bincount(np.repeat(np.arange(len(legs)), sizes)[bad], minlength=len(legs))
+        counts, sizes = (2 * split).tolist(), (sizes + split).tolist()
 
 
 def _interleave(kept: np.ndarray, new: np.ndarray, fresh: np.ndarray) -> np.ndarray:
@@ -98,7 +108,7 @@ def integrate(f, a: float, b: float):
     """
     lead = []    # the leading axes of f's values
 
-    def solve(lo, hi):
+    def solve(lo, hi, _):
         h = 0.5 * (lo - hi)[:, None]
         values = np.asarray(f(0.5 * (lo + hi)[:, None] + h * _NODES[1:]), dtype=float)
         if not np.isfinite(values).all():
@@ -112,12 +122,11 @@ def integrate(f, a: float, b: float):
         return ((h[:, 0] * rows[..., 0]).T, (0.5 * scale * np.abs(rows[..., 1:]).max(axis=2)).T,
                 (_ROUNDING * scale * np.abs(values).max(axis=2)).T)
 
-    def flag(sums, tails, rounding):
+    def flag(_, sums, tails, rounding):
         return ~(tails <= np.maximum(_QUAD_TOL * np.abs(sums).sum(axis=0), rounding)).all(axis=1)
 
     with np.errstate(all="ignore"):
-        sums = refine(a, b, max(1, math.ceil(abs(b - a) / _PANEL)), solve, flag,
-                      _QUAD_BUDGET, "quadrature")[0]
+        sums = refine([(a, b)], solve, flag, _QUAD_BUDGET, "quadrature")[0]
     return sums.sum(axis=0).reshape(lead)
 
 

@@ -38,6 +38,7 @@ per coupling serves both the determinant and the zetas (``zeta_from_det``,
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ import numpy as np
 
 from .actions import adaptive_tail, choose_split_point
 from .errors import AccuracyError, DivergenceError, DomainError
-from .numerics import _DIFF, _INTEGRATE, _K, _NODES, _PANEL, _QUAD_ROWS, _TAIL, integrate, refine
+from .numerics import _DIFF, _INTEGRATE, _K, _NODES, _QUAD_ROWS, _TAIL, integrate, refine
 from .potential import PotentialSpec
 from .spectrum import bs_level, bs_tail, eigenvalues, turning_point
 from .special_functions import BERNOULLI, alternating_ladder_zeta, ladder_zeta, log_gamma
@@ -172,8 +173,9 @@ def _gauged_blocks(work: PotentialSpec, q_cut: float, scale: float, t, order: in
     q, dq = q_cut + scale * np.sinh(t), scale * np.cosh(t)
     p = work.value(q)
     pi, r = np.sqrt(p), work.deriv(q) / (4.0 * p)
-    terms = ((pi, r), (0.5 / pi, -r / p), (-0.25 / (pi * p), 2.0 * r / p / p))
-    return [dq * np.array([[2.0 * d, e], [e, np.zeros_like(e)]]) for d, e in terms[:order + 1]]
+    terms = [(pi, r)] + ([(0.5 / pi, -r / p), (-0.25 / (pi * p), 2.0 * r / p / p)] if order else [])
+    zero = np.zeros_like(r)
+    return [dq * np.array([[2.0 * d, e], [e, zero]]) for d, e in terms]
 
 
 def _plain_blocks(work: PotentialSpec, length: float, x: np.ndarray, order: int) -> list:
@@ -184,13 +186,20 @@ def _plain_blocks(work: PotentialSpec, length: float, x: np.ndarray, order: int)
             np.array([[zero, one], [zero, zero]]), np.zeros((2, 2) + x.shape)][:order + 1]
 
 
+_EYE_K = np.eye(_K)
+# the first component's right side of the unit starts' Schur solve, less
+# J0[0][1] times their second component (_UNIT[1])
+_UNIT, _ZERO = np.eye(2), np.zeros((2, 2))
+_UNIT_RHS = -_DIFF[1:, :1] * _UNIT[0]
+
+
 def _collocate(blocks, a: np.ndarray, b: np.ndarray, order: int):
     """The propagators X0, ..., X_order of the jets over the panels
     [a_i, b_i] (a_i the start), as values at the panel's Chebyshev points,
-    shape (panel, component, point, start); each panel's integrals of
-    tr J0, ..., tr J_order, by the row ``integrate`` uses; and a flag on each
-    panel where a tr J_m has a last-two Chebyshev coefficient above _TAIL_TOL
-    of its size there.
+    shape (panel, component, point, start); tr J0, ..., tr J_order at the
+    points, shape (jet, panel, point); and a flag on each panel where a
+    tr J_m has a last-two Chebyshev coefficient above _TAIL_TOL of its size
+    there.
 
     ``blocks(x, order)`` gives J0, ..., J_order at the points x, each of
     shape (2, 2) + x.shape, with J0[1][1] = 0.  X0 solves L X0 = 0 from the
@@ -201,53 +210,75 @@ def _collocate(blocks, a: np.ndarray, b: np.ndarray, order: int):
     h = 0.5 * (a - b)[:, None]
     J = [h * j for j in blocks(0.5 * (a + b)[:, None] + h * _NODES, order)]
     trace = np.array([j[0, 0] + j[1, 1] for j in J])          # (jet, panel, point)
-    tail = np.abs(np.einsum("tj,mpj->mpt", _TAIL, trace)).max(axis=2)
+    tail = np.abs(trace @ _TAIL.T).max(axis=2)
     unresolved = ~(tail <= _TAIL_TOL * np.abs(trace).max(axis=2)).all(axis=0)
-    J = [j[..., 1:] for j in J]
-    (j00, j01), (j10, _) = J[0][..., None]
-    schur = _DIFF[1:, 1:] - j00 * np.eye(_K) - j01 * _INTEGRATE * j10.transpose(0, 2, 1)
+    j00, j01, j10 = (J[0][i, k, :, 1:, None] for i, k in ((0, 0), (0, 1), (1, 0)))
+    schur = _DIFF[1:, 1:] - j00 * _EYE_K - j01 * _INTEGRATE * j10.transpose(0, 2, 1)
 
-    def solve(f, start):   # forcing f at points 1.._K, shape (panel, component, _K, start)
+    def solve(rhs, f1, start):   # the first component's right side, the second's forcing
         out = np.empty((len(a), 2, _K + 1, 2))
         out[:, :, 0] = start
-        out[:, 0, 1:] = np.linalg.solve(schur, f[:, 0] - _DIFF[1:, :1] * start[0]
-                                        + j01 * (_INTEGRATE @ f[:, 1] + start[1]))
-        out[:, 1, 1:] = start[1] + _INTEGRATE @ (j10 * out[:, 0, 1:] + f[:, 1])
+        out[:, 0, 1:] = first = np.linalg.solve(schur, rhs)
+        out[:, 1, 1:] = start[1] + _INTEGRATE @ (j10 * first + f1)
         return out
 
-    def force(m, x):       # J_m x at points 1.._K
-        return np.einsum("ikpj,pkjc->pijc", J[m], x[:, :, 1:])
+    def jet(f):            # zero starts, forcing f at points 1.._K
+        return solve(f[:, 0] + j01 * (_INTEGRATE @ f[:, 1]), f[:, 1], _ZERO)
 
-    X = [solve(np.zeros((1, 2, _K, 2)), np.eye(2))]
+    def force(m, x):       # J_m x at points 1.._K
+        return np.einsum("ikpj,pkjc->pijc", J[m][..., 1:], x[:, :, 1:])
+
+    X = [solve(_UNIT_RHS + j01 * _UNIT[1], 0.0, _UNIT)]
     if order:
-        X.append(solve(force(1, X[0]), np.zeros((2, 2))))
-        X.append(solve(force(2, X[0]) + 2.0 * force(1, X[1]), np.zeros((2, 2))))
-    return X, (trace[:, :, 1:] @ _QUAD_ROWS[0]).T, unresolved
+        X.append(jet(force(1, X[0])))
+        X.append(jet(force(2, X[0]) + 2.0 * force(1, X[1])))
+    return X, trace, unresolved
 
 
 @np.errstate(all="ignore")    # a non-finite value fails the tail test
-def _propagate(blocks, x0: float, x1: float, y: list) -> tuple[list, np.ndarray]:
+def _propagate(legs: list, y: list) -> tuple[list, np.ndarray]:
     """The jets y = [y0, ..., y_order] (2-vectors) of y0' = J0 y0,
-    y1' = J0 y1 + J1 y0, y2' = J0 y2 + 2 J1 y1 + J2 y0 carried from x0 to x1,
-    and the integrals of tr J0, ..., tr J_order from x0 to x1.
+    y1' = J0 y1 + J1 y0, y2' = J0 y2 + 2 J1 y1 + J2 y0 carried along the
+    ``legs`` (blocks, x0, x1, turn) in turn, and the integrals of
+    tr J0, ..., tr J_order over the first leg.
 
-    The leg is split into panels of width _PANEL, each collocated at _K + 1
-    Chebyshev points (``_collocate``), and the panel propagators are chained
-    from x0, block lower-triangular in the jets.  Every panel over which a
-    jet of the chained solution has a last-two Chebyshev coefficient above
-    _TAIL_TOL of the size of the solution there is bisected (an error in
-    y_m / y0 that later panels carry unchanged), as is every panel flagged
-    for its tr J_m; only the halves are collocated, and the chain runs again
-    over the kept and the new propagators (``refine``), whose last round
-    gives the end state.  The estimate is not taken on the unit-start
-    propagators, which leave the slow manifold and excite the stiff layer of
-    the gauged leg.  A round that would take the leg beyond _BUDGET panel
-    solves raises AccuracyError before it is built."""
+    Each leg runs from its x0 to its x1 under its ``blocks`` (J0, ..., J_order
+    at given points) and ends in its ``turn`` (None for none), which maps its
+    end state to the next leg's start or, after the last leg, to the result.
+    The legs are split into panels of width _PANEL, each collocated at
+    _K + 1 Chebyshev points, every leg's in one batch (``_collocate``), and
+    the panel propagators are chained from the start, block lower-triangular
+    in the jets.  Every panel over which a jet of the chained solution has a
+    last-two Chebyshev coefficient above _TAIL_TOL of the size of the
+    solution there is bisected (an error in y_m / y0 that later panels carry
+    unchanged), as is every panel flagged for its tr J_m; only the halves
+    are collocated, and the chain runs again over the kept and the new
+    propagators (``refine``), whose last round gives the end state.  A leg is
+    judged, and turned, only in a round in which every panel before it is
+    resolved, so its mesh is the one it gets from its final start.  The
+    estimate is not taken on the unit-start propagators, which leave the
+    slow manifold and excite the stiff layer of the gauged leg.  A round that
+    would take a leg beyond _BUDGET panel solves raises AccuracyError before
+    it is built."""
     order = len(y) - 1
-    start, end = np.concatenate(y), []
+    start, out = np.concatenate(y), {}
 
-    def solve(a, b):
-        X, traces, unresolved = _collocate(blocks, a, b, order)
+    def solve(a, b, counts):
+        bounds = list(itertools.accumulate(counts, initial=0))
+
+        def blocks(x, order):
+            parts = [leg[0](x[lo:hi], order) for leg, lo, hi in zip(legs, bounds, bounds[1:])
+                     if hi > lo]
+            return parts[0] if len(parts) == 1 else [np.concatenate(j, axis=2) for j in zip(*parts)]
+
+        X, trace, unresolved = _collocate(blocks, a, b, order)
+        # each leg's panel integrals of tr J_m, by the row ``integrate`` uses,
+        # taken leg by leg: the product's rounding depends on the rows beside
+        traces = np.empty((order + 1, len(a))).T
+        for lo, hi in zip(bounds, bounds[1:]):
+            traces[lo:hi] = (trace[:, lo:hi, 1:] @ _QUAD_ROWS[0]).T
+        if not order:
+            return np.ascontiguousarray(X[0].transpose(0, 2, 1, 3)), traces, unresolved
         # (panel, point, jet, component, jet, start): C(m, k) X_k in block (m, m - k)
         props = np.zeros((len(a), _K + 1, order + 1, 2, order + 1, 2))
         for m in range(order + 1):
@@ -255,20 +286,30 @@ def _propagate(blocks, x0: float, x1: float, y: list) -> tuple[list, np.ndarray]
                 props[:, :, m, :, m - k] = math.comb(m, k) * X[k].transpose(0, 2, 1, 3)
         return props.reshape(len(a), _K + 1, 2 * order + 2, 2 * order + 2), traces, unresolved
 
-    def flag(props, traces, unresolved):
-        state, starts = start, []
-        for step in props[:, -1]:
-            starts.append(state)
-            state = step @ state
-        end[:] = [state]     # the leg's end state, once no panel is flagged
-        vals = props @ np.array(starts)[:, None, :, None]
-        vals = vals.reshape(len(props), _K + 1, order + 1, 2)
-        tail = np.abs(np.einsum("tj,pjmc->pmtc", _TAIL, vals)).max(axis=(1, 2, 3))
-        return unresolved | ~(tail <= _TAIL_TOL * np.abs(vals[:, :, 0]).max(axis=(1, 2)))
+    def flag(sizes, props, traces, unresolved):
+        bad, state = unresolved.copy(), start
+        bounds = list(itertools.accumulate(sizes, initial=0))
+        for lo, hi, (*_, turn) in zip(bounds, bounds[1:], legs):
+            steps, starts = props[lo:hi], []
+            for step in steps[:, -1]:
+                starts.append(state)
+                state = step @ state
+            vals = np.einsum("ptij,pj->pti", steps, np.array(starts))
+            tail = np.abs(_TAIL @ vals).max(axis=(1, 2))
+            bad[lo:hi] |= ~(tail <= _TAIL_TOL * np.abs(vals[:, :, :2]).max(axis=(1, 2)))
+            if bad[lo:hi].any():
+                break
+            if lo == 0 and "traces" not in out:
+                # summed once, in the round that resolves the first leg: the
+                # sum's rounding depends on the layout later rounds give
+                out["traces"] = traces[:hi].sum(axis=0)
+            if turn is not None:
+                state = np.concatenate(turn(list(state.reshape(order + 1, 2))))
+        out["end"] = state     # the end state, once no panel is flagged
+        return bad
 
-    _, traces, _ = refine(x0, x1, max(1, math.ceil(abs(x1 - x0) / _PANEL)), solve, flag,
-                          _BUDGET, "shot propagator: a leg")
-    return list(end[0].reshape(order + 1, 2)), traces.sum(axis=0)
+    refine([(x0, x1) for _, x0, x1, _ in legs], solve, flag, _BUDGET, "shot propagator: a leg")
+    return list(out["end"].reshape(order + 1, 2)), out["traces"]
 
 
 # A jet is the list [f, df/dmu, ..., d^n f/dmu^n], mu the constant term of P.
@@ -304,13 +345,27 @@ def _amplitude_tail(work: PotentialSpec, q_max: float, order: int) -> np.ndarray
     return integrate(integrand, 0.0, 1.0)
 
 
+def _ungauge(p_cut: float, ys: list) -> list:
+    """The jets of (psi', psi) where the gauge ends, at P = p_cut, from those
+    of (U, V): A = (U + V)/2 and psi' = Pi Bhat = Pi (U - V)/2.  A that
+    cancels in U + V raises AccuracyError."""
+    if not abs(ys[0].sum()) >= 1e-4 * abs(ys[0]).max():
+        raise AccuracyError("psi is lost to rounding where the gauge ends: |Bhat/A| > 1e4")
+    dys = _jet_mul([_power_jet(math.sqrt(p_cut), p_cut, -0.5, n) for n in range(len(ys))],
+                   [0.5 * (y[0] - y[1]) for y in ys])
+    return [np.array([dy, 0.5 * (y[0] + y[1])]) for y, dy in zip(ys, dys)]
+
+
 def _shoot(work: PotentialSpec, order: int):
     """The parity determinants of ``work`` and the jets of psi(0), psi'(0)
     and the normalization c_norm of the recessive solution, propagated with
     its first ``order`` (0 or 2) mu-derivatives.
 
     Both legs run through one propagator (``_propagate``), which carries the
-    jets of a two-component state.  The gauged leg runs in t, with
+    jets of a two-component state and collocates the panels of both legs in
+    one batch per refinement round; the gauged leg ends in ``_ungauge``,
+    whose (psi', psi) start the plain leg, or are the result where the gauge
+    runs to the origin.  The gauged leg runs in t, with
     q = q_cut + scale sinh t, from the WKB matching point q_max down to
     q_cut, where P L^2 drops to 4, L the length at which the larger power
     there balances the kinetic term: u^{-1/(N+2)} (``PotentialSpec.length``),
@@ -389,22 +444,16 @@ def _shoot(work: PotentialSpec, order: int):
         if order:
             a0 += [a0[0] * ell[1], a0[0] * (ell[2] + ell[1] ** 2)]
         u0 = _jet_mul(ratio, a0)
-        ys, traces = _propagate(partial(_gauged_blocks, work, q_cut, scale),
-                                math.asinh((q_max - q_cut) / scale), 0.0,
-                                [np.array([u, 2.0 * a - u]) for u, a in zip(u0, a0)])
-        if not abs(ys[0].sum()) >= 1e-4 * abs(ys[0]).max():   # A = (U + V)/2 cancels
-            raise AccuracyError("psi is lost to rounding where the gauge ends: |Bhat/A| > 1e4")
-        # tr J_m = 2 Pi_m dq/dt, so the leg, run inward, gives -2 int Pi_m dq
-        c_norm = [c - 0.5 * float(t) for c, t in zip(c_norm, traces)]
-        # A = (U + V)/2, psi' = Pi Bhat = Pi (U - V)/2 at q_cut
-        dys = _jet_mul([_power_jet(math.sqrt(p_cut), p_cut, -0.5, n) for n in range(order + 1)],
-                       [0.5 * (y[0] - y[1]) for y in ys])
-        ys = [np.array([dy, 0.5 * (y[0] + y[1])]) for y, dy in zip(ys, dys)]
+        legs = [(partial(_gauged_blocks, work, q_cut, scale), math.asinh((q_max - q_cut) / scale),
+                 0.0, partial(_ungauge, p_cut))]
         if q_cut > 0.0:
             # below its turning point psi oscillates up to sqrt(-P(0)) in q,
             # and the leg's unit keeps a first panel within _RADIANS of it
             unit = length if P(0.0) >= 0.0 else min(length, 2.0 * _RADIANS / math.sqrt(-P(0.0)))
-            ys = _propagate(partial(_plain_blocks, work, unit), q_cut / unit, 0.0, ys)[0]
+            legs.append((partial(_plain_blocks, work, unit), q_cut / unit, 0.0, None))
+        ys, traces = _propagate(legs, [np.array([u, 2.0 * a - u]) for u, a in zip(u0, a0)])
+        # tr J_m = 2 Pi_m dq/dt, so the leg, run inward, gives -2 int Pi_m dq
+        c_norm = [c - 0.5 * float(t) for c, t in zip(c_norm, traces)]
     except OverflowError:
         raise AccuracyError("P, or a term of the shot, is beyond double range") from None
     dpsi, psi = [float(y[0]) for y in ys], [float(y[1]) for y in ys]
@@ -602,6 +651,12 @@ def _det_ratio(spec: PotentialSpec, lam: float, count: int, tol: float, skew: bo
     if -lam >= levels[-1]:
         raise AccuracyError(f"lambda = {lam!r} reaches past the last of {count} computed "
                             f"levels, {levels[-1]:.6g}")
+    if 0.0 < levels[0] and abs(lam) < sys.float_info.epsilon * levels[0]:
+        # log1p(lam/lam_k) = lam/lam_k to rounding on every level, so the log
+        # ratio is lam Z(1): a sum of normal size, where the terms lam/lam_k
+        # and the tail's integrand are subnormal once |lam| is near 1e-300
+        zeta = zeta_skew if skew else zeta_full
+        return _signed_exp(1.0, lam * zeta(spec, 1, count=count, tol=tol).value)
     factors = 1.0 + lam / levels
     if np.any(np.abs(factors) < 1e-12):
         return 0.0
@@ -614,18 +669,22 @@ def det_ratio(spec: PotentialSpec, lam: float, *,
               count: int = 384, tol: float = 1e-6) -> float:
     """D(lam)/D(0) = prod_k (1 + lam/lam_k) for N > 2: the computed levels
     plus the tail over the Bohr-Sommerfeld levels (``bs_tail``), which
-    converges for N > 2.  A factor within 1e-12 of 0 gives 0, and a ratio
-    beyond double range a signed inf; N = 2, which is not zero-free, and a
-    lam that is not finite raise DomainError, and a -lam at or past the last
-    computed level, beyond which the tail and the averaging take every
-    factor to be positive, AccuracyError."""
+    converges for N > 2.  Where |lam| < eps lam_0 on a positive first level
+    lam_0, the log ratio is lam Z(1) (``zeta_full`` on the same levels).  A
+    factor within 1e-12 of 0 gives 0, and a ratio beyond double range a
+    signed inf; N = 2, which is not zero-free, and a lam that is not finite
+    raise DomainError, and a -lam at or past the last computed level, beyond
+    which the tail and the averaging take every factor to be positive,
+    AccuracyError."""
     return _det_ratio(spec, lam, count, tol, skew=False)
 
 
 def det_ratio_skew(spec: PotentialSpec, lam: float, *,
                    count: int = 384, tol: float = 1e-6) -> float:
     """D^P(lam)/D^P(0) = prod_k (1 + lam/lam_k)^{(-1)^k} for N > 2, its log
-    accelerated by iterated averaging; zeros and the domain as ``det_ratio``."""
+    accelerated by iterated averaging, or lam Z^P(1) (``zeta_skew`` on the
+    same levels) where ``det_ratio`` takes lam Z(1); zeros and the domain as
+    ``det_ratio``."""
     return _det_ratio(spec, lam, count, tol, skew=True)
 
 
@@ -672,14 +731,16 @@ def zeta_from_det(spec: PotentialSpec, s: int, E: float = 0.0, *,
     traces peak at q_cut and are resolved there like the solution, also on
     strongly coupled partners, and a quadrature that does not converge
     raises AccuracyError rather than a warning.  s >= 3
-    raises DomainError up front, and so does an E at or above the first
-    Bohr-Sommerfeld excited level, or an E above the ground state, where a
-    parity determinant turns negative, and so does an E that is not finite.
+    raises DomainError up front, and so does an E that is not finite, an E
+    above V(0) at or above the first Bohr-Sommerfeld excited level, or an E
+    above the ground state, where a parity determinant turns negative; an E
+    at or below V(0) = min V lies below every level and solves none.
     """
     if s not in (1, 2):
         raise DomainError("zeta_from_det takes s = 1 or 2")
     _check_energy(E)
-    if E >= bs_level(spec, 1.0):
+    # every level lies above min V = V(0), so only an E above it needs the check
+    if E > spec.value(0.0) and E >= bs_level(spec, 1.0):
         raise DomainError("E must lie below the ground state")
     _, full, skew_logs = det_jet(spec, -E)
     logs = skew_logs if skew else full
