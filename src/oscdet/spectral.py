@@ -575,7 +575,7 @@ def _zeta(spec: PotentialSpec, s: int, E: float, count: int, tol: float,
     if math.isfinite(E) and shifted == -math.inf:
         raise AccuracyError("the constant v + lambda - E is beyond double range")
     if s < 1:
-        raise DomainError("s must be a positive integer")
+        raise DomainError("s must be at least 1")
     growth = 2.0 * spec.N / (spec.N + 2.0)
     if not skew and s * growth <= 1.0:
         raise DivergenceError(f"zeta(s={s}) diverges for growth exponent {growth}")

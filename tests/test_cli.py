@@ -424,9 +424,9 @@ def test_fig2_measures_each_point_once(tmp_path, capsys, monkeypatch):
 
     def fake(N, g, *, count=256, tol=1e-6):
         calls.append((N, g))
-        return predictions.PointMeasurement(g=g, v=2.0, z1=1.0, zp1_det=0.5, z2_det=1.5,
-                                            zp1=0.5, z2=1.5, zp2=0.25, slope=0.0,
-                                            ratio0=0.0, skew_ratio0=0.0)
+        return predictions.PointMeasurement(g=g, v=2.0, z1=1.0, zp1=0.5, z2=1.5,
+                                            zp2=0.25, slope=0.0, ratio0=0.0,
+                                            skew_ratio0=0.0)
 
     monkeypatch.setattr(predictions, "measure_point", fake)
     code, _ = run_cli(capsys, "fig2", "--families", "4,6", "--grid", "1e-1,3e-2",
@@ -605,10 +605,9 @@ def test_zeta_with_every_term_below_double_range_exit_three(capsys):
 
 @pytest.mark.parametrize("g", ("6e-232", "1e-300"))
 def test_predict_forms_no_series_order_it_discards(capsys, g):
-    # v = g^(-2/3) is 1.4e154 and 1e200, and the term v^2 of the partner's
-    # large-q series is beyond double range; it lands on rho = -2, below the
-    # rho >= -1 that the prediction keeps, so it is never formed and the
-    # prediction is the one at 7e-232, whose log det ratio scales as 1/g
+    # the law is formed in g itself, so no series term beyond double range is
+    # formed; the prediction is the one at 7e-232, whose log det ratio
+    # scales as 1/g
     code = main(["predict", "--N", "4", "--g", g])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
@@ -719,14 +718,14 @@ def test_cli_fuzz_exits_with_a_documented_code(spec, command, s, skew, count, sh
 
 def test_verify_at_strong_coupling_is_quiet(capsys):
     # the partners q^4 + v q^2 at g = 1e-8, 1e-9 have v = 1e5.3, 1e6: the
-    # s = 2 bridge integrand peaks at q_cut, and both zeta routes must agree
+    # s = 2 bridge integrand peaks at q_cut
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["verify", "--N", "4", "--grid", "1e-8,1e-9"])
     captured = capsys.readouterr()
     assert caught == [] and captured.err == ""
     payload = _strict_json(captured.out)
-    assert not any("zeta route discrepancy" in note for note in payload["notes"])
+    assert payload["notes"] == []
     assert code in (0, 1)
     assert payload["measured"]["z2"] == pytest.approx([math.pi**2 / 8.0] * 2, rel=1e-6)
 
@@ -735,9 +734,9 @@ def test_verify_json_writes_a_non_finite_value_as_null(capsys, monkeypatch):
     import oscdet.predictions as predictions
 
     def fake(N, g, *, count=64, tol=1e-6):
-        return predictions.PointMeasurement(g=g, v=2.0, z1=math.nan, zp1_det=0.5, z2_det=1.5,
-                                            zp1=0.5, z2=1.5, zp2=0.25, slope=0.0,
-                                            ratio0=0.0, skew_ratio0=0.0)
+        return predictions.PointMeasurement(g=g, v=2.0, z1=math.nan, zp1=0.5, z2=1.5,
+                                            zp2=0.25, slope=0.0, ratio0=0.0,
+                                            skew_ratio0=0.0)
 
     monkeypatch.setattr(predictions, "measure_point", fake)
     assert main(["verify", "--grid", "1e-1,3e-2"]) == 1

@@ -948,7 +948,7 @@ def test_measure_point_matches_the_dilated_partner(N, g):
     # q^N + v q^2, v = g^(-4/(N+2)): Z(s) = v^(s/2) Z_v(s), and the
     # determinants dilate by r = v^(-1/2).  The partner's Z(2) carries the
     # shot's error in d^2 log D/dmu^2 times v, 1.6e-9 at (4, 1e-10); z1 and
-    # zp1_det agree to 2e-12 relative, ratio0 to 1e-11 of max(1, |ratio0|)
+    # zp1 agree to 2e-12 relative, ratio0 to 1e-11 of max(1, |ratio0|)
     # and skew_ratio0 to 1e-14
     p = measure_point(N, g)
     v = g ** (-4.0 / (N + 2))
@@ -956,8 +956,8 @@ def test_measure_point_matches_the_dilated_partner(N, g):
     det, full, skew = spectral.det_jet(partner, 0.0)
     d0 = dilate_det(det, v**-0.5, partner)
     assert p.z1 == pytest.approx(math.sqrt(v) * full[0], rel=1e-12)
-    assert p.zp1_det == pytest.approx(math.sqrt(v) * skew[0], rel=1e-11)
-    assert p.z2_det == pytest.approx(-v * full[1], rel=5e-9)
+    assert p.zp1 == pytest.approx(math.sqrt(v) * skew[0], rel=1e-11)
+    assert p.z2 == pytest.approx(-v * full[1], rel=5e-9)
     ratio0 = d0.log_abs_full - 0.5 * math.log(2.0)
     assert abs(p.ratio0 - ratio0) <= 5e-11 * max(1.0, abs(ratio0))
     skew_ratio0 = d0.log_abs_skew - harmonic_det(1.0, 0.0).log_abs_skew
