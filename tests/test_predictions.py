@@ -86,6 +86,18 @@ def test_measure_point_routes_consistent():
     assert p.slope == pytest.approx(-p.z1 + 0.5 * (EULER_GAMMA + LOG2), abs=1e-12)
 
 
+@pytest.mark.parametrize("N,g", [(4, 1e-4), (4, 3e-4), (6, 1e-4), (8, 1e-4), (4, 1e-10),
+                                 (6, 1e-10)])
+def test_shot_z2_matches_spectrum_route(N, g):
+    # Z(2) from the shot of q^2 + g q^N against its 64 levels and
+    # Bohr-Sommerfeld tail; the shot of the partner q^N + v q^2 missed by up
+    # to 1.6e-9 at g = 1e-10, where v = g^(-4/(N+2)) magnified its error in
+    # d^2 log D/dmu^2 by v
+    p = measure_point(N, g)
+    z2_levels = zeta_full(PotentialSpec(N, 2, g, 1.0, 0.0), 2, count=64, tol=1e-6).value
+    assert abs(p.z2 - z2_levels) <= 2e-10, (N, g, p.z2 - z2_levels)
+
+
 @pytest.mark.parametrize("N", (4, 6, 8, 10))
 def test_measure_point_matches_spectrum_route(N):
     # the shot's Z^P(1), Z(2), Z^P(2) against the first 64 levels of
