@@ -22,9 +22,8 @@ from .potential import (
     binomial_series,
     expansion_parameter,
     residue_level_coefficient,
-    residue_log_deriv,
 )
-from .special_functions import LOG2, Jet1, log_gamma
+from .special_functions import LOG2, log_gamma
 
 _FINITE_PART_SHIFT = 2.0 * (1.0 - LOG2)  # finite-part normalization constant
 
@@ -34,7 +33,7 @@ class ActionValue:
     value: float
     method: str            # "closed-normal" | "closed-anomalous" | "numeric-regularized"
     level: int | None      # anomaly level when closed-anomalous
-    residue_used: Jet1
+    residue: float         # beta_{-1}, the log term's coefficient: 0 on a normal family
 
 
 def _is_near_nonpositive_int(x: float, tol: float = 1e-9) -> bool:
@@ -89,9 +88,7 @@ def anomalous_binomial_action(u: float, v: float, N: float, M: float, j: int) ->
     bracket = (-math.log(v) + _harmonic_number(j)
                + (2.0 * M / N) * (LOG2 + 0.5 * math.log(u) - _odd_reciprocal_sum(j - 1)))
     value = 2.0 * j * beta0 / (N + 2.0) * bracket
-    # jet of beta_{-1}(s) including the u^{1/2-s-j} dependence
-    deriv = beta0 * residue_log_deriv(j, u)
-    return ActionValue(value, "closed-anomalous", j, Jet1(beta0, deriv))
+    return ActionValue(value, "closed-anomalous", j, beta0)
 
 
 def binomial_action(u: float, v: float, N: float, M: float) -> ActionValue:
@@ -111,8 +108,7 @@ def binomial_action(u: float, v: float, N: float, M: float) -> ActionValue:
         if abs(jr - j) < 1e-9 and j >= 1:
             action = anomalous_binomial_action(u, v, N, M, j)
         else:
-            action = ActionValue(binomial_action_s(u, v, N, M, 0.0), "closed-normal", None,
-                                 Jet1.zero())
+            action = ActionValue(binomial_action_s(u, v, N, M, 0.0), "closed-normal", None, 0.0)
     except OverflowError:
         action = None
     if action is None or not math.isfinite(action.value):
@@ -211,8 +207,8 @@ def improper_action(spec: PotentialSpec) -> ActionValue:
         value = math.inf
     if not math.isfinite(value):
         raise AccuracyError(f"the action of {spec.to_text()!r} is beyond double range")
-    residue = beta_coefficients(spec, -1).residue()
-    return ActionValue(value, "numeric-regularized", None, residue)
+    return ActionValue(value, "numeric-regularized", None,
+                       beta_coefficients(spec, -1).residue().value)
 
 
 def level_one_log_correction(lam: float, v: float) -> float:

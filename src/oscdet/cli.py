@@ -101,8 +101,7 @@ def cmd_action(args):
                    method="asymptotic")
     else:
         a = improper_action(spec)
-        out.update(value=a.value, method=a.method,
-                   residue=a.residue_used.value)
+        out.update(value=a.value, method=a.method, residue=a.residue)
     _emit_text(_json_text(out), _out_path(args, "action.json"))
     return 0
 
@@ -210,76 +209,81 @@ def cmd_fig2(args):
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("spectrum", "action", "poles", "det", "zeta", "predict", "verify", "fig2")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, where ``command`` names one, of that
+    one alone, so that a run builds only the subparser it parses with."""
     ap = argparse.ArgumentParser(
         prog="oscdet",
         description="Regularized actions, spectra, and spectral determinants "
                     "of even anharmonic oscillators.")
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
+    # a one-command parser lists every command in its usage line, as the
+    # whole one does, and an unrecognized argument prints that line
+    one = command in _COMMANDS
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
     spec = argparse.ArgumentParser(add_help=False)
     spec.add_argument("--spec", default="4 2 1.0 1.0 0.0", help="potential as 'N M u v lambda'")
 
-    p = sub.add_parser("spectrum", parents=[spec], help="parity-split eigenvalues as CSV")
-    p.add_argument("--count", type=int, default=16)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_spectrum)
+    def add(name, func, help, parents=()):   # None where the parser leaves it out
+        if name == command or not one:
+            p = sub.add_parser(name, parents=parents, help=help)
+            p.set_defaults(func=func)
+            return p
 
-    p = sub.add_parser("action", parents=[spec], help="regularized improper action integral")
-    p.add_argument("--method", choices=("closed", "numeric", "asymptotic"),
-                   default="closed")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_action)
+    if p := add("spectrum", cmd_spectrum, "parity-split eigenvalues as CSV", [spec]):
+        p.add_argument("--count", type=int, default=16)
+        p.add_argument("--tol", type=float, default=1e-6)
 
-    p = sub.add_parser("poles", help="Mellin pole table as JSON")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--window-lo", type=int, default=-3)
-    p.add_argument("--window-hi", type=int, default=3)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_poles)
+    if p := add("action", cmd_action, "regularized improper action integral", [spec]):
+        p.add_argument("--method", choices=("closed", "numeric", "asymptotic"),
+                       default="closed")
 
-    p = sub.add_parser("det", parents=[spec], help="spectral determinants (shooting or closed)")
-    p.add_argument("--shift", type=float, default=0.0,
-                   help="additional constant added to the potential")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_det)
+    if p := add("poles", cmd_poles, "Mellin pole table as JSON"):
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--M", type=int, required=True)
+        p.add_argument("--window-lo", type=int, default=-3)
+        p.add_argument("--window-hi", type=int, default=3)
 
-    p = sub.add_parser("zeta", parents=[spec], help="spectral zeta values")
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--E", type=float, default=0.0)
-    p.add_argument("--skew", action="store_true")
-    p.add_argument("--count", type=int, default=160)
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_zeta)
+    if p := add("det", cmd_det, "spectral determinants (shooting or closed)", [spec]):
+        p.add_argument("--shift", type=float, default=0.0,
+                       help="additional constant added to the potential")
 
-    p = sub.add_parser("predict", help="closed-form small-g predictions")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--g", type=float, required=True)
-    p.add_argument("--E", type=float, default=0.0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_predict)
+    if p := add("zeta", cmd_zeta, "spectral zeta values", [spec]):
+        p.add_argument("--s", type=int, default=2)
+        p.add_argument("--E", type=float, default=0.0)
+        p.add_argument("--skew", action="store_true")
+        p.add_argument("--count", type=int, default=160)
+        p.add_argument("--tol", type=float, default=1e-7)
 
-    p = sub.add_parser("verify", help="run the prediction-vs-numerics harness")
-    p.add_argument("--N", type=int, default=4)
-    p.add_argument("--grid", help="comma-separated couplings, or 'default'")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
+    if p := add("predict", cmd_predict, "closed-form small-g predictions"):
+        p.add_argument("--N", type=int, required=True)
+        p.add_argument("--g", type=float, required=True)
+        p.add_argument("--E", type=float, default=0.0)
 
-    p = sub.add_parser("fig2", help="emit both figure datasets as CSV")
-    p.add_argument("--families", default="4,6")
-    p.add_argument("--grid", help="comma-separated couplings, or 'default'")
-    p.add_argument("--outdir")
-    p.set_defaults(func=cmd_fig2)
+    if p := add("verify", cmd_verify, "run the prediction-vs-numerics harness"):
+        p.add_argument("--N", type=int, default=4)
+        p.add_argument("--grid", help="comma-separated couplings, or 'default'")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    if p := add("fig2", cmd_fig2, "emit both figure datasets as CSV"):
+        p.add_argument("--families", default="4,6")
+        p.add_argument("--grid", help="comma-separated couplings, or 'default'")
+        p.add_argument("--outdir")
+
+    for name, p in sub.choices.items():   # fig2 writes to its --outdir
+        if name != "fig2":
+            p.add_argument("--out")
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser(argv[0] if argv else None)
     args = ap.parse_args(argv)
     try:
         return args.func(args)

@@ -41,7 +41,7 @@ class MellinPole:
     d_v: Fraction
     d_lambda: Fraction
     d_g: Fraction
-    confluent_with: "MellinPole | None" = None
+    confluent_with: str | None = None   # source of the pole met here, if any
 
     @property
     def is_confluent(self) -> bool:
@@ -50,7 +50,7 @@ class MellinPole:
     @property
     def is_pinching(self) -> bool:
         """Confluent with a fixed pole on the far side of the contour."""
-        return self.is_confluent and FIRST in (self.source, self.confluent_with.source)
+        return self.is_confluent and FIRST in (self.source, self.confluent_with)
 
     @property
     def is_double(self) -> bool:
@@ -108,14 +108,9 @@ def enumerate_poles(N: int, M: int, window=(-3, 3)) -> list[MellinPole]:
 
     poles = []
     for sigma0, mobile, source, n in raw:
-        partner = None
-        mates = [it for it in by_location[sigma0] if it[2] != source]
-        if mates:
-            ps, pm, psrc, pn = mates[0][0], mates[0][1], mates[0][2], mates[0][3]
-            d = _degrees(N, M, ps)
-            partner = MellinPole(ps, pm, psrc, pn, *d)
-        d = _degrees(N, M, sigma0)
-        poles.append(MellinPole(sigma0, mobile, source, n, *d, confluent_with=partner))
+        mates = [it[2] for it in by_location[sigma0] if it[2] != source]
+        poles.append(MellinPole(sigma0, mobile, source, n, *_degrees(N, M, sigma0),
+                                confluent_with=mates[0] if mates else None))
     poles.sort(key=lambda p: (-p.sigma0, p.source, p.index))
     return poles
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import AccuracyError, DomainError
-from .special_functions import Jet1, binomial_jets, digamma
+from .special_functions import Jet1, binomial_jets
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,6 @@ class PotentialSpec:
     def trinomial(N: int, M: int, v: float, lam: float = 0.0) -> "PotentialSpec":
         return PotentialSpec(N=N, M=M, u=1.0, v=v, lam=lam)
 
-    @staticmethod
-    def uncoupled(M: int, v: float, lam: float = 0.0) -> "PotentialSpec":
-        """v q^M + lam with no higher power."""
-        return PotentialSpec(N=M, M=0, u=v, v=0.0, lam=lam)
-
 
 @dataclass(frozen=True)
 class BetaTable:
@@ -113,11 +108,6 @@ def residue_level_coefficient(j: int) -> float:
     """(-1)^{j-1} (2j-2)! / (2^{2j-1} (j-1)! j!) -- the u=v=1 residue value."""
     return ((-1) ** (j - 1) * math.factorial(2 * j - 2)
             / (2 ** (2 * j - 1) * math.factorial(j - 1) * math.factorial(j)))
-
-
-def residue_log_deriv(j: int, u: float) -> float:
-    """d/ds log beta_{-1}(s) at s=0: psi(j - 1/2) - psi(-1/2) - log u."""
-    return digamma(j - 0.5) - digamma(-0.5) - math.log(u)
 
 
 def expansion_parameter(spec: PotentialSpec, q: float) -> float:

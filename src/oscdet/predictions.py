@@ -182,15 +182,7 @@ def verify(N: int, grid=GRID) -> PredictionReport:
         "ratio0": [predict_det_ratio_g(N, 2, g, 0.0) for g in grid],
         "skew_ratio0": [0.0] * len(grid),
     }
-    measured = {
-        "z1": [p.z1 for p in points],
-        "zp1": [p.zp1 for p in points],
-        "z2": [p.z2 for p in points],
-        "zp2": [p.zp2 for p in points],
-        "slope": [p.slope for p in points],
-        "ratio0": [p.ratio0 for p in points],
-        "skew_ratio0": [p.skew_ratio0 for p in points],
-    }
+    measured = {k: [getattr(p, k) for p in points] for k in predicted}
     residuals = {k: [m - q for m, q in zip(measured[k], predicted[k])]
                  for k in predicted}
 

@@ -203,10 +203,10 @@ def _collocate(blocks, a: np.ndarray, b: np.ndarray, order: int):
 
     ``blocks(x, order)`` gives J0, ..., J_order at the points x, each of
     shape (2, 2) + x.shape, with J0[1][1] = 0.  X0 solves L X0 = 0 from the
-    unit starts, L = d/dx - J0, and the jets L X1 = J1 X0 and
-    L X2 = J2 X0 + 2 J1 X1 from zero starts.  The second component is its
-    start plus an integral of the first, so each panel solves one _K x _K
-    Schur complement for the first, the same for X0, X1 and X2."""
+    unit starts, L = d/dx - J0, and X_m solves L X_m = sum_{k=1..m} C(m, k)
+    J_k X_{m-k} from zero starts.  The second component is its start plus an
+    integral of the first, so each panel solves one _K x _K Schur complement
+    for the first, the same for every X_m."""
     h = 0.5 * (a - b)[:, None]
     J = [h * j for j in blocks(0.5 * (a + b)[:, None] + h * _NODES, order)]
     trace = np.array([j[0, 0] + j[1, 1] for j in J])          # (jet, panel, point)
@@ -229,16 +229,15 @@ def _collocate(blocks, a: np.ndarray, b: np.ndarray, order: int):
         return np.einsum("ikpj,pkjc->pijc", J[m][..., 1:], x[:, :, 1:])
 
     X = [solve(_UNIT_RHS + j01 * _UNIT[1], 0.0, _UNIT)]
-    if order:
-        X.append(jet(force(1, X[0])))
-        X.append(jet(force(2, X[0]) + 2.0 * force(1, X[1])))
+    for m in range(1, order + 1):
+        X.append(jet(sum(math.comb(m, k) * force(k, X[m - k]) for k in range(1, m + 1))))
     return X, trace, unresolved
 
 
 @np.errstate(all="ignore")    # a non-finite value fails the tail test
 def _propagate(legs: list, y: list) -> tuple[list, np.ndarray]:
-    """The jets y = [y0, ..., y_order] (2-vectors) of y0' = J0 y0,
-    y1' = J0 y1 + J1 y0, y2' = J0 y2 + 2 J1 y1 + J2 y0 carried along the
+    """The jets y = [y0, ..., y_order] (2-vectors) of
+    y_m' = sum_{k=0..m} C(m, k) J_k y_{m-k} carried along the
     ``legs`` (blocks, x0, x1, turn) in turn, and the integrals of
     tr J0, ..., tr J_order over the first leg.
 
@@ -277,8 +276,6 @@ def _propagate(legs: list, y: list) -> tuple[list, np.ndarray]:
         traces = np.empty((order + 1, len(a))).T
         for lo, hi in zip(bounds, bounds[1:]):
             traces[lo:hi] = (trace[:, lo:hi, 1:] @ _QUAD_ROWS[0]).T
-        if not order:
-            return np.ascontiguousarray(X[0].transpose(0, 2, 1, 3)), traces, unresolved
         # (panel, point, jet, component, jet, start): C(m, k) X_k in block (m, m - k)
         props = np.zeros((len(a), _K + 1, order + 1, 2, order + 1, 2))
         for m in range(order + 1):

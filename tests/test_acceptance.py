@@ -22,6 +22,8 @@ from oscdet.spectrum import eigenvalues
 from oscdet.actions import trinomial_action_asymptotic
 from fractions import Fraction
 
+from helpers import uncoupled
+
 
 def _report(criterion, ok, detail):
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -78,8 +80,8 @@ def test_c4_harmonic_determinants():
     d1 = harmonic_det(1.0, 1.0).full
     closed_ok = (abs(d0 - math.sqrt(2.0)) <= 1e-12
                  and abs(d1 - math.sqrt(math.pi)) <= 1e-12)
-    s0 = shooting_det(PotentialSpec.uncoupled(2, 1.0), 0.0).full
-    s1 = shooting_det(PotentialSpec.uncoupled(2, 1.0), 1.0).full
+    s0 = shooting_det(uncoupled(2, 1.0), 0.0).full
+    s1 = shooting_det(uncoupled(2, 1.0), 1.0).full
     shoot_err = max(abs(s0 / d0 - 1.0), abs(s1 / d1 - 1.0))
     _report("C4  harmonic determinant",
             closed_ok and shoot_err <= 1e-6,
@@ -89,7 +91,7 @@ def test_c4_harmonic_determinants():
 
 def test_c5_spectrum_and_symanzik():
     t0 = time.perf_counter()
-    res = eigenvalues(PotentialSpec.uncoupled(2, 1.0), 20, 1e-7)
+    res = eigenvalues(uncoupled(2, 1.0), 20, 1e-7)
     harm_err = max(abs(e.value - (2 * e.k + 1)) for e in res.entries)
     sym_err = 0.0
     for g in (0.5, 1.0, 2.0):
@@ -105,7 +107,7 @@ def test_c5_spectrum_and_symanzik():
 
 
 def test_c6_zeta_constants():
-    q2 = PotentialSpec.uncoupled(2, 1.0)
+    q2 = uncoupled(2, 1.0)
     e1 = abs(zeta_skew(q2, 1).value - math.pi / 4.0)
     e2 = abs(zeta_full(q2, 2).value - math.pi**2 / 8.0)
     e3 = abs(zeta_skew(q2, 2).value - CATALAN)

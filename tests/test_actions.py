@@ -22,6 +22,8 @@ from oscdet.errors import AccuracyError, DomainError
 from oscdet.potential import PotentialSpec, beta_coefficients, binomial_series, expansion_parameter
 from oscdet.special_functions import LOG2
 
+from helpers import uncoupled
+
 
 def test_binomial_action_s_quadrature_oracle():
     # inside the two-sided convergence window 3/4 < s < 1 (N=4, M=2) the
@@ -42,6 +44,15 @@ def test_binomial_action_s_reports_poles():
     # s = 1/2 + 1/M is the origin-divergence pole of the M-factor
     with pytest.raises(DomainError, match="pole"):
         binomial_action_s(1.0, 1.0, 4.0, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("N, M", ((4, 2), (6, 4)))
+def test_binomial_action_s_vanishes_at_the_zeros_of_one_over_gamma(N, M):
+    # 1/Gamma(s - 1/2) is zero at s = 1/2, -1/2, ...; the continuation is
+    # linear in s - s0 there, so a step of 1e-9 moves it by a few 1e-9
+    for s0 in (0.5, -0.5, -1.5):
+        assert binomial_action_s(2.0, 0.5, N, M, s0) == 0.0
+        assert abs(binomial_action_s(2.0, 0.5, N, M, s0 + 1e-9)) < 1e-8
 
 
 def test_quartic_plus_harmonic_closed_form():
@@ -92,7 +103,7 @@ def test_level_two_anomalous_hand_value():
     assert a.level == 2
     assert a.value == pytest.approx(want, rel=1e-13)
     assert a.value == pytest.approx(-0.06817893171, abs=1e-10)
-    assert a.residue_used.value == pytest.approx(-0.125, rel=1e-14)
+    assert a.residue == pytest.approx(-0.125, rel=1e-14)
 
 
 @given(st.floats(min_value=0.3, max_value=3.0),
@@ -178,7 +189,7 @@ def test_additivity_binomial_q4():
 
 def test_additivity_uncoupled_harmonic():
     # (v q^2 + lam) against the closed harmonic action at v=1, lam=0.5
-    spec = PotentialSpec.uncoupled(2, 1.0, 0.5)
+    spec = uncoupled(2, 1.0, 0.5)
     closed = 0.25 * 0.5 * (1.0 - math.log(0.5))
     for q in (8.0, 16.0):
         head, _ = quad(lambda x: math.sqrt(spec.value(x)), 0.0, q,

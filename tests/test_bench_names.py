@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from oscdet import predictions, spectrum
-from oscdet.potential import PotentialSpec
+
+from helpers import uncoupled
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -45,7 +46,7 @@ def test_traced_info_reads_resolve():
     # estimates off an eigen solve, and N, g, count and tol off a measured
     # point; a rename would raise there only in a traced benchmark run
     info = runpy.run_path(str(BENCH / "tracer.py"))["_INFO"]
-    spec = PotentialSpec.uncoupled(4, 1.0)
+    spec = uncoupled(4, 1.0)
     bound, result = _traced_call(spectrum.eigenvalues, spec, 8, tol=1e-7)
     eigen = info["spectrum.eigenvalues"](bound, result)
     assert eigen == {"key": repr((spec, 8, 1e-7)), "n": result.params.n,

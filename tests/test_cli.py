@@ -18,9 +18,10 @@ from oscdet.actions import binomial_action
 from oscdet.cli import main
 from oscdet.errors import DomainError
 from oscdet.predictions import predict_det_ratio_g, predict_Z1
-from oscdet.potential import PotentialSpec
 from oscdet.special_functions import alternating_ladder_zeta, ladder_zeta
 from oscdet.spectral import zeta_full, zeta_skew
+
+from helpers import uncoupled
 
 
 def run_cli(capsys, *argv):
@@ -383,6 +384,35 @@ def test_cli_option_set_is_pinned():
     assert sum(map(len, got.values())) == 33
 
 
+def test_a_run_builds_only_its_own_subparser(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert main(["verify", "--N", "4", "--grid", "0.1,0.01"]) == 0
+    assert built == ["verify"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert built == list(_CLI_OPTIONS)
+
+
+def test_a_one_command_parser_prints_the_whole_usage_line(capsys):
+    from oscdet.cli import build_parser
+
+    usage = build_parser().format_usage()
+    assert usage == build_parser("verify").format_usage()
+    assert "{spectrum,action,poles,det,zeta,predict,verify,fig2}" in usage
+    err = _exit_two_without_traceback(capsys, "verify", "--bogus")
+    assert err == usage + "oscdet: error: unrecognized arguments: --bogus\n"
+
+
 def test_malformed_spec_exit_two(capsys):
     _exit_two_without_traceback(capsys, "spectrum", "--spec", "4 2 x 1 0")
     _exit_two_without_traceback(capsys, "spectrum", "--spec", "4 2 1 1 nan")
@@ -560,7 +590,7 @@ def test_spectrum_of_a_non_finite_band_exit_three(capsys, monkeypatch):
 
 @pytest.mark.parametrize("E", (math.inf, -math.inf, math.nan))
 def test_non_finite_energy_is_a_domain_error(capsys, E):
-    q2 = PotentialSpec.uncoupled(2, 1.0)
+    q2 = uncoupled(2, 1.0)
     for entry in (lambda: zeta_full(q2, 2, E), lambda: zeta_skew(q2, 1, E),
                   lambda: zeta_skew(q2, 2, E), lambda: predict_Z1(4, 0.01, E),
                   lambda: predict_det_ratio_g(4, 2, 0.01, E)):

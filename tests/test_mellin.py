@@ -34,7 +34,7 @@ def test_enumerate_64_pinching():
     lead = [p for p in poles if p.source == THIRD and p.index == 0][0]
     assert lead.sigma0 == Fraction(2)
     assert lead.is_confluent and lead.is_pinching
-    assert lead.confluent_with.source == FIRST
+    assert lead.confluent_with == FIRST
 
 
 def test_degree_identities_exact():

@@ -13,10 +13,11 @@ from oscdet.potential import (
     beta_coefficients,
     binomial_series,
     residue_level_coefficient,
-    residue_log_deriv,
     symanzik_map,
 )
 from oscdet.special_functions import Jet1
+
+from helpers import residue_log_deriv, uncoupled
 
 
 def _residue(spec):
@@ -64,9 +65,9 @@ def test_classify_uncoupled_harmonic():
         want = 0.5 * (v + lam) / math.sqrt(u)
         assert residue.value == pytest.approx(want, rel=1e-14)
         assert residue.deriv == pytest.approx(want * (-2.0 - math.log(u)), rel=1e-13)
-    assert _residue(PotentialSpec.uncoupled(2, 3.0, 0.0)) == Jet1.zero()
+    assert _residue(uncoupled(2, 3.0, 0.0)) == Jet1.zero()
     # other uncoupled powers are normal
-    assert _residue(PotentialSpec.uncoupled(4, 1.0, 2.0)) == Jet1.zero()
+    assert _residue(uncoupled(4, 1.0, 2.0)) == Jet1.zero()
 
 
 def test_classify_zero_coupling_degenerates_to_normal():
@@ -250,7 +251,7 @@ def test_value_and_derivatives():
         assert spec.deriv(x) == pytest.approx(fd, rel=1e-8)
         fd2 = (spec.deriv(x + h) - spec.deriv(x - h)) / (2 * h)
         assert spec.deriv(x, 2) == pytest.approx(fd2, rel=1e-7)
-    for spec in (spec, PotentialSpec.trinomial(8, 6, 3.0, 0.5), PotentialSpec.uncoupled(2, 1.0)):
+    for spec in (spec, PotentialSpec.trinomial(8, 6, 3.0, 0.5), uncoupled(2, 1.0)):
         for x in (0.3, 1.1, 2.4):
             fd3 = (spec.deriv(x + h, 2) - spec.deriv(x - h, 2)) / (2 * h)
             assert spec.deriv(x, 3) == pytest.approx(fd3, rel=1e-7, abs=1e-7)

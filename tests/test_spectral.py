@@ -26,6 +26,8 @@ from oscdet.spectral import (
 )
 from oscdet.spectrum import eigenvalues
 
+from helpers import uncoupled
+
 
 # --------------------------------------------------------------------------
 # the spectral dilation law, the oracle of the shot's scale handling
@@ -92,7 +94,7 @@ def test_harmonic_scaling_identity():
         for lam in (0.0, 0.7, 2.0):
             direct = harmonic_det(v, lam)
             r = math.sqrt(v)
-            ref = PotentialSpec.uncoupled(2, 1.0, lam / r)
+            ref = uncoupled(2, 1.0, lam / r)
             mapped = dilate_det(harmonic_det(1.0, lam / r), r, ref)
             assert direct.log_abs_full == pytest.approx(mapped.log_abs_full, abs=1e-12)
             assert direct.log_abs_skew == pytest.approx(mapped.log_abs_skew, abs=1e-12)
@@ -125,7 +127,7 @@ def test_shooting_reproduces_harmonic():
     # less: within 1e-10 of the closed form
     for v in (0.5, 1.0, 2.0, 4.0):
         for lam in (0.0, 0.5, 0.625, 1.0, 1.875, 3.125, 4.375):
-            got = shooting_det(PotentialSpec.uncoupled(2, v), lam)
+            got = shooting_det(uncoupled(2, v), lam)
             want = harmonic_det(v, lam)
             assert got.method == "shooting"
             assert abs(got.log_abs_even - want.log_abs_even) <= 1e-10, (v, lam)
@@ -137,14 +139,14 @@ def test_shooting_steep_harmonic_keeps_its_digits():
     # gauged leg scale with it, so the normalization does not cancel down
     # from +-1.6e9 at v = 1e19, as it would with a tail point at q = 1
     for v in (1e15, 1e18, 1e19):
-        got = shooting_det(PotentialSpec.uncoupled(2, v))
+        got = shooting_det(uncoupled(2, v))
         want = harmonic_det(v, 0.0)
         assert abs(got.log_abs_even - want.log_abs_even) <= 1e-10, v
         assert abs(got.log_abs_odd - want.log_abs_odd) <= 1e-10, v
 
 
 def test_shooting_parity_combination_identities():
-    d = shooting_det(PotentialSpec.uncoupled(4, 1.0), 0.5)
+    d = shooting_det(uncoupled(4, 1.0), 0.5)
     assert d.full == pytest.approx(d.even * d.odd, rel=1e-10)
     assert d.skew == pytest.approx(d.even / d.odd, rel=1e-10)
 
@@ -172,7 +174,7 @@ def test_shooting_integrator_failure_is_an_accuracy_error(monkeypatch, capsys):
         assert main(["det", "--spec", "4 0 1.0 0.0 -1e6"]) == 3
         monkeypatch.setattr(spectral, "_TAIL_TOL", 0.0)
         with pytest.raises(AccuracyError, match="shot propagator: a leg unresolved after"):
-            shooting_det(PotentialSpec.uncoupled(4, 1.0), 0.0)
+            shooting_det(uncoupled(4, 1.0), 0.0)
         assert main(["det", "--spec", "4 0 1.0 0.0 0.0"]) == 3
     assert caught == []
     assert "Traceback" not in capsys.readouterr().err
@@ -185,7 +187,7 @@ def test_shooting_refuses_to_lose_psi_where_the_gauge_ends():
     # rounding in U + V from v = 1e20 on.  There log D is twice the action,
     # and v q^2 carries the skew
     for v in (1e-30, 1e15, 1e30, 1e60, 1e300):
-        d, want = shooting_det(PotentialSpec.uncoupled(2, v)), harmonic_det(v, 0.0)
+        d, want = shooting_det(uncoupled(2, v)), harmonic_det(v, 0.0)
         for name in ("log_abs_even", "log_abs_odd", "log_abs_skew"):
             assert getattr(d, name) == pytest.approx(getattr(want, name), abs=1e-10), (v, name)
     for v in (1e20, 1e30, 1e100, 1e150):
@@ -202,7 +204,7 @@ def test_shot_quadrature_failure_is_an_accuracy_error(monkeypatch, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(AccuracyError, match="quadrature unresolved after 0 panel solves"):
-            shooting_det(PotentialSpec.uncoupled(4, 1.0), 0.0)
+            shooting_det(uncoupled(4, 1.0), 0.0)
         assert main(["det", "--spec", "4 0 1.0 0.0 0.0"]) == 3
     assert caught == []
     assert "Traceback" not in capsys.readouterr().err
@@ -294,7 +296,7 @@ def test_shooting_negative_shifts_refine_or_refuse(lam, even, odd):
     # raises AccuracyError; never a wrong value.  References from the shot
     # integrated at a relative tolerance of 1e-13.
     try:
-        d = shooting_det(PotentialSpec.uncoupled(4, 1.0), lam)
+        d = shooting_det(uncoupled(4, 1.0), lam)
     except AccuracyError:
         return
     assert (d.sign_even, d.sign_odd) == (-1.0, -1.0)
@@ -364,7 +366,7 @@ def test_shot_collocates_only_the_bisected_halves(monkeypatch):
         return real(blocks, a, b, order)
 
     monkeypatch.setattr(spectral, "_collocate", counting)
-    d = shooting_det(PotentialSpec.uncoupled(4, 1.0), -3000.0)
+    d = shooting_det(uncoupled(4, 1.0), -3000.0)
     assert sum(panels) <= 95, panels
     assert panels[1:] == [2] * (len(panels) - 1), panels
     assert d.log_abs_even == pytest.approx(-351.600924746495, abs=1e-11)
@@ -409,7 +411,7 @@ def _bisect_sign(f, lo, hi, tol=1e-8):
 
 def test_shooting_zeros_locate_the_spectrum():
     # D-(lam) vanishes at -odd levels, D+(lam) at -even levels
-    spec = PotentialSpec.uncoupled(4, 1.0)
+    spec = uncoupled(4, 1.0)
     levels = eigenvalues(spec, 4, 1e-8).values()
 
     def signed(parity):
@@ -425,8 +427,8 @@ def test_shooting_zeros_locate_the_spectrum():
 
 def test_shooting_matches_product_ratios():
     # Gelfand-Yaglom-style cross-check; q^4 + 400 q^2 is stiff in the gauge
-    for spec in (PotentialSpec.uncoupled(4, 1.0),
-                 PotentialSpec.uncoupled(6, 1.0),
+    for spec in (uncoupled(4, 1.0),
+                 uncoupled(6, 1.0),
                  PotentialSpec.trinomial(4, 2, 1.0),
                  PotentialSpec.trinomial(4, 2, 400.0)):
         d0 = shooting_det(spec, 0.0)
@@ -437,7 +439,7 @@ def test_shooting_matches_product_ratios():
             assert shoot == pytest.approx(product, rel=1e-5), (spec, lam)
 
 
-@pytest.mark.parametrize("spec", (PotentialSpec.uncoupled(6, 1.0), PotentialSpec.trinomial(4, 2, 1.0)))
+@pytest.mark.parametrize("spec", (uncoupled(6, 1.0), PotentialSpec.trinomial(4, 2, 1.0)))
 def test_det_ratio_tail_matches_shooting_to_1e8(spec):
     # with the second-order level count and the -F'(K)/12 end term the product
     # route agrees with shooting far below the 1e-5 of the test above
@@ -448,7 +450,7 @@ def test_det_ratio_tail_matches_shooting_to_1e8(spec):
 
 
 def test_skew_ratio_routes_agree():
-    spec = PotentialSpec.uncoupled(4, 1.0)
+    spec = uncoupled(4, 1.0)
     d0 = shooting_det(spec, 0.0)
     for lam in (0.5, 1.5):
         dl = shooting_det(spec, lam)
@@ -462,14 +464,14 @@ def test_skew_ratio_routes_agree():
 # --------------------------------------------------------------------------
 
 def test_det_ratio_trivial_points():
-    spec = PotentialSpec.uncoupled(4, 1.0)
+    spec = uncoupled(4, 1.0)
     assert det_ratio(spec, 0.0) == pytest.approx(1.0, abs=1e-12)
     lam3 = eigenvalues(spec, 4, 1e-8).values()[3]
     assert det_ratio(spec, -lam3) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_det_ratio_sign_below_ground_state():
-    spec = PotentialSpec.uncoupled(4, 1.0)
+    spec = uncoupled(4, 1.0)
     lam0, lam1 = eigenvalues(spec, 2, 1e-8).values()
     mid = -0.5 * (lam0 + lam1)
     assert det_ratio(spec, mid) < 0.0
@@ -477,10 +479,10 @@ def test_det_ratio_sign_below_ground_state():
 
 def test_det_ratio_requires_zero_free_form():
     with pytest.raises(DomainError):
-        det_ratio(PotentialSpec.uncoupled(2, 1.0), 0.5)
+        det_ratio(uncoupled(2, 1.0), 0.5)
 
 
-@pytest.mark.parametrize("spec", [PotentialSpec.uncoupled(4, 1.0), PotentialSpec.uncoupled(6, 1.0),
+@pytest.mark.parametrize("spec", [uncoupled(4, 1.0), uncoupled(6, 1.0),
                                   PotentialSpec.trinomial(4, 2, 1.0)])
 def test_det_ratios_far_from_the_origin(spec):
     # a ratio beyond double range is a signed inf, and a -lambda past the top
@@ -504,10 +506,10 @@ def test_det_ratios_far_from_the_origin(spec):
                 assert abs(math.log(abs(got)) - want) <= 1e-8, (lam, name, got, want)
             assert not math.isnan(got), (lam, name)
     with pytest.raises(AccuracyError, match="past the last"):
-        det_ratio_skew(PotentialSpec.uncoupled(4, 1.0), -1e4)
+        det_ratio_skew(uncoupled(4, 1.0), -1e4)
 
 
-@pytest.mark.parametrize("spec", [PotentialSpec.uncoupled(4, 1.0), PotentialSpec.uncoupled(6, 1.0),
+@pytest.mark.parametrize("spec", [uncoupled(4, 1.0), uncoupled(6, 1.0),
                                   PotentialSpec.trinomial(4, 2, 1.0)])
 def test_det_ratios_at_a_tiny_lambda(spec):
     # below eps lam_0, log1p(lam/lam_k) = lam/lam_k to rounding on every
@@ -535,7 +537,7 @@ def test_det_ratios_refuse_a_non_finite_lambda(lam):
     # as a zeta at a non-finite E is no sum
     for ratio in (det_ratio, det_ratio_skew):
         with pytest.raises(DomainError, match="lambda must be finite"):
-            ratio(PotentialSpec.uncoupled(4, 1.0), lam)
+            ratio(uncoupled(4, 1.0), lam)
 
 
 # --------------------------------------------------------------------------
@@ -543,14 +545,14 @@ def test_det_ratios_refuse_a_non_finite_lambda(lam):
 # --------------------------------------------------------------------------
 
 def test_harmonic_zeta_constants():
-    q2 = PotentialSpec.uncoupled(2, 1.0)
+    q2 = uncoupled(2, 1.0)
     assert zeta_skew(q2, 1).value == pytest.approx(math.pi / 4.0, abs=1e-12)
     assert zeta_full(q2, 2).value == pytest.approx(math.pi**2 / 8.0, abs=1e-12)
     assert zeta_skew(q2, 2).value == pytest.approx(CATALAN, abs=1e-12)
 
 
 def test_harmonic_full_zeta_diverges_at_one():
-    q2 = PotentialSpec.uncoupled(2, 1.0)
+    q2 = uncoupled(2, 1.0)
     with pytest.raises(DivergenceError):
         zeta_full(q2, 1)
     # below s = 1 the zeta is not a sum at all: a domain error, as for the skew
@@ -565,7 +567,7 @@ def test_harmonic_skew_accelerated_vs_partial_sums():
     terms = (-1.0) ** k / (2.0 * k + 1.0) ** 2
     partial = np.cumsum(terms)
     oracle = 0.5 * (partial[-1] + partial[-2])
-    assert zeta_skew(PotentialSpec.uncoupled(2, 1.0), 2).value == pytest.approx(oracle, abs=1e-8)
+    assert zeta_skew(uncoupled(2, 1.0), 2).value == pytest.approx(oracle, abs=1e-8)
 
 
 @pytest.mark.parametrize("lam", (0.0, 1e4, 1e8))
@@ -591,7 +593,7 @@ def test_zeta_of_n_two_is_the_shifted_ladder(lam):
 def test_harmonic_zetas_against_mpmath_nsum():
     # closed Hurwitz forms against the ladder sqrt(v)(2k+1) - E summed by mpmath
     for v in (1.0, 2.5):
-        spec = PotentialSpec.uncoupled(2, v)
+        spec = uncoupled(2, v)
         for E in (0.0, -1.3, 0.6):
             r = mp.sqrt(v)
             for s in (1, 2, 3):
@@ -605,7 +607,7 @@ def test_harmonic_zetas_against_mpmath_nsum():
 def test_harmonic_skew_zeta_far_up_the_ladder():
     # 0.5^-1000 - 2.5^-1000 + ... = 2^1000 fits in a double although
     # 4^-1000 does not; 100^400 does not fit and is inf
-    q2 = PotentialSpec.uncoupled(2, 1.0)
+    q2 = uncoupled(2, 1.0)
     assert zeta_skew(q2, 1000, 0.5).value == pytest.approx(2.0**1000, rel=1e-15)
     assert zeta_skew(q2, 400, 0.99).value == math.inf
     assert zeta_full(q2, 10**6, -1e6).value == 0.0
@@ -616,7 +618,7 @@ def test_harmonic_zeta_domain():
     for E, v in ((1.0, 1.0), (math.nan, 1.0), (0.0, 0.0), (0.0, -1.0), (0.0, math.inf)):
         for zeta in (zeta_full, zeta_skew):
             with pytest.raises(DomainError):
-                zeta(PotentialSpec.uncoupled(2, v), 2, E)
+                zeta(uncoupled(2, v), 2, E)
 
 
 def test_skew_series_from_the_bernoulli_table():
@@ -626,7 +628,7 @@ def test_skew_series_from_the_bernoulli_table():
 
 
 def test_zeta_skew_computed_spectrum_vs_partial_sums():
-    spec = PotentialSpec.uncoupled(4, 1.0)
+    spec = uncoupled(4, 1.0)
     res = eigenvalues(spec, 384, 1e-6)
     vals = res.values()
     terms = (-1.0) ** np.arange(len(vals)) * vals ** (-2.0)
@@ -637,7 +639,7 @@ def test_zeta_skew_computed_spectrum_vs_partial_sums():
 
 
 def test_zeta_full_tail_fraction_invariant():
-    z = zeta_full(PotentialSpec.uncoupled(4, 1.0), 2)
+    z = zeta_full(uncoupled(4, 1.0), 2)
     assert z.tail_fraction < 0.1
 
 
@@ -649,7 +651,7 @@ def parity_zeta(spec, parity, s, *, count, tol):
 
 
 def test_zeta_parity_combinations():
-    spec = PotentialSpec.uncoupled(4, 1.0)
+    spec = uncoupled(4, 1.0)
     zf = zeta_full(spec, 2, count=384, tol=1e-6)
     zs = zeta_skew(spec, 2, count=384, tol=1e-6)
     z_even = parity_zeta(spec, "even", 2, count=384, tol=1e-6)
@@ -663,15 +665,15 @@ def test_zeta_parity_combinations():
 
 def test_zeta_from_det_matches_zeta_full():
     # s = 1 on q^4 + q^2 at the default 128 levels takes 14% from the tail
-    for spec, s in ((PotentialSpec.uncoupled(4, 1.0), 2), (PotentialSpec.trinomial(4, 2, 1.0), 1)):
+    for spec, s in ((uncoupled(4, 1.0), 2), (PotentialSpec.trinomial(4, 2, 1.0), 1)):
         z_det = zeta_from_det(spec, s, 0.0)
         z_sum = zeta_full(spec, s, 0.0)
         assert z_det.value == pytest.approx(z_sum.value, abs=1e-5), (spec, s)
 
 
-@pytest.mark.parametrize("spec", [PotentialSpec.uncoupled(4, 1.0),
+@pytest.mark.parametrize("spec", [uncoupled(4, 1.0),
                                   PotentialSpec.trinomial(4, 2, 1.0),
-                                  PotentialSpec.uncoupled(6, 1.0)])
+                                  uncoupled(6, 1.0)])
 def test_zeta_from_det_far_below_the_ground_state(spec):
     # at E << 0 the mu-derivatives of the normalization's tail series are
     # near 1e-11 in size, and the shot's zetas keep their digits only if
@@ -685,7 +687,7 @@ def test_zeta_from_det_far_below_the_ground_state(spec):
 
 @pytest.mark.parametrize("E", (math.nan, math.inf, -math.inf))
 def test_zetas_refuse_a_non_finite_energy(E):
-    spec = PotentialSpec.uncoupled(4, 1.0)
+    spec = uncoupled(4, 1.0)
     for zeta in (zeta_full, zeta_skew, zeta_from_det):
         with pytest.raises(DomainError, match="E must be finite"):
             zeta(spec, 2, E)
@@ -695,7 +697,7 @@ def test_zeta_full_with_every_term_below_double_range_is_an_accuracy_error():
     # each (lam_k + 1e200)^-2 underflows, while Weyl's law puts the sum
     # near 4.6e-251: a total of 0 is lost, not small
     with pytest.raises(AccuracyError, match="below double range"):
-        zeta_full(PotentialSpec.uncoupled(4, 1.0), 2, -1e200)
+        zeta_full(uncoupled(4, 1.0), 2, -1e200)
 
 
 def test_zeta_full_far_below_the_spectrum_is_weyl_or_refused():
@@ -704,7 +706,7 @@ def test_zeta_full_far_below_the_spectrum_is_weyl_or_refused():
     # Z(2; E) = (2/pi) I (3/4) Gamma(3/4) Gamma(5/4) |E|^(-5/4), with
     # I = int_0^1 sqrt(1 - x^4) dx; where the tail's integrand underflows the
     # sum is refused, not returned as its head alone
-    spec = PotentialSpec.uncoupled(4, 1.0)
+    spec = uncoupled(4, 1.0)
     area = math.gamma(0.25) * math.gamma(1.5) / (4.0 * math.gamma(1.75))
     forms = {1: (1.5 * math.sqrt(2.0) * area, -0.25),
              2: (2.0 / math.pi * area * 0.75 * math.gamma(0.75) * math.gamma(1.25), -1.25)}
@@ -726,10 +728,10 @@ def test_zeta_full_far_below_the_spectrum_is_weyl_or_refused():
     assert zeta_full(spec, 200).value == pytest.approx(ground**-200.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("spec", [PotentialSpec.uncoupled(4, 1.0),
+@pytest.mark.parametrize("spec", [uncoupled(4, 1.0),
                                   PotentialSpec.trinomial(4, 2, 1.0),
-                                  PotentialSpec.uncoupled(6, 1.0),
-                                  PotentialSpec.uncoupled(8, 1.0)])
+                                  uncoupled(6, 1.0),
+                                  uncoupled(8, 1.0)])
 def test_zeta_full_is_one_solve_at_the_count_given(monkeypatch, spec):
     # the tail carries 4% to 17% of Z(1) at 64 levels; the sum is still
     # within 5.4e-11 of the determinant route there, and 1.1e-12 at 160
@@ -751,13 +753,13 @@ def test_zeta_full_is_one_solve_at_the_count_given(monkeypatch, spec):
 
 def test_zeta_full_at_eight_levels_matches_zeta_from_det():
     # 8 levels of q^4 and a Bohr-Sommerfeld tail that carries 0.4% of Z(2)
-    spec = PotentialSpec.uncoupled(4, 1.0)
+    spec = uncoupled(4, 1.0)
     z_sum = zeta_full(spec, 2, count=8)
     assert z_sum.value == pytest.approx(zeta_from_det(spec, 2).value, abs=1e-7)
 
 
 def test_zeta_from_det_skew_matches_accelerated_sum():
-    spec = PotentialSpec.uncoupled(4, 1.0)
+    spec = uncoupled(4, 1.0)
     z_det = zeta_from_det(spec, 1, 0.0, skew=True)
     z_sum = zeta_skew(spec, 1, count=384, tol=1e-6)
     assert z_det.value == pytest.approx(z_sum.value, abs=1e-5)
@@ -765,10 +767,10 @@ def test_zeta_from_det_skew_matches_accelerated_sum():
 
 def test_zeta_from_det_harmonic_closed_forms():
     # pi/4 and pi^2/8 on q^2; the ladders of 2.5 q^2 below, at and above E = 0
-    q2 = PotentialSpec.uncoupled(2, 1.0)
+    q2 = uncoupled(2, 1.0)
     assert zeta_from_det(q2, 1, skew=True).value == pytest.approx(math.pi / 4.0, rel=1e-9)
     assert zeta_from_det(q2, 2).value == pytest.approx(math.pi**2 / 8.0, rel=1e-9)
-    spec = PotentialSpec.uncoupled(2, 2.5)
+    spec = uncoupled(2, 2.5)
     for E in (0.0, -1.3, 0.6):
         assert zeta_from_det(spec, 2, E).value == pytest.approx(
             zeta_full(spec, 2, E).value, rel=1e-9)
@@ -778,14 +780,14 @@ def test_zeta_from_det_harmonic_closed_forms():
 
 
 def test_zeta_from_det_ground_state_guard():
-    q2 = PotentialSpec.uncoupled(2, 1.0)
+    q2 = uncoupled(2, 1.0)
     # above the ground state 1, below the first excited level 3
     with pytest.raises(DomainError):
         zeta_from_det(q2, 2, 1.5)
     with pytest.raises(DomainError):
         zeta_from_det(q2, 3)
     # close below the ground state, and below the ground state 101 of q^2 + 100
-    for spec, E in ((q2, 0.9), (PotentialSpec.uncoupled(2, 1.0, 100.0), 90.0)):
+    for spec, E in ((q2, 0.9), (uncoupled(2, 1.0, 100.0), 90.0)):
         assert zeta_from_det(spec, 2, E).value == pytest.approx(
             zeta_full(spec, 2, E).value, rel=1e-9)
 
@@ -795,7 +797,7 @@ def test_zeta_from_det_refuses_each_energy_by_one_guard():
     # positive, so only the Bohr-Sommerfeld guard (E at or above the first
     # excited level) refuses E = 13.95; between lam_0 = 1.06 and lam_1 = 3.80,
     # D+ < 0 and det_jet's sign check refuses E = 2.43
-    q4 = PotentialSpec.uncoupled(4, 1.0)
+    q4 = uncoupled(4, 1.0)
     det, _, _ = spectral.det_jet(q4, -13.95)
     assert det.sign_even == det.sign_odd == 1.0
     with pytest.raises(DomainError, match="below the ground state"):
@@ -817,7 +819,7 @@ def test_zeta_from_det_solves_no_level_at_or_below_the_minimum(monkeypatch):
         return spectrum.bs_level(spec, k)
 
     monkeypatch.setattr(spectral, "bs_level", spying)
-    q4 = PotentialSpec.uncoupled(4, 1.0)
+    q4 = uncoupled(4, 1.0)
     partners = [PotentialSpec.trinomial(N, 2, g ** (-4.0 / (N + 2)))
                 for N, g in ((4, 3e-4), (4, 1e-4), (6, 1e-4), (6, 1e-5))]
     for spec, E in [(q4, 0.0), (q4, -1.0)] + [(p, 0.0) for p in partners]:
@@ -896,10 +898,10 @@ def test_det_jet_determinant_matches_shooting_det(N, g):
 def test_dilate_uncoupled_quartic():
     # det(v q^4 + lam) = det(q^4 + v^{-1/3} lam): type N, zero exponent
     v, lam = 2.0, 0.7
-    direct = shooting_det(PotentialSpec.uncoupled(4, v), lam)
+    direct = shooting_det(uncoupled(4, v), lam)
     r = v ** (1.0 / 3.0)
-    ref = PotentialSpec.uncoupled(4, 1.0, lam / r)
-    mapped = dilate_det(shooting_det(PotentialSpec.uncoupled(4, 1.0), lam / r), r, ref)
+    ref = uncoupled(4, 1.0, lam / r)
+    mapped = dilate_det(shooting_det(uncoupled(4, 1.0), lam / r), r, ref)
     assert direct.log_abs_full == pytest.approx(mapped.log_abs_full, abs=1e-7)
     # skew picks up exactly v^{1/(M+2)}
     assert zeta0_value(ref) == 0.0
@@ -931,10 +933,10 @@ def test_shooting_a_dilated_power_as_at_u_one(N):
     # u q^N is q^N dilated by its length L = u^(-1/(N+2)), spectrum
     # lam_k / L^2; the shot measures its gauge end and plain leg in L, so a
     # shallow power is neither refused nor built beyond its panel budget
-    ref = PotentialSpec.uncoupled(N, 1.0)
+    ref = uncoupled(N, 1.0)
     base = shooting_det(ref)
     for u in (1e-60, 1e-12, 1e-4, 1e4, 1e12):
-        got = shooting_det(PotentialSpec.uncoupled(N, u))
+        got = shooting_det(uncoupled(N, u))
         want = dilate_det(base, u ** (2.0 / (N + 2)), ref)
         for name in ("log_abs_even", "log_abs_odd", "log_abs_skew"):
             x = getattr(want, name)
@@ -970,13 +972,13 @@ def test_zeta_full_of_a_dilated_quartic(s):
     # the level tail is taken in Q_K/Q, which the dilation leaves alone (in Q
     # it was refused from u = 1e-40 down).  The levels' tolerance is absolute,
     # so it is dilated with them
-    base = zeta_full(PotentialSpec.uncoupled(4, 1.0), s).value
+    base = zeta_full(uncoupled(4, 1.0), s).value
     for e in range(-60, 41, 20):
         u = 10.0**e
-        got = zeta_full(PotentialSpec.uncoupled(4, u), s, tol=1e-6 * u ** (1.0 / 3.0)).value
+        got = zeta_full(uncoupled(4, u), s, tol=1e-6 * u ** (1.0 / 3.0)).value
         assert got == pytest.approx(u ** (-2.0 * s / 6.0) * base, rel=1e-10), e
 
 
 def test_dilate_rejects_bad_factor():
     with pytest.raises(DomainError):
-        dilate_det(harmonic_det(1.0, 0.0), -1.0, PotentialSpec.uncoupled(2, 1.0))
+        dilate_det(harmonic_det(1.0, 0.0), -1.0, uncoupled(2, 1.0))

@@ -12,6 +12,8 @@ from oscdet.potential import PotentialSpec, symanzik_map
 from oscdet.spectral import zeta_full
 from oscdet.spectrum import _ritz_levels, _sector_band, bs_level, eigenvalues
 
+from helpers import uncoupled
+
 # frozen from a dense-mesh run (h -> h/2 -> h/4, double Richardson) done
 # independently of this solver before it was written
 QUARTIC_LEVELS = (1.06036209048, 3.79967302980, 7.45569793799, 11.64474550266,
@@ -19,14 +21,14 @@ QUARTIC_LEVELS = (1.06036209048, 3.79967302980, 7.45569793799, 11.64474550266,
 
 
 def test_harmonic_levels():
-    res = eigenvalues(PotentialSpec.uncoupled(2, 1.0), 20, 1e-7)
+    res = eigenvalues(uncoupled(2, 1.0), 20, 1e-7)
     for e in res.entries:
         assert e.value == pytest.approx(2 * e.k + 1, abs=1e-6)
         assert 0.0 < e.err_est <= 1e-7
 
 
 def test_quartic_levels_against_oracle():
-    res = eigenvalues(PotentialSpec.uncoupled(4, 1.0), 8, 1e-8)
+    res = eigenvalues(uncoupled(4, 1.0), 8, 1e-8)
     for e, want in zip(res.entries, QUARTIC_LEVELS):
         assert e.value == pytest.approx(want, abs=5e-8)
 
@@ -56,7 +58,7 @@ def test_err_est_covers_a_doubled_basis():
     grid = [(PotentialSpec(N, M, u, 1.0, lam), count)
             for (N, M), u, lam, count in itertools.product(
                 ((4, 2), (6, 4), (8, 2), (10, 4)), (1e-3, 1.0), (0.0, 3.0), (1, 64, 256))]
-    cases = [(PotentialSpec.uncoupled(6, 1.0), 128), (PotentialSpec.trinomial(4, 2, 1.0), 128)]
+    cases = [(uncoupled(6, 1.0), 128), (PotentialSpec.trinomial(4, 2, 1.0), 128)]
     for spec, count in cases + grid:
         res = eigenvalues(spec, count, 1e-6)
         finer, _ = _ritz_levels(spec, res.params.omega, 2 * res.params.n, count)
@@ -86,9 +88,9 @@ def _csr_sector_band(spec, omega, n, parity):
     return band
 
 
-@pytest.mark.parametrize("spec", (PotentialSpec(4, 2, 1e-3, 1.0, 0.0), PotentialSpec.uncoupled(6, 1.0),
+@pytest.mark.parametrize("spec", (PotentialSpec(4, 2, 1e-3, 1.0, 0.0), uncoupled(6, 1.0),
                                   PotentialSpec(10, 4, 2.0, 3.0, -0.5), PotentialSpec(8, 6, 1.0, 1e3, 1.0),
-                                  PotentialSpec.uncoupled(2, 2.5)))
+                                  uncoupled(2, 2.5)))
 def test_sector_band_matches_sparse_horner(spec):
     for n, parity in ((6, 0), (40, 1), (512, 0)):
         want = _csr_sector_band(spec, 1.7, n, parity)
@@ -101,7 +103,7 @@ def test_sector_band_matches_sparse_horner(spec):
 # its top level, rounds like its levels' own size
 ROUNDING_SPECS = (PotentialSpec(4, 2, 1e-2, 1.0, 0.0), PotentialSpec(4, 2, 1e-3, 1.0, 0.0),
                   PotentialSpec(4, 2, 1e-4, 1.0, 0.0), PotentialSpec(6, 2, 1e-2, 1.0, 0.0),
-                  PotentialSpec.uncoupled(6, 1.0), PotentialSpec.trinomial(4, 2, 1.0),
+                  uncoupled(6, 1.0), PotentialSpec.trinomial(4, 2, 1.0),
                   PotentialSpec(6, 2, 1e-10, 1.0, 0.0))
 
 
@@ -161,7 +163,7 @@ def _spy_on_blocks(monkeypatch):
     return blocks
 
 
-@pytest.mark.parametrize("spec", (PotentialSpec.uncoupled(6, 1.0), PotentialSpec.trinomial(4, 2, 1.0)))
+@pytest.mark.parametrize("spec", (uncoupled(6, 1.0), PotentialSpec.trinomial(4, 2, 1.0)))
 def test_eigenvalues_grow_the_basis_by_thirds(monkeypatch, spec):
     # 256 levels, 128 per parity, start on 192 states per parity and are
     # certified one third further on, at 256; a doubling solved 256 and 512
@@ -174,7 +176,7 @@ def test_eigenvalues_grow_the_basis_by_thirds(monkeypatch, spec):
 @pytest.mark.parametrize("spec, count, tol, sizes", (
     # q^6 settles within its norm floor, above 1e-14, at 85 states: a
     # larger basis only raises that floor, so the refusal stops there
-    (PotentialSpec.uncoupled(6, 1.0), 64, 1e-14, [48, 64, 85]),
+    (uncoupled(6, 1.0), 64, 1e-14, [48, 64, 85]),
     # a near-harmonic level's floor is its own size, which no basis lowers
     # below tol, but its norm part stays below tol, so the steps go on to
     # 8 * 16 states, the largest basis
@@ -231,15 +233,28 @@ def test_bs_level_with_a_turning_point_far_below_one(v):
 
 def test_bs_level_second_order_against_ritz():
     # Dunham's second-order count: level 63 of q^4 to 1.7e-10 (8.8e-6 at first order)
-    spec = PotentialSpec.uncoupled(4, 1.0)
+    spec = uncoupled(4, 1.0)
     ritz = eigenvalues(spec, 64, 1e-9).values()[63]
     assert bs_level(spec, 63) == pytest.approx(ritz, rel=1e-9)
+
+
+def test_level_count_is_first_order_where_the_scale_overflows():
+    # q^4 at Q = 1e77: s = 4 Q^4 overflows while Q^4 does not, so that Q
+    # takes the first-order count (2/pi) Q^3 int_0^1 sqrt(1 - x^4) dx - 1/2
+    # and the Q beside it keeps its second-order one
+    count, _ = spectrum._level_count(uncoupled(4, 1.0))
+    with np.errstate(all="ignore"):
+        n = count(np.array([2.0, 1e77]))
+    area = math.gamma(0.25) * math.gamma(1.5) / (4.0 * math.gamma(1.75))
+    assert np.isfinite(n).all()
+    assert n[1] == pytest.approx(2.0 / math.pi * 1e77**3 * area - 0.5, rel=1e-14)
+    assert n[0] == pytest.approx(count(2.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("v", (1e-3, 1.0, 7.5))
 def test_bs_level_exact_for_harmonic(v):
     # the second-order term vanishes for V'' constant
-    for spec in (PotentialSpec.uncoupled(2, v, 0.3), PotentialSpec(2, 0, v, 4.0, 0.0)):
+    for spec in (uncoupled(2, v, 0.3), PotentialSpec(2, 0, v, 4.0, 0.0)):
         for k in (1, 2, 17, 64, 513):
             want = math.sqrt(v) * (2 * k + 1) + spec.value(0.0)
             assert bs_level(spec, k) == pytest.approx(want, rel=1e-12)
@@ -261,13 +276,13 @@ def test_err_est_positive_and_bounded():
 
 def test_count_cap():
     with pytest.raises(DomainError):
-        eigenvalues(PotentialSpec.uncoupled(2, 1.0), 1000, 1e-6)
+        eigenvalues(uncoupled(2, 1.0), 1000, 1e-6)
 
 
 def test_unreachable_tolerance_carries_best_estimate():
     # below the rounding floor eps * ||H|| of every basis tried
     with pytest.raises(AccuracyError) as exc:
-        eigenvalues(PotentialSpec.uncoupled(6, 1.0), 64, 1e-14)
+        eigenvalues(uncoupled(6, 1.0), 64, 1e-14)
     best = exc.value.best_estimate
     assert len(best) == 64 and exc.value.err_est > 1e-14
     assert best.values()[0] == pytest.approx(1.1448024537, abs=1e-8)
