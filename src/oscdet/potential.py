@@ -164,7 +164,9 @@ def binomial_series(spec: PotentialSpec, q: float, lam_deriv: int = 0):
             bound = u_half * abs(binom) * math.perm(k, n) * x ** (k - n) * y**n
         except OverflowError:
             bound = math.inf
-        if not bound < math.inf:    # it caps the order's terms
+        # a term, its factors multiplied in another order, can overflow where the bound does not
+        if not (bound < math.inf and all(math.isfinite(value) and math.isfinite(deriv)
+                                         for _, value, deriv in terms)):
             raise AccuracyError(f"order {k} of the large-q series of {spec.to_text()!r} "
                                 f"at q = {q!r} is beyond double range")
         yield bound, terms

@@ -107,14 +107,13 @@ def measure_point(N: int, g: float, *, count: int = 64, tol: float = 1e-6) -> Po
     # count and tol are unused; the benchmark's tracer binds them by name
     spec = PotentialSpec(N, 2, g, 1.0, 0.0)
 
-    # the determinants at E = 0 and the mu-derivatives of log D and of
-    # log D+ - log D-: Z(1), Z(2) and Z^P(1), Z^P(2)
+    # the determinants at E = 0 and the zetas Z(1), Z(2) and Z^P(1), Z^P(2)
     det, full, skew = det_jet(spec, 0.0)
     z1 = full[0]
     slope = -z1 + 0.5 * (EULER_GAMMA + LOG2)
 
     return PointMeasurement(g=g, v=symanzik_map(2, N, g, 0.0)[0], z1=z1, zp1=skew[0],
-                            z2=-full[1], zp2=-skew[1], slope=slope,
+                            z2=full[1], zp2=skew[1], slope=slope,
                             ratio0=det.log_abs_full - _LOG_SQRT2,
                             skew_ratio0=det.log_abs_skew - _HARMONIC_SKEW0)
 

@@ -24,16 +24,16 @@ zeta-regularized action int Pi dq: by Liouville's formula it is half the
 log-determinant int tr J dt of the gauged leg's propagator, plus the
 regularized tail series at the WKB start.
 
-Zeta values at s = 1, 2 are mu-derivatives of log det(H + mu).  They come
-from one shot of the sensitivity equations: the first and second
-mu-derivatives of the solution are propagated with it, through the same
-panel matrices, and the WKB start, the traces and the tail series are
-differentiated with them, so no difference quotient and no step width
-enters.  One routine (``_shoot``) does all shooting: the plain shot
-of ``shooting_det`` propagates the solution alone, and the sensitivity shot
-(``det_jet``) returns its determinants next to the derivatives, so one shot
-per coupling serves both the determinant and the zetas (``zeta_from_det``,
-``measure_point``).
+Zeta values are mu-derivatives of log det(H + mu),
+Z(s) = (-1)^{s+1}/(s-1)! d^s/dmu^s log D, from one shot of the sensitivity
+equations: the solution's mu-derivatives are propagated with it through the
+same panel matrices, and the WKB start, the traces and the tail series are
+differentiated with them by one set of jet helpers, so no difference
+quotient, no step width and no formula for one order enters.  One routine
+(``_shoot``) does all shooting: the plain shot of ``shooting_det``
+propagates the solution alone, and the sensitivity shot (``det_jet``)
+returns its determinants next to the zetas, so one shot per coupling serves
+both (``zeta_from_det``, ``measure_point``).
 """
 
 from __future__ import annotations
@@ -133,26 +133,34 @@ class ZetaValue:
 # shooting determinant
 # --------------------------------------------------------------------------
 
-def _wkb_next_correction(work: PotentialSpec, q: float) -> float:
-    """Bound on |y3|/Pi, the relative size of the last log-derivative
-    correction of the start: the magnitudes of the three terms of y3 are
-    added, so the bound does not vanish where the terms cancel."""
+def _wkb_terms(work: PotentialSpec, q: float) -> tuple[float, tuple, tuple]:
+    """P at q, and the WKB terms c P^{-beta} of the start there as (value,
+    beta): those of y1, y2 and y3 of w (the last three are y3's), and y2's
+    boundary term and (1/2) y2/Pi of ell (``_shoot``)."""
     p = work.value(q)
     b1, b2, b3 = (work.deriv(q, k) / p for k in (1, 2, 3))
-    y3 = (abs(b3) / 16.0 + 9.0 * abs(b1 * b2) / 32.0 + 15.0 * abs(b1) ** 3 / 64.0) / p
-    return y3 / math.sqrt(p)
+    root = math.sqrt(p)
+    w_terms = ((-b1 / 4.0, 1.0), (-b2 / (8.0 * root), 1.5),
+               (5.0 * b1 * b1 / (32.0 * root), 2.5), (-b3 / (16.0 * p), 2.0),
+               (9.0 * b1 * b2 / (32.0 * p), 3.0), (-15.0 * b1**3 / (64.0 * p), 4.0))
+    ell_terms = ((-b1 / (8.0 * root), 1.5), (-b2 / (16.0 * p), 2.0),
+                 (5.0 * b1 * b1 / (64.0 * p), 3.0))
+    return p, w_terms, ell_terms
 
 
 def _choose_q_max(work: PotentialSpec, q: float) -> float:
     """WKB matching point: the first q * 1.2^k, k = 0, 1, ..., where the
-    bound on |y3|/Pi is at most 5e-10.  The start then misses at most 1e-10
-    of log A (the tail integral of y4, 8e-12 in the median) on q^N + v q^M + lam,
-    N <= 10, v <= 1e6.  The shot walks out from at least improper_action's
-    split point (``choose_split_point``), so its regularized tail series
-    converges there too."""
-    while _wkb_next_correction(work, q) > 5e-10:
+    bound on |y3|/Pi, the magnitudes of y3's three terms added so that it
+    does not vanish where they cancel, is at most 5e-10.  The start then
+    misses at most 1e-10 of log A (the tail integral of y4, 8e-12 in the
+    median) on q^N + v q^M + lam, N <= 10, v <= 1e6.  The shot walks out from
+    at least improper_action's split point (``choose_split_point``), so its
+    regularized tail series converges there too."""
+    while True:
+        p, w_terms, _ = _wkb_terms(work, q)
+        if not sum(abs(c) for c, _ in w_terms[3:]) / math.sqrt(p) > 5e-10:
+            return q
         q *= 1.2
-    return q
 
 
 _PLAIN_THRESHOLD = 4.0   # drop the WKB gauge once P L^2 falls below this
@@ -173,17 +181,18 @@ def _gauged_blocks(work: PotentialSpec, q_cut: float, scale: float, t, order: in
     q, dq = q_cut + scale * np.sinh(t), scale * np.cosh(t)
     p = work.value(q)
     pi, r = np.sqrt(p), work.deriv(q) / (4.0 * p)
-    terms = [(pi, r)] + ([(0.5 / pi, -r / p), (-0.25 / (pi * p), 2.0 * r / p / p)] if order else [])
     zero = np.zeros_like(r)
-    return [dq * np.array([[2.0 * d, e], [e, zero]]) for d, e in terms]
+    jets = [(_power_jet(pi, p, -0.5, n), _power_jet(r, p, 1.0, n)) for n in range(order + 1)]
+    return [dq * np.array([[2.0 * d, e], [e, zero]]) for d, e in jets]
 
 
 def _plain_blocks(work: PotentialSpec, length: float, x: np.ndarray, order: int) -> list:
     """L [[0, P], [1, 0]] at q = L x, the plain system in (psi', psi) in the
     variable x = q/L, and its mu-derivatives."""
     zero, one = np.zeros_like(x), np.full_like(x, length)
-    return [np.array([[zero, length * work.value(length * x)], [one, zero]]),
-            np.array([[zero, one], [zero, zero]]), np.zeros((2, 2) + x.shape)][:order + 1]
+    return ([np.array([[zero, length * work.value(length * x)], [one, zero]]),
+             np.array([[zero, one], [zero, zero]])][:order + 1]
+            + [np.zeros((2, 2) + x.shape) for _ in range(order - 1)])
 
 
 _EYE_K = np.eye(_K)
@@ -355,8 +364,8 @@ def _ungauge(p_cut: float, ys: list) -> list:
 
 def _shoot(work: PotentialSpec, order: int):
     """The parity determinants of ``work`` and the jets of psi(0), psi'(0)
-    and the normalization c_norm of the recessive solution, propagated with
-    its first ``order`` (0 or 2) mu-derivatives.
+    and the normalization c_norm of the recessive solution, each a jet
+    through its ``order``-th mu-derivative.
 
     Both legs run through one propagator (``_propagate``), which carries the
     jets of a two-component state and collocates the panels of both legs in
@@ -382,21 +391,22 @@ def _shoot(work: PotentialSpec, order: int):
     2 _RADIANS / sqrt(-P(0)), so that no first panel spans more of an
     oscillation.  Where the gauge ends, psi'/psi above 1e4 Pi would lose A
     to rounding in U + V, and a P(q_cut) whose rounding against lam is above
-    1e-8 of it is not resolved.  At q_max, A and
-    Bhat take the WKB form: the log-derivative w = y0 + y1 + y2 + y3 through
-    third order, and the amplitude exp(ell) with ell = -int_{q_max}^inf
-    (y2 + y3).  The odd order is a total derivative, y3 = -(1/2) (y2/y0)',
-    so it adds the boundary term (1/2) y2/Pi at q_max to ell and no
-    quadrature; y2's, by parts P'/(8 P^{3/2}) - (1/32) int P'^2/P^{5/2}, is
-    the shot's one quadrature (``_amplitude_tail``).
-    c_norm = -1/4 log P(q_cut) + int_{q_cut}^{q_max} Pi + adaptive_tail at
-    q_max, which lies beyond improper_action's split point; the integral of
-    each mu-derivative Pi_m is minus half that of tr J_m over the leg, which
-    the propagator returns.  q_cut and q_max are held fixed under mu: log D
-    does not depend on them.  A P, a term of the shot or a quadrature beyond
-    double range, a quadrature that does not converge, a gauge end that is
-    not resolved, or a leg the propagator cannot resolve within its panel
-    budget, raises AccuracyError.
+    1e-8 of it is not resolved.  The sweep starts at q_max from A = 1 and
+    Bhat = w/Pi, w = y0 + y1 + y2 + y3 the WKB log-derivative through third
+    order (``_wkb_terms``); the amplitude's log, ell = -int_{q_max}^inf
+    (y2 + y3), goes to c_norm.  The odd order is a total derivative,
+    y3 = -(1/2) (y2/y0)', so it adds the boundary term (1/2) y2/Pi at q_max
+    to ell and no quadrature; y2's, by parts
+    P'/(8 P^{3/2}) - (1/32) int P'^2/P^{5/2}, is the shot's one quadrature
+    (``_amplitude_tail``).  c_norm = -1/4 log P(q_cut)
+    + int_{q_cut}^{q_max} Pi + adaptive_tail at q_max + ell, q_max beyond
+    improper_action's split point; the integral of each mu-derivative Pi_m
+    is minus half that of tr J_m over the leg, which the propagator returns,
+    and ell is added last, once the other terms have cancelled.  q_cut and
+    q_max are held fixed under mu: log D does not depend on them.  A P, a
+    term of the shot or a quadrature beyond double range, a quadrature that
+    does not converge, a gauge end that is not resolved, or a leg the
+    propagator cannot resolve within its panel budget, raises AccuracyError.
     """
     P = work.value
     length = work.length()
@@ -413,21 +423,14 @@ def _shoot(work: PotentialSpec, order: int):
         q_max = _choose_q_max(work, max(q_cut, choose_split_point(work)))
         if not math.isfinite(P(q_max)):
             raise AccuracyError(f"P is beyond double range at the tail point q = {q_max:.3g}")
-        p0, p_cut = P(q_max), P(q_cut)
+        p_cut = P(q_cut)
         # P(q_cut) is the powers' sum less |lam|, rounded by eps |lam|
         if not p_cut * 1e-8 > abs(work.lam) * sys.float_info.epsilon:
             raise AccuracyError(f"P = {p_cut:.3g} is lost to cancellation against "
                                 f"lam = {work.lam:.3g} where the gauge ends")
         scale = q_cut or turning_point(work, 2.0 * p_cut)
-        # the WKB terms c P^{-beta} at q_max as (value, beta): y1, y2 and y3
-        # of w, and y2's boundary term and (1/2) y2/Pi of ell
-        b1, b2, b3 = (work.deriv(q_max, k) / p0 for k in (1, 2, 3))
+        p0, w_terms, ell_terms = _wkb_terms(work, q_max)
         root = math.sqrt(p0)
-        w_terms = ((-b1 / 4.0, 1.0), (-b2 / (8.0 * root), 1.5),
-                   (5.0 * b1 * b1 / (32.0 * root), 2.5), (-b3 / (16.0 * p0), 2.0),
-                   (9.0 * b1 * b2 / (32.0 * p0), 3.0), (-15.0 * b1**3 / (64.0 * p0), 4.0))
-        ell_terms = ((-b1 / (8.0 * root), 1.5), (-b2 / (16.0 * p0), 2.0),
-                     (5.0 * b1 * b1 / (64.0 * p0), 3.0))
         tail_ints = _amplitude_tail(work, q_max, order)
         ratio, ell, c_norm = [], [], []
         for n in range(order + 1):
@@ -436,11 +439,6 @@ def _shoot(work: PotentialSpec, order: int):
                        + float(tail_ints[n]) / 32.0)
             log_cut = math.log(p_cut) if n == 0 else _power_jet(1.0 / p_cut, p_cut, 1.0, n - 1)
             c_norm.append(-0.25 * log_cut + adaptive_tail(work, q_max, lam_deriv=n))
-        # A = exp(ell), and U = A + Bhat = ratio A at q_max, ratio = (w + Pi)/Pi
-        a0 = [math.exp(ell[0])]
-        if order:
-            a0 += [a0[0] * ell[1], a0[0] * (ell[2] + ell[1] ** 2)]
-        u0 = _jet_mul(ratio, a0)
         legs = [(partial(_gauged_blocks, work, q_cut, scale), math.asinh((q_max - q_cut) / scale),
                  0.0, partial(_ungauge, p_cut))]
         if q_cut > 0.0:
@@ -448,9 +446,11 @@ def _shoot(work: PotentialSpec, order: int):
             # and the leg's unit keeps a first panel within _RADIANS of it
             unit = length if P(0.0) >= 0.0 else min(length, 2.0 * _RADIANS / math.sqrt(-P(0.0)))
             legs.append((partial(_plain_blocks, work, unit), q_cut / unit, 0.0, None))
-        ys, traces = _propagate(legs, [np.array([u, 2.0 * a - u]) for u, a in zip(u0, a0)])
+        # U = A + Bhat = ratio = (w + Pi)/Pi and V = 2 A - U at q_max, A = 1
+        starts = [np.array([u, 2.0 * (n == 0) - u]) for n, u in enumerate(ratio)]
+        ys, traces = _propagate(legs, starts)
         # tr J_m = 2 Pi_m dq/dt, so the leg, run inward, gives -2 int Pi_m dq
-        c_norm = [c - 0.5 * float(t) for c, t in zip(c_norm, traces)]
+        c_norm = [c - 0.5 * float(t) + e for c, t, e in zip(c_norm, traces, ell)]
     except OverflowError:
         raise AccuracyError("P, or a term of the shot, is beyond double range") from None
     dpsi, psi = [float(y[0]) for y in ys], [float(y[1]) for y in ys]
@@ -465,17 +465,12 @@ def _shoot(work: PotentialSpec, order: int):
 
 
 def shooting_det(spec: PotentialSpec, lam: float = 0.0) -> DeterminantValue:
-    """Parity determinants of -d^2/dq^2 + u q^N + v q^M + (spec.lam + lam).
-
-    The recessive solution is normalized at the WKB matching point q_max by
-    its WKB form (including the first three log-derivative corrections,
-    which keep q_max moderate) and propagated inward by piecewise Chebyshev
-    collocation; D- = Psi(0), D+ = -Psi'(0).  The gauge's normalization, the
-    zeta-regularized action, is the regularized tail series at q_max plus
-    int Pi from the gauge's end to q_max, which the gauged leg's propagator
-    gives as half its log-determinant.  A panel the propagator cannot resolve
-    at its panel cap, a quadrature failure, a P beyond double range at q_max,
-    or a P lost to cancellation where the gauge ends, raises AccuracyError.
+    """Parity determinants of -d^2/dq^2 + u q^N + v q^M + (spec.lam + lam):
+    D- = Psi(0), D+ = -Psi'(0) of the recessive solution, normalized by the
+    zeta-regularized action, from the plain shot (``_shoot`` at order 0).  A
+    panel the propagator cannot resolve at its panel cap, a quadrature
+    failure, a P beyond double range at q_max, or a P lost to cancellation
+    where the gauge ends, raises AccuracyError.
     """
     return _shoot(spec.with_shift(lam), 0)[0]
 
@@ -689,26 +684,31 @@ def det_ratio_skew(spec: PotentialSpec, lam: float, *,
 # zeta values through determinant derivatives
 # --------------------------------------------------------------------------
 
-def _log_derivs(y) -> tuple[float, float]:
-    """The first two derivatives of log|y| from the jet of y."""
-    d1 = y[1] / y[0]
-    return d1, y[2] / y[0] - d1 * d1
+def _log_derivs(y) -> list:
+    """The derivatives l_1, l_2, ... of log|y| from the jet of y, by y' = l' y
+    differentiated: l_n = (y_n - sum_{k=1..n-1} C(n-1, k-1) l_k y_{n-k}) / y_0."""
+    logs = []
+    for n in range(1, len(y)):
+        rest = sum(math.comb(n - 1, k - 1) * logs[k - 1] * y[n - k] for k in range(1, n))
+        logs.append((y[n] - rest) / y[0])
+    return logs
 
 
 @lru_cache(maxsize=4096)
 def det_jet(spec: PotentialSpec, mu: float) -> tuple[DeterminantValue, tuple, tuple]:
-    """The parity determinants of spec shifted by mu, and the first two
-    mu-derivatives of log|D| and of log|D+| - log|D-|, from one shot that
-    propagates the mu-derivatives of the solution alongside it.  Raises
-    DomainError unless D+ and D- are both positive, which holds below the
-    ground state.
+    """The parity determinants of spec shifted by mu and, from the same shot,
+    which propagates the solution's mu-derivatives with it, the zetas at
+    E = -mu: Z(s) = (-1)^{s+1}/(s-1)! d^s/dmu^s log D, s = 1, 2, and Z^P(s)
+    the same of log D+ - log D-.  Raises DomainError unless D+ and D- are
+    both positive, which holds below the ground state.
     """
     det, psi, dpsi, c_norm = _shoot(spec.with_shift(mu), 2)
     if not (psi[0] > 0.0 and dpsi[0] < 0.0):
         raise DomainError("E must lie below the ground state")
     odd, even = _log_derivs(psi), _log_derivs(dpsi)
-    full = tuple(float(2.0 * c + e + o) for c, e, o in zip(c_norm[1:], even, odd))
-    skew = tuple(float(e - o) for e, o in zip(even, odd))
+    signs = [(-1) ** (s + 1) / math.factorial(s - 1) for s in range(1, len(psi))]
+    full = tuple(float(w * (2.0 * c + e + o)) for w, c, e, o in zip(signs, c_norm[1:], even, odd))
+    skew = tuple(float(w * (e - o)) for w, e, o in zip(signs, even, odd))
     return det, full, skew
 
 
@@ -717,7 +717,7 @@ def zeta_from_det(spec: PotentialSpec, s: int, E: float = 0.0, *,
     """Z(s; E) = -(1/(s-1)!) d^s/dE^s log det(H - E) for s = 1, 2; with
     ``skew``, of log D+ - log D- instead, which gives the skew zeta.
 
-    The derivatives come from one sensitivity shot (``det_jet``, cached per
+    The zetas are those of one sensitivity shot (``det_jet``, cached per
     spec and E): the mu-derivatives of the recessive solution, of its WKB
     start and of the normalization (the integrals of 1/(2 Pi) and
     -1/(4 Pi^3) from the traces of the leg's mu-derivative blocks, the tail
@@ -739,7 +739,5 @@ def zeta_from_det(spec: PotentialSpec, s: int, E: float = 0.0, *,
     # every level lies above min V = V(0), so only an E above it needs the check
     if E > spec.value(0.0) and E >= bs_level(spec, 1.0):
         raise DomainError("E must lie below the ground state")
-    _, full, skew_logs = det_jet(spec, -E)
-    logs = skew_logs if skew else full
-    # d/dE = -d/dmu
-    return ZetaValue(s, E, logs[0] if s == 1 else -logs[1], 0.0)
+    _, full, skew_zetas = det_jet(spec, -E)
+    return ZetaValue(s, E, (skew_zetas if skew else full)[s - 1], 0.0)

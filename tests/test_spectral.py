@@ -210,7 +210,7 @@ def test_shot_quadrature_failure_is_an_accuracy_error(monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("order", (0, 2))
+@pytest.mark.parametrize("order", (0, 1, 2, 4))
 def test_gauged_sweep_jacobian_is_exact(order):
     # the collocation blocks against the coefficients of the linear systems:
     # A' = (Pi + r) A + Pi Bhat, Bhat' = Pi A + (Pi - r) Bhat in U = A + Bhat,
@@ -240,6 +240,21 @@ def test_gauged_sweep_jacobian_is_exact(order):
                                   for k in range(2)] for j in range(2)])
                 got = blocks[n][:, :, i]
                 assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * abs(want).max()), (n, q[i])
+
+
+def test_the_shot_at_order_four_gives_the_ladder_zetas():
+    # q^2 at lam = 0: the levels 2k + 1, whose zetas are the ladder sums, and
+    # Z(s) = (-1)^{s+1}/(s-1)! d^s log D/dmu^s up to s = 4; each
+    # lam-derivative of the tail series is one term there
+    _, psi, dpsi, c_norm = spectral._shoot(uncoupled(2, 1.0), 4)
+    odd, even = spectral._log_derivs(psi), spectral._log_derivs(dpsi)
+    for s in range(1, 5):
+        weight = (-1) ** (s + 1) / math.factorial(s - 1)
+        if s > 1:
+            full = weight * (2.0 * c_norm[s] + even[s - 1] + odd[s - 1])
+            assert full == pytest.approx(ladder_zeta(s, 1.0, 2.0), rel=1e-12), s
+        skew = weight * (even[s - 1] - odd[s - 1])
+        assert skew == pytest.approx(alternating_ladder_zeta(s, 1.0, 2.0), rel=1e-12), s
 
 
 @pytest.mark.parametrize("text", ("4 2 1 464 0", "6 2 1 1 5", "8 0 1 0 0", "10 4 1 1 1e10"))
@@ -959,7 +974,7 @@ def test_measure_point_matches_the_dilated_partner(N, g):
     d0 = dilate_det(det, v**-0.5, partner)
     assert p.z1 == pytest.approx(math.sqrt(v) * full[0], rel=1e-12)
     assert p.zp1 == pytest.approx(math.sqrt(v) * skew[0], rel=1e-11)
-    assert p.z2 == pytest.approx(-v * full[1], rel=5e-9)
+    assert p.z2 == pytest.approx(v * full[1], rel=5e-9)
     ratio0 = d0.log_abs_full - 0.5 * math.log(2.0)
     assert abs(p.ratio0 - ratio0) <= 5e-11 * max(1.0, abs(ratio0))
     skew_ratio0 = d0.log_abs_skew - harmonic_det(1.0, 0.0).log_abs_skew
