@@ -154,9 +154,9 @@ def adaptive_tail(spec: PotentialSpec, q: float, lam_deriv: int = 0) -> float:
 
 def choose_split_point(spec: PotentialSpec) -> float:
     """Split point of improper_action, and where shooting_det starts its walk
-    out to the WKB matching point: the smallest q at or beyond the length
-    u^{-1/(N+2)} (``PotentialSpec.length``) where the tail series converges
-    with expansion parameter x <= 0.2.
+    out to the WKB matching point: the smallest q at or beyond the stronger
+    power's length (``PotentialSpec.length``) where the tail series converges
+    with expansion parameter x <= 0.2 (x > 1 at the length of a v q^M).
 
     Head and tail cancel and each grows like q^{N/2+1}, so a larger q loses
     digits: for q^10 + 100 q^8 at x = 0.05 (q = 44.7) each is 1.4e9 and

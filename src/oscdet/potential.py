@@ -57,9 +57,11 @@ class PotentialSpec:
         return out
 
     def length(self) -> float:
-        """u^{-1/(N+2)}, the length at which u q^N and the kinetic term
-        -d^2/dq^2 balance; 1 for u = 1."""
-        return self.u ** (-1.0 / (self.N + 2))
+        """The stronger power's length: the least of u^{-1/(N+2)} and, for
+        M > 0 (v is a constant on M = 0), v^{-1/(M+2)}, where each power
+        balances -d^2/dq^2; 1 for q^2 + g q^N at g <= 1."""
+        length = self.u ** (-1.0 / (self.N + 2))
+        return min(length, self.v ** (-1.0 / (self.M + 2))) if self.M and self.v else length
 
     def with_shift(self, dlam: float) -> "PotentialSpec":
         return replace(self, lam=self.lam + dlam)

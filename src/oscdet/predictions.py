@@ -49,18 +49,25 @@ def _check_family(N: int) -> None:
     PotentialSpec.trinomial(N, 2, 1.0)
 
 
+def _check_below_q2(E: float) -> None:
+    """Raise DomainError unless E is finite and below 1, q^2's ground state."""
+    _check_energy(E)
+    if not E < 1.0:
+        raise DomainError("E must lie below the ground state of q^2 (E < 1)")
+
+
 def predict_det_ratio_g(N: int, M: int, g: float, E: float) -> float:
     """log of det(q^M + g q^N - E) / det(q^M - E) for g -> 0.
 
     Twice the regularized action of q^M + g q^N itself (its anomalous
     branch where the family is anomalous), plus the E-linear term
-    (log g - N log 2)/(N - 2) E when M = 2.
+    (log g - N log 2)/(N - 2) E when M = 2, where E must lie below 1.
     """
     if not (N > M >= 2):
         raise DomainError("need even N > M >= 2")
     if g <= 0.0:
         raise DomainError("coupling g must be positive")
-    _check_energy(E)
+    (_check_below_q2 if M == 2 else _check_energy)(E)
     total = 2.0 * binomial_action(g, 1.0, N, M).value
     if M == 2:
         total += (math.log(g) - N * LOG2) / (N - 2.0) * E
@@ -68,12 +75,12 @@ def predict_det_ratio_g(N: int, M: int, g: float, E: float) -> float:
 
 
 def predict_Z1(N: int, g: float, E: float = 0.0) -> float:
-    """g -> 0 law of the resolvent trace of q^2 + g q^N at energy E."""
+    """g -> 0 law of the resolvent trace of q^2 + g q^N at an energy E < 1."""
     if N < 4 or N % 2:
         raise DomainError("need even N >= 4")
     if g <= 0.0:
         raise DomainError("g must be positive")
-    _check_energy(E)
+    _check_below_q2(E)
     return ((1.0 / (N - 2.0)) * (-math.log(g) + N * LOG2)
             - 0.5 * (digamma(0.5 * (1.0 - E)) + LOG2))
 

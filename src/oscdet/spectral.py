@@ -244,11 +244,10 @@ def _collocate(blocks, a: np.ndarray, b: np.ndarray, order: int):
 
 
 @np.errstate(all="ignore")    # a non-finite value fails the tail test
-def _propagate(legs: list, y: list) -> tuple[list, np.ndarray]:
-    """The jets y = [y0, ..., y_order] (2-vectors) of
-    y_m' = sum_{k=0..m} C(m, k) J_k y_{m-k} carried along the
-    ``legs`` (blocks, x0, x1, turn) in turn, and the integrals of
-    tr J0, ..., tr J_order over the first leg.
+def _propagate(legs: list, y: list, unit: float) -> tuple[list, np.ndarray]:
+    """The jets y = [y0, ..., y_order] (2-vectors) of y_m' = sum_{k=0..m}
+    C(m, k) J_k y_{m-k} carried along the ``legs`` (blocks, x0, x1, turn) in
+    turn, and the integrals of tr J0, ..., tr J_order over the first leg.
 
     Each leg runs from its x0 to its x1 under its ``blocks`` (J0, ..., J_order
     at given points) and ends in its ``turn`` (None for none), which maps its
@@ -258,7 +257,8 @@ def _propagate(legs: list, y: list) -> tuple[list, np.ndarray]:
     the panel propagators are chained from the start, block lower-triangular
     in the jets.  Every panel over which a jet of the chained solution has a
     last-two Chebyshev coefficient above _TAIL_TOL of the size of the
-    solution there is bisected (an error in y_m / y0 that later panels carry
+    solution there, jet m in units of ``unit``^m (L^{2m}, as mu is in units
+    of L^{-2}), is bisected (an error in y_m / y0 that later panels carry
     unchanged), as is every panel flagged for its tr J_m; only the halves
     are collocated, and the chain runs again over the kept and the new
     propagators (``refine``), whose last round gives the end state.  A leg is
@@ -270,6 +270,7 @@ def _propagate(legs: list, y: list) -> tuple[list, np.ndarray]:
     it is built."""
     order = len(y) - 1
     start, out = np.concatenate(y), {}
+    weights = np.repeat(unit ** -np.arange(order + 1.0), 2)
 
     def solve(a, b, counts):
         bounds = list(itertools.accumulate(counts, initial=0))
@@ -301,7 +302,7 @@ def _propagate(legs: list, y: list) -> tuple[list, np.ndarray]:
                 starts.append(state)
                 state = step @ state
             vals = np.einsum("ptij,pj->pti", steps, np.array(starts))
-            tail = np.abs(_TAIL @ vals).max(axis=(1, 2))
+            tail = (np.abs(_TAIL @ vals) * weights).max(axis=(1, 2))
             bad[lo:hi] |= ~(tail <= _TAIL_TOL * np.abs(vals[:, :, :2]).max(axis=(1, 2)))
             if bad[lo:hi].any():
                 break
@@ -373,14 +374,12 @@ def _shoot(work: PotentialSpec, order: int):
     whose (psi', psi) start the plain leg, or are the result where the gauge
     runs to the origin.  The gauged leg runs in t, with
     q = q_cut + scale sinh t, from the WKB matching point q_max down to
-    q_cut, where P L^2 drops to 4, L the length at which the larger power
-    there balances the kinetic term: u^{-1/(N+2)} (``PotentialSpec.length``),
-    or v^{-1/(M+2)} where v q^M is the larger once the powers reach
-    4 u^{2/(N+2)}.  So psi'/psi is of order Pi where the gauge ends (on
-    q^4 + v q^2 it is v^{1/4} at P = 4, which loses A from v = 1e20 on), and
-    q^2 + g q^N is shot in units of q^2, not of g^{-1/(N+2)}, which would
-    spend the plain leg's panel budget at g = 1e-10.  The gauge runs to the
-    origin where P(0) u^{2/(N+2)} >= 4.  Its state is U = A + Bhat and
+    q_cut, where P L^2 drops to 4 (L = ``work.length()``, the stronger
+    power's length), or to the origin where P(0) L^2 >= 4.  So psi'/psi is of
+    order Pi where the gauge ends (u's length would end q^4 + v q^2 at
+    v^{1/4} Pi, losing A from v = 1e20 on), q^2 + g q^N is shot in units of
+    q^2 (g's length would spend the plain leg's budget at g = 1e-10), and
+    jet m is judged in units of L^{2m}.  Its state is U = A + Bhat and
     V = A - Bhat, whose system is J = dq/dt [[2 Pi, r], [r, 0]] with
     Pi = sqrt(P) and r = P'/(4P): U is the stiff mode, which the WKB start
     leaves at -r V/(2 Pi), and V the slow one.  t is linear where P doubles
@@ -413,13 +412,7 @@ def _shoot(work: PotentialSpec, order: int):
     threshold = _PLAIN_THRESHOLD / length**2
 
     try:
-        if work.M and work.v:
-            # v q^M is the larger power where the powers reach threshold iff
-            # their sum is above it where they cross, at q^(N-M) = v/u
-            cross = (work.v / work.u) ** (1.0 / (work.N - work.M))
-            if 2.0 * work.v * cross**work.M > threshold:
-                length = work.v ** (-1.0 / (work.M + 2))
-        q_cut = 0.0 if P(0.0) >= threshold else turning_point(work, _PLAIN_THRESHOLD / length**2)
+        q_cut = 0.0 if P(0.0) >= threshold else turning_point(work, threshold)
         q_max = _choose_q_max(work, max(q_cut, choose_split_point(work)))
         if not math.isfinite(P(q_max)):
             raise AccuracyError(f"P is beyond double range at the tail point q = {q_max:.3g}")
@@ -448,7 +441,7 @@ def _shoot(work: PotentialSpec, order: int):
             legs.append((partial(_plain_blocks, work, unit), q_cut / unit, 0.0, None))
         # U = A + Bhat = ratio = (w + Pi)/Pi and V = 2 A - U at q_max, A = 1
         starts = [np.array([u, 2.0 * (n == 0) - u]) for n, u in enumerate(ratio)]
-        ys, traces = _propagate(legs, starts)
+        ys, traces = _propagate(legs, starts, length**2)
         # tr J_m = 2 Pi_m dq/dt, so the leg, run inward, gives -2 int Pi_m dq
         c_norm = [c - 0.5 * float(t) + e for c, t, e in zip(c_norm, traces, ell)]
     except OverflowError:
@@ -724,10 +717,8 @@ def zeta_from_det(spec: PotentialSpec, s: int, E: float = 0.0, *,
     series term by term, to rounding) are propagated with it, so the error is
     that of the shot itself, the collocation's Chebyshev tail of 1e-12 and the
     third-order WKB start at q_max, not that of a difference quotient, also
-    at E << 0, where the tail's mu-derivatives are near 1e-11.  The
-    traces peak at q_cut and are resolved there like the solution, also on
-    strongly coupled partners, and a quadrature that does not converge
-    raises AccuracyError rather than a warning.  s >= 3
+    at E << 0, where the tail's mu-derivatives are near 1e-11.  A quadrature
+    that does not converge raises AccuracyError.  s >= 3
     raises DomainError up front, and so does an E that is not finite, an E
     above V(0) at or above the first Bohr-Sommerfeld excited level, or an E
     above the ground state, where a parity determinant turns negative; an E

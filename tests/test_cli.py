@@ -19,7 +19,7 @@ from oscdet.cli import main
 from oscdet.errors import DomainError
 from oscdet.predictions import predict_det_ratio_g, predict_Z1
 from oscdet.special_functions import alternating_ladder_zeta, ladder_zeta
-from oscdet.spectral import zeta_full, zeta_skew
+from oscdet.spectral import harmonic_det, zeta_full, zeta_skew
 
 from helpers import uncoupled
 
@@ -267,6 +267,15 @@ def test_det_at_a_shift_it_cannot_use_is_one_line(capsys, spec, shift, code):
         assert "must be finite" in captured.err
 
 
+def test_det_where_v_q2_is_the_stronger_power(capsys):
+    # q^4 + 1e20 q^2 + 5 is v q^2 + 5 to rounding; the gauge must end by v's
+    # length, not u's, by which it runs to the origin and loses psi there
+    code, out = run_cli(capsys, "det", "--spec", "4 2 1 1e20 5")
+    assert code == 0
+    skew = _strict_json(out)["log_abs"]["skew"]
+    assert skew == pytest.approx(harmonic_det(1e20, 5.0).log_abs_skew, rel=1e-14)
+
+
 def test_det_of_a_huge_constant_is_finite(capsys):
     # q^4 + C, C = 6.4e163: the WKB start is formed from P'/P, P''/P and
     # P'''/P, so no power of P leaves double range.  At this C, log D is its
@@ -327,6 +336,21 @@ def test_predict_command(capsys):
     payload = json.loads(out)
     assert payload["Z1"] == pytest.approx(-0.5 * math.log(1e-3) + 2.0214757838506295,
                                           rel=1e-10)
+
+
+@pytest.mark.parametrize("E", ("1", "2", "1e300"))
+def test_predict_refuses_an_energy_at_or_above_the_ground_state_of_q2(capsys, E):
+    # the laws' digamma term has its pole at E = 1, and above it
+    # det(q^2 - E) < 0: refused before any work, not in digamma
+    err = _exit_two_without_traceback(capsys, "predict", "--N", "4", "--g", "0.5", f"--E={E}")
+    assert "below the ground state of q^2" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("E", ("0.999", "-3"))
+def test_predict_below_the_ground_state_of_q2(capsys, E):
+    code, out = run_cli(capsys, "predict", "--N", "4", "--g", "0.5", f"--E={E}")
+    assert code == 0
+    assert json.loads(out)["Z1"] == pytest.approx(predict_Z1(4, 0.5, float(E)), rel=1e-15)
 
 
 def test_parse_error_exit_two(capsys):

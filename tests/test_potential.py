@@ -241,6 +241,19 @@ def test_spec_text_round_trip():
         PotentialSpec.from_text("4 2 1.0")
 
 
+@pytest.mark.parametrize("text, length", [
+    ("4 2 1 1 0", 1.0),
+    ("4 0 1e12 5 0", 1e-2),            # on M = 0, v is a constant: u's length
+    ("4 2 1e-8 1 0", 1.0),             # q^2 + 1e-8 q^4: q^2's
+    ("4 2 1 464 0", 464.0**-0.25),     # q^4 + 464 q^2: 464 q^2's
+    ("6 4 1e-12 0 0", 10.0**1.5),      # v = 0
+    ("6 2 1e-24 1e-8 0", 1e2),         # both shallow, v q^2 the stronger
+    ("8 6 1e30 1e32 0", 1e-4),         # both steep, v q^6 the stronger
+])
+def test_length_is_the_stronger_powers(text, length):
+    assert PotentialSpec.from_text(text).length() == pytest.approx(length, rel=1e-15)
+
+
 def test_value_and_derivatives():
     spec = PotentialSpec.trinomial(4, 2, 2.0, 0.5)
     q = np.linspace(0.1, 3.0, 7)

@@ -267,8 +267,8 @@ def test_gauged_leg_trace_integrates_the_momentum(monkeypatch, text):
     legs = []
     real = spectral._propagate
 
-    def spying(shot_legs, y):
-        out = real(shot_legs, y)
+    def spying(shot_legs, y, unit):
+        out = real(shot_legs, y, unit)
         legs.append((*shot_legs[0][:2], out[1]))   # the gauged leg's blocks and start, the traces
         return out
 
@@ -876,9 +876,9 @@ def test_zeta_from_det_one_shot_per_point(monkeypatch):
     orders = []
     real = spectral._propagate
 
-    def counting(legs, y):
+    def counting(legs, y, unit):
         orders.append((len(legs), len(y) - 1))
-        return real(legs, y)
+        return real(legs, y, unit)
 
     monkeypatch.setattr(spectral, "_propagate", counting)
     spectral.det_jet.cache_clear()
@@ -956,6 +956,36 @@ def test_shooting_a_dilated_power_as_at_u_one(N):
         for name in ("log_abs_even", "log_abs_odd", "log_abs_skew"):
             x = getattr(want, name)
             assert abs(getattr(got, name) - x) <= 1e-10 * max(1.0, abs(x)), (u, name)
+
+
+@pytest.mark.parametrize("N", (4, 6))
+@pytest.mark.parametrize("u", (1e-40, 1e-8, 1e40))
+def test_zeta_from_det_of_a_dilated_power(N, u):
+    # Z(s) of u q^N is u^(-2s/(N+2)) Z(s) of q^N; the sensitivity shot judges
+    # its mu-derivatives in units of L^2, so a shallow power is not bisected
+    # past its panel budget
+    for s in (1, 2):
+        for skew in (False, True):
+            base = zeta_from_det(uncoupled(N, 1.0), s, skew=skew).value
+            got = zeta_from_det(uncoupled(N, u), s, skew=skew).value * u ** (2.0 * s / (N + 2))
+            assert got == pytest.approx(base, rel=1e-12), (s, skew)
+
+
+@pytest.mark.parametrize("N, M, v", [(4, 2, 1e20), (6, 2, 1e20), (8, 2, 1e40), (4, 2, 1e100)])
+def test_a_v_dominated_shot_is_the_harmonic_ladder(N, M, v):
+    # where v q^2 is by far the stronger power, the levels are sqrt(v)(2k + 1)
+    # to rounding; the shot decides where its gauge ends, and whether it runs
+    # to the origin, by v's length: by u's, psi is lost or Z(2) changes sign
+    spec, r = PotentialSpec.trinomial(N, M, v), math.sqrt(v)
+    for E in (0.0, -4.0, -50.0, -1e4):
+        assert zeta_from_det(spec, 2, E).value == pytest.approx(
+            ladder_zeta(2, r - E, 2.0 * r), rel=1e-13), E
+        assert zeta_from_det(spec, 1, E, skew=True).value == pytest.approx(
+            alternating_ladder_zeta(1, r - E, 2.0 * r), rel=1e-13), E
+    for lam in (5.0, 100.0, 1e4):
+        det = shooting_det(spec, lam)
+        assert (det.sign_even, det.sign_odd) == (1.0, 1.0)
+        assert det.log_abs_skew == pytest.approx(harmonic_det(v, lam).log_abs_skew, abs=1e-13)
 
 
 @pytest.mark.parametrize("N", (4, 6, 8, 10))
