@@ -54,6 +54,13 @@ from .spectral import (
     zeta_full,
     zeta_skew,
 )
-from .spectrum import SpectrumResult, eigenvalues
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["SpectrumResult", "eigenvalues"]
+
+
+def __getattr__(name):
+    # the spectrum module loads LAPACK, which only an eigen solve needs
+    if name in ("SpectrumResult", "eigenvalues"):
+        from . import spectrum
+        return getattr(spectrum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,7 +27,6 @@ from .mellin import contributing_poles, enumerate_poles
 from .potential import PotentialSpec, symanzik_map
 from .predictions import GRID, fig2_rows, predict_det_ratio_g, predict_Z1, verify
 from .spectral import harmonic_det, shooting_det, zeta_full, zeta_skew
-from .spectrum import eigenvalues
 
 _OUTDIR_ENV = "OSCDET_OUTDIR"
 
@@ -78,6 +77,7 @@ def _json_text(payload) -> str:
 
 def cmd_spectrum(args):
     spec = PotentialSpec.from_text(args.spec)
+    from .spectrum import eigenvalues    # loads LAPACK, which no other command needs
     result = eigenvalues(spec, args.count, args.tol)
     rows = [["k", "parity", "value", "err_est"]]
     rows += [[str(e.k), e.parity, repr(e.value), repr(e.err_est)]

@@ -47,11 +47,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .actions import adaptive_tail, choose_split_point
+from .actions import adaptive_tail, bs_level, bs_tail, choose_split_point, turning_point
 from .errors import AccuracyError, DivergenceError, DomainError
 from .numerics import _DIFF, _INTEGRATE, _K, _NODES, _QUAD_ROWS, _TAIL, integrate, refine
 from .potential import PotentialSpec
-from .spectrum import bs_level, bs_tail, eigenvalues, turning_point
 from .special_functions import BERNOULLI, alternating_ladder_zeta, ladder_zeta, log_gamma
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -578,6 +577,7 @@ def _zeta(spec: PotentialSpec, s: int, E: float, count: int, tol: float,
     def df(lam):
         return -s * (lam - E) ** (-float(s) - 1.0)
 
+    from .spectrum import eigenvalues    # loads LAPACK: only an eigen solve does
     levels = eigenvalues(spec, count, tol).values()
     if E >= levels[0]:
         raise DomainError("E must lie below the lowest eigenvalue")
@@ -632,6 +632,7 @@ def _det_ratio(spec: PotentialSpec, lam: float, count: int, tol: float, skew: bo
         raise DomainError("N = 2 is not zero-free; use harmonic_det")
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, not {lam}")
+    from .spectrum import eigenvalues
     levels = eigenvalues(spec, count, tol).values()
     if -lam >= levels[-1]:
         raise AccuracyError(f"lambda = {lam!r} reaches past the last of {count} computed "

@@ -562,35 +562,40 @@ def test_zeta_of_a_shallow_quartic(capsys):
 
 def test_cli_never_imports_scipy_integrate_or_optimize(tmp_path):
     # nor scipy.special, nor the scipy and scipy.linalg packages: LAPACK's
-    # wrapper is the one scipy module loaded.  No module at all, numpy's and
-    # scipy's included, is first imported inside a command, where its cost
-    # would fall on the command rather than on the import.  This process
-    # imports scipy for its oracles, so the commands run in a fresh interpreter
+    # wrapper is the one scipy module loaded, and only by an eigen solve,
+    # since it starts a second OpenBLAS thread pool.  Beyond oscdet.spectrum
+    # and that wrapper, no module at all, numpy's and scipy's included, is
+    # first imported inside a command, where its cost would fall on the
+    # command rather than on the import.  This process imports scipy for its
+    # oracles, so the commands run in a fresh interpreter
     script = """
 import contextlib, io, sys
 from oscdet.cli import main
-runs = (["verify", "--N", "4", "--grid", "0.01"], ["det", "--spec", "4 2 1 1 0"],
-        ["zeta", "--spec", "4 2 1 1 0", "--s", "2", "--count", "16"],
-        ["zeta", "--spec", "2 0 1 0 0", "--s", "2"],
-        ["zeta", "--spec", "2 0 1 0 0", "--s", "1", "--skew"],
-        ["zeta", "--spec", "2 0 1 0 0", "--s", "2", "--skew"],
-        ["action", "--spec", "4 2 1 1 0.5", "--method", "numeric"],
-        ["spectrum", "--spec", "4 2 1 1 0", "--count", "8"],
-        ["predict", "--N", "4", "--g", "0.01"], ["poles", "--N", "4", "--M", "2"],
-        ["fig2", "--families", "4", "--grid", "1e-1,3e-2", "--outdir", sys.argv[1]],
-        ["verify", "--N", "6", "--grid", "0.01", "--format", "json"])
-before = set(sys.modules)
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in runs]
-print(codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
-      sorted(set(sys.modules) - before))
+shots = (["verify", "--N", "4", "--grid", "0.01"], ["det", "--spec", "4 2 1 1 0"],
+         ["zeta", "--spec", "2 0 1 0 0", "--s", "2"],
+         ["zeta", "--spec", "2 0 1 0 0", "--s", "1", "--skew"],
+         ["zeta", "--spec", "2 0 1 0 0", "--s", "2", "--skew"],
+         ["action", "--spec", "4 2 1 1 0.5", "--method", "numeric"],
+         ["predict", "--N", "4", "--g", "0.01"], ["poles", "--N", "4", "--M", "2"],
+         ["fig2", "--families", "4", "--grid", "1e-1,3e-2", "--outdir", sys.argv[1]],
+         ["verify", "--N", "6", "--grid", "0.01", "--format", "json"])
+solves = (["spectrum", "--spec", "4 2 1 1 0", "--count", "8"],
+          ["zeta", "--spec", "4 2 1 1 0", "--s", "2", "--count", "16"])
+for runs in (shots, solves):
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [main(argv) for argv in runs]
+    print(codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+          sorted(set(sys.modules) - before))
 """
     src = str(Path(oscdet.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
                           text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] ['scipy.linalg._flapack'] []", \
+    assert done.stdout.splitlines() == [
+        "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0] [] []",
+        "[0, 0] ['scipy.linalg._flapack'] ['oscdet.spectrum', 'scipy.linalg._flapack']"], \
         done.stdout
 
 

@@ -58,9 +58,9 @@ def test_panel_rule_takes_the_level_tail(what):
     f, df = {"Z(1)": (lambda x: 1.0 / x, lambda x: -1.0 / x**2),
              "Z(2)": (lambda x: x**-2.0, lambda x: -2.0 * x**-3.0),
              "det_ratio": (lambda x: math.log1p(1.0 / x), lambda x: -1.0 / (x * (x + 1.0)))}[what]
-    count, density = spectrum._level_count(spec)
-    lam_K = spectrum.bs_level(spec, K)
-    Q_K = spectrum.turning_point(spec, lam_K)
+    count, density = actions._level_count(spec)
+    lam_K = actions.bs_level(spec, K)
+    Q_K = actions.turning_point(spec, lam_K)
 
     def integrand(Q):
         Q = float(Q)
@@ -69,7 +69,7 @@ def test_panel_rule_takes_the_level_tail(what):
     with mp.workdps(20):
         integral = mp.quad(integrand, [Q_K, 2 * Q_K, 8 * Q_K, mp.inf])
     want = float(integral) + 0.5 * f(lam_K) - df(lam_K) / (12.0 * float(density(Q_K)))
-    got = spectrum.bs_tail(spec, K, f, df)
+    got = actions.bs_tail(spec, K, f, df)
     assert got == pytest.approx(want, rel=1e-12), (got, want)
 
 

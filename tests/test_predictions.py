@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oscdet import spectral, spectrum
+from oscdet import actions, spectral, spectrum
 from oscdet.actions import binomial_action
 from oscdet.errors import DomainError
 from oscdet.potential import PotentialSpec, symanzik_map
@@ -130,8 +130,8 @@ def test_verify_and_fig2_solve_no_level(job, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a level was solved")
 
-    for module in (spectrum, spectral):
-        monkeypatch.setattr(module, "eigenvalues", refuse)
+    monkeypatch.setattr(spectrum, "eigenvalues", refuse)
+    for module in (actions, spectral):
         monkeypatch.setattr(module, "bs_level", refuse)
     spectral.det_jet.cache_clear()
     job()

@@ -756,7 +756,7 @@ def test_zeta_full_is_one_solve_at_the_count_given(monkeypatch, spec):
         counts.append(count)
         return eigenvalues(spec, count, tol)
 
-    monkeypatch.setattr(spectral, "eigenvalues", counting)
+    monkeypatch.setattr(spectrum, "eigenvalues", counting)
     want = zeta_from_det(spec, 1).value
     for count, rel in ((64, 1e-10), (160, 2e-12)):
         z = zeta_full(spec, 1, count=count)

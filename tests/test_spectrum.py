@@ -6,7 +6,8 @@ import pytest
 import scipy.sparse
 from scipy.linalg import eig_banded
 
-from oscdet import spectrum
+import oscdet
+from oscdet import actions, spectrum
 from oscdet.errors import AccuracyError, DomainError
 from oscdet.potential import PotentialSpec, symanzik_map
 from oscdet.spectral import zeta_full
@@ -25,6 +26,15 @@ def test_harmonic_levels():
     for e in res.entries:
         assert e.value == pytest.approx(2 * e.k + 1, abs=1e-6)
         assert 0.0 < e.err_est <= 1e-7
+
+
+def test_package_resolves_the_solver_on_first_use():
+    # the package imports this module, which loads LAPACK, only when asked
+    assert oscdet.eigenvalues is spectrum.eigenvalues
+    assert oscdet.SpectrumResult is spectrum.SpectrumResult
+    assert "SpectrumResult" in oscdet.__all__ and "eigenvalues" in oscdet.__all__
+    with pytest.raises(AttributeError):
+        oscdet.no_such_name
 
 
 def test_quartic_levels_against_oracle():
@@ -242,7 +252,7 @@ def test_level_count_is_first_order_where_the_scale_overflows():
     # q^4 at Q = 1e77: s = 4 Q^4 overflows while Q^4 does not, so that Q
     # takes the first-order count (2/pi) Q^3 int_0^1 sqrt(1 - x^4) dx - 1/2
     # and the Q beside it keeps its second-order one
-    count, _ = spectrum._level_count(uncoupled(4, 1.0))
+    count, _ = actions._level_count(uncoupled(4, 1.0))
     with np.errstate(all="ignore"):
         n = count(np.array([2.0, 1e77]))
     area = math.gamma(0.25) * math.gamma(1.5) / (4.0 * math.gamma(1.75))
