@@ -3,6 +3,8 @@ for Schrodinger operators with even polynomial potentials on the line."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .actions import (
     ActionValue,
     adaptive_tail,
@@ -55,7 +57,9 @@ from .spectral import (
     zeta_skew,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")] + ["SpectrumResult", "eigenvalues"]
+# each ``from .x import`` also binds the submodule x here; it is no export
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)] + ["SpectrumResult", "eigenvalues"]
 
 
 def __getattr__(name):

@@ -89,40 +89,37 @@ def predict_Z1(N: int, g: float, E: float = 0.0) -> float:
 # measurements
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointMeasurement:
-    """Everything the harness extracts at a single coupling."""
+# The graded quantities: each one's g -> 0 law at (N, g), its reader of the
+# shot's (det, full, skew) at E = 0, and the name of the verdict that its
+# |residual| falls monotonically, or None for slope (graded by slope_trend).
+# ratio0 is log[det_g(0)/det_0(0)], slope its d/dE at E = 0.
+_QUANTITIES = {
+    "z1": (predict_Z1, lambda det, full, skew: full[0], "z1_monotone"),
+    "zp1": (lambda N, g: _PI / 4.0, lambda det, full, skew: skew[0], "zp1_regular"),
+    "z2": (lambda N, g: _PI * _PI / 8.0, lambda det, full, skew: full[1], "z2_regular"),
+    "zp2": (lambda N, g: CATALAN, lambda det, full, skew: skew[1], "zp2_regular"),
+    "slope": (lambda N, g: (math.log(g) - N * LOG2) / (N - 2.0),
+              lambda det, full, skew: -full[0] + 0.5 * (EULER_GAMMA + LOG2), None),
+    "ratio0": (lambda N, g: predict_det_ratio_g(N, 2, g, 0.0),
+               lambda det, full, skew: det.log_abs_full - _LOG_SQRT2, "ratio0_trend"),
+    "skew_ratio0": (lambda N, g: 0.0,
+                    lambda det, full, skew: det.log_abs_skew - _HARMONIC_SKEW0,
+                    "skew_det_stable"),
+}
 
-    g: float
-    v: float
-    z1: float                 # Z_g(1;0)
-    zp1: float                # Z_g^P(1;0)
-    z2: float                 # Z_g(2;0)
-    zp2: float                # Z_g^P(2;0)
-    slope: float              # d/dE log[det_g(E)/det_0(E)] at E = 0
-    ratio0: float             # log[det_g(0)/det_0(0)]
-    skew_ratio0: float        # log[det^P_g(0)/det^P_0(0)]
 
-
-def measure_point(N: int, g: float, *, count: int = 64, tol: float = 1e-6) -> PointMeasurement:
+def measure_point(N: int, g: float, *, count: int = 64, tol: float = 1e-6) -> dict[str, float]:
     """Measure the M = 2 family q^2 + g q^N at one coupling.
 
-    Every zeta value and the determinants at E = 0 come from one
-    sensitivity shot of q^2 + g q^N.  ``v`` is the Symanzik partner's
+    Returns each graded quantity by name, all read from one sensitivity
+    shot of q^2 + g q^N at E = 0, and ``v``, the Symanzik partner's
     coupling, for the Fig. 2 axis.
     """
     # count and tol are unused; the benchmark's tracer binds them by name
-    spec = PotentialSpec(N, 2, g, 1.0, 0.0)
-
-    # the determinants at E = 0 and the zetas Z(1), Z(2) and Z^P(1), Z^P(2)
-    det, full, skew = det_jet(spec, 0.0)
-    z1 = full[0]
-    slope = -z1 + 0.5 * (EULER_GAMMA + LOG2)
-
-    return PointMeasurement(g=g, v=symanzik_map(2, N, g, 0.0)[0], z1=z1, zp1=skew[0],
-                            z2=full[1], zp2=skew[1], slope=slope,
-                            ratio0=det.log_abs_full - _LOG_SQRT2,
-                            skew_ratio0=det.log_abs_skew - _HARMONIC_SKEW0)
+    shot = det_jet(PotentialSpec(N, 2, g, 1.0, 0.0), 0.0)
+    point = {name: read(*shot) for name, (_, read, _) in _QUANTITIES.items()}
+    point["v"] = symanzik_map(2, N, g, 0.0)[0]
+    return point
 
 
 def _monotone_decreasing(values) -> bool:
@@ -179,34 +176,19 @@ def verify(N: int, grid=GRID) -> PredictionReport:
     _check_family(N)
     points = [measure_point(N, g) for g in grid]
 
-    predicted = {
-        "z1": [predict_Z1(N, g) for g in grid],
-        "zp1": [_PI / 4.0] * len(grid),
-        "z2": [_PI * _PI / 8.0] * len(grid),
-        "zp2": [CATALAN] * len(grid),
-        "slope": [(math.log(g) - N * LOG2) / (N - 2.0) for g in grid],
-        "ratio0": [predict_det_ratio_g(N, 2, g, 0.0) for g in grid],
-        "skew_ratio0": [0.0] * len(grid),
-    }
-    measured = {k: [getattr(p, k) for p in points] for k in predicted}
+    predicted = {k: [law(N, g) for g in grid] for k, (law, _, _) in _QUANTITIES.items()}
+    measured = {k: [p[k] for p in points] for k in _QUANTITIES}
     residuals = {k: [m - q for m, q in zip(measured[k], predicted[k])]
-                 for k in predicted}
+                 for k in _QUANTITIES}
 
-    abs_z1 = [abs(r) for r in residuals["z1"]]
     slope_rel = [abs(r / q) for r, q in zip(residuals["slope"], predicted["slope"])]
     islope = min(range(len(grid)), key=lambda i: abs(grid[i] - _SLOPE_CHECK_G))
 
-    verdicts = {
-        "z1_monotone": _monotone_decreasing(abs_z1),
-        "z1_final": abs_z1[-1] <= _Z1_ABS_MAX,
-        "zp1_regular": _monotone_decreasing([abs(r) for r in residuals["zp1"]]),
-        "z2_regular": _monotone_decreasing([abs(r) for r in residuals["z2"]]),
-        "zp2_regular": _monotone_decreasing([abs(r) for r in residuals["zp2"]]),
-        "skew_det_stable": _monotone_decreasing([abs(r) for r in residuals["skew_ratio0"]]),
-        "slope_trend": (_monotone_decreasing(slope_rel[:islope + 1])
-                        and slope_rel[islope] <= _SLOPE_REL_MAX),
-        "ratio0_trend": _monotone_decreasing([abs(r) for r in residuals["ratio0"]]),
-    }
+    verdicts = {verdict: _monotone_decreasing([abs(r) for r in residuals[k]])
+                for k, (_, _, verdict) in _QUANTITIES.items() if verdict}
+    verdicts["z1_final"] = abs(residuals["z1"][-1]) <= _Z1_ABS_MAX
+    verdicts["slope_trend"] = (_monotone_decreasing(slope_rel[:islope + 1])
+                               and slope_rel[islope] <= _SLOPE_REL_MAX)
 
     return PredictionReport(family=(N, 2), grid=list(grid), predicted=predicted,
                             measured=measured, residuals=residuals, verdicts=verdicts)
@@ -228,8 +210,8 @@ def fig2_rows(families=(4, 6), grid=GRID):
     for N in families:
         for g in grid:
             p = measure_point(N, g)
-            left.append([f"q2+gq{N}", str(N), repr(p.g), repr(p.v), repr(1.0 / p.v),
-                         repr(p.zp1), repr(p.z2), repr(p.zp2)])
-            right.append([f"q2+gq{N}", str(N), repr(p.g), repr(math.log(p.g)),
-                          repr(p.z1), repr(predict_Z1(N, p.g))])
+            left.append([f"q2+gq{N}", str(N), repr(g), repr(p["v"]), repr(1.0 / p["v"]),
+                         repr(p["zp1"]), repr(p["z2"]), repr(p["zp2"])])
+            right.append([f"q2+gq{N}", str(N), repr(g), repr(math.log(g)),
+                          repr(p["z1"]), repr(predict_Z1(N, g))])
     return left, right

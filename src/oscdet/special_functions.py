@@ -60,10 +60,9 @@ def _is_nonpositive_integer(x: float) -> bool:
 
 
 def _cotpi(x: float) -> float:
-    """cos(pi*x)/sin(pi*x) with the argument reduced to a half period."""
+    """cos(pi*x)/sin(pi*x) with the argument reduced to a half period; x is
+    never an integer, since digamma refuses its poles first."""
     r = math.remainder(x, 1.0)  # r in [-0.5, 0.5]
-    if r == 0.0:
-        raise DomainError("cot(pi x) pole at integer x")
     return math.cos(math.pi * r) / math.sin(math.pi * r)
 
 

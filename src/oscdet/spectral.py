@@ -497,9 +497,7 @@ def harmonic_det(v: float, lam: float) -> DeterminantValue:
         try:
             lg, sg = log_gamma(x)
         except OverflowError:
-            lg = math.inf
-        if lg == math.inf:
-            raise AccuracyError(f"log Gamma({x:.3g}) is beyond double range")
+            raise AccuracyError(f"log Gamma({x:.3g}) is beyond double range") from None
         out[name] = ((0.5 - x) * base + _HALF_LOG_2PI - lg, sg)
     x = (1.0 + w) / 4.0
     if x >= _SKEW_SERIES_X:

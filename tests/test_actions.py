@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import mpmath as mp
@@ -17,10 +18,14 @@ from oscdet.actions import (
     choose_split_point,
     improper_action,
     trinomial_action_asymptotic,
+    turning_point,
 )
 from oscdet.errors import AccuracyError, DomainError
+from oscdet.mellin import assemble_asymptotics
 from oscdet.potential import PotentialSpec, beta_coefficients, binomial_series, expansion_parameter
+from oscdet.predictions import predict_det_ratio_g
 from oscdet.special_functions import LOG2
+from oscdet.spectrum import eigenvalues
 
 from helpers import uncoupled
 
@@ -329,6 +334,26 @@ def test_improper_action_trinomial_continuity_at_zero_lambda():
 def test_improper_action_rejects_negative_momentum():
     with pytest.raises(DomainError):
         improper_action(PotentialSpec.trinomial(4, 2, 1.0, -0.5))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: binomial_action_s(1.0, 1.0, 2, 4, 0.0), "need N > M >= 0"),
+    (lambda: binomial_action_s(0.0, 1.0, 4, 2, 0.0), "need u, v > 0"),
+    (lambda: binomial_action(1.0, 1.0, 2, 4), "need N > M >= 0"),
+    (lambda: binomial_action(1.0, 0.0, 4, 2), "need u, v > 0"),
+    (lambda: trinomial_action_asymptotic(4, 0, 1.0, 0.0), "need even N > M >= 2"),
+    (lambda: turning_point(PotentialSpec.trinomial(4, 2, 1.0, 0.5), 0.5),
+     "level below the potential minimum"),
+    (lambda: assemble_asymptotics(4, 2, 0.0, 1.0), "v must be positive"),
+    (lambda: assemble_asymptotics(4, 2, 1.0, -1.0), "lam must be nonnegative"),
+    (lambda: beta_coefficients(PotentialSpec.trinomial(4, 2, 1.0), 3), "rho_min must not exceed N/2"),
+    (lambda: predict_det_ratio_g(4, 4, 1e-2, 0.0), "need even N > M >= 2"),
+    (lambda: predict_det_ratio_g(4, 2, 0.0, 0.0), "coupling g must be positive"),
+    (lambda: eigenvalues(PotentialSpec.trinomial(4, 2, 1.0), 0), "count must be positive"),
+])
+def test_public_calls_refuse_their_documented_domain(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_anomalous_derivative_against_finite_difference():

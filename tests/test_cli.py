@@ -478,9 +478,8 @@ def test_fig2_measures_each_point_once(tmp_path, capsys, monkeypatch):
 
     def fake(N, g, *, count=256, tol=1e-6):
         calls.append((N, g))
-        return predictions.PointMeasurement(g=g, v=2.0, z1=1.0, zp1=0.5, z2=1.5,
-                                            zp2=0.25, slope=0.0, ratio0=0.0,
-                                            skew_ratio0=0.0)
+        return dict(v=2.0, z1=1.0, zp1=0.5, z2=1.5, zp2=0.25, slope=0.0, ratio0=0.0,
+                    skew_ratio0=0.0)
 
     monkeypatch.setattr(predictions, "measure_point", fake)
     code, _ = run_cli(capsys, "fig2", "--families", "4,6", "--grid", "1e-1,3e-2",
@@ -793,15 +792,35 @@ def test_verify_json_writes_a_non_finite_value_as_null(capsys, monkeypatch):
     import oscdet.predictions as predictions
 
     def fake(N, g, *, count=64, tol=1e-6):
-        return predictions.PointMeasurement(g=g, v=2.0, z1=math.nan, zp1=0.5, z2=1.5,
-                                            zp2=0.25, slope=0.0, ratio0=0.0,
-                                            skew_ratio0=0.0)
+        return dict(v=2.0, z1=math.nan, zp1=0.5, z2=1.5, zp2=0.25, slope=0.0, ratio0=0.0,
+                    skew_ratio0=0.0)
 
     monkeypatch.setattr(predictions, "measure_point", fake)
     assert main(["verify", "--grid", "1e-1,3e-2"]) == 1
     payload = _strict_json(capsys.readouterr().out)
     assert payload["measured"]["z1"] == payload["residuals"]["z1"] == [None, None]
     assert payload["measured"]["zp1"] == [0.5, 0.5]
+
+
+def test_verify_grades_a_quantity_planted_in_the_table(capsys, monkeypatch):
+    # one table row is all a new graded quantity needs: its law, its reader
+    # of the shot and its verdict reach the JSON, the CSV columns and the
+    # exit code; this one's residual, -1/g, grows as g falls
+    import oscdet.predictions as predictions
+
+    monkeypatch.setitem(predictions._QUANTITIES, "planted",
+                        (lambda N, g: 1.0 / g, lambda det, full, skew: 0.0, "planted_monotone"))
+    code, out = run_cli(capsys, "verify", "--grid", "1e-1,3e-2")
+    assert code == 1
+    payload = _strict_json(out)
+    assert payload["predicted"]["planted"] == [1.0 / 1e-1, 1.0 / 3e-2]
+    assert payload["measured"]["planted"] == [0.0, 0.0]
+    assert payload["residuals"]["planted"] == [-1.0 / 1e-1, -1.0 / 3e-2]
+    assert [name for name, ok in payload["verdicts"].items() if not ok] == ["planted_monotone"]
+    code, out = run_cli(capsys, "verify", "--grid", "1e-1,3e-2", "--format", "csv")
+    assert code == 1
+    header = out.splitlines()[0].split(",")
+    assert {"planted_predicted", "planted_measured", "planted_residual"} <= set(header)
 
 
 def test_readme_cli_examples_run(tmp_path, capsys):

@@ -78,12 +78,12 @@ def test_measure_point_routes_consistent():
     N, g = 4, 1e-2
     p = measure_point(N, g)
     spec = PotentialSpec(N, 2, g, 1.0, 0.0)
-    assert p.z1 == zeta_from_det(spec, 1).value
-    assert p.zp1 == zeta_from_det(spec, 1, skew=True).value
-    assert p.z2 == zeta_from_det(spec, 2).value
-    assert p.zp2 == zeta_from_det(spec, 2, skew=True).value
+    assert p["z1"] == zeta_from_det(spec, 1).value
+    assert p["zp1"] == zeta_from_det(spec, 1, skew=True).value
+    assert p["z2"] == zeta_from_det(spec, 2).value
+    assert p["zp2"] == zeta_from_det(spec, 2, skew=True).value
     # slope and z1 are tied by the regularized harmonic trace
-    assert p.slope == pytest.approx(-p.z1 + 0.5 * (EULER_GAMMA + LOG2), abs=1e-12)
+    assert p["slope"] == pytest.approx(-p["z1"] + 0.5 * (EULER_GAMMA + LOG2), abs=1e-12)
 
 
 @pytest.mark.parametrize("N,g", [(4, 1e-4), (4, 3e-4), (6, 1e-4), (8, 1e-4), (4, 1e-10),
@@ -95,7 +95,7 @@ def test_shot_z2_matches_spectrum_route(N, g):
     # d^2 log D/dmu^2 by v
     p = measure_point(N, g)
     z2_levels = zeta_full(PotentialSpec(N, 2, g, 1.0, 0.0), 2, count=64, tol=1e-6).value
-    assert abs(p.z2 - z2_levels) <= 2e-10, (N, g, p.z2 - z2_levels)
+    assert abs(p["z2"] - z2_levels) <= 2e-10, (N, g, p["z2"] - z2_levels)
 
 
 @pytest.mark.parametrize("N", (4, 6, 8, 10))
@@ -106,9 +106,9 @@ def test_measure_point_matches_spectrum_route(N):
     for g in GRID + (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
         p = measure_point(N, g)
         spec = PotentialSpec(N, 2, g, 1.0, 0.0)
-        assert abs(p.z2 - zeta_full(spec, 2, count=64, tol=1e-6).value) <= 2e-10, g
-        assert abs(p.zp1 - zeta_skew(spec, 1, count=64, tol=1e-6).value) <= 1e-13, g
-        assert abs(p.zp2 - zeta_skew(spec, 2, count=64, tol=1e-6).value) <= 1e-13, g
+        assert abs(p["z2"] - zeta_full(spec, 2, count=64, tol=1e-6).value) <= 2e-10, g
+        assert abs(p["zp1"] - zeta_skew(spec, 1, count=64, tol=1e-6).value) <= 1e-13, g
+        assert abs(p["zp2"] - zeta_skew(spec, 2, count=64, tol=1e-6).value) <= 1e-13, g
 
 
 @pytest.mark.parametrize("N", (4, 6))

@@ -1002,13 +1002,13 @@ def test_measure_point_matches_the_dilated_partner(N, g):
     partner = PotentialSpec.trinomial(N, 2, v)
     det, full, skew = spectral.det_jet(partner, 0.0)
     d0 = dilate_det(det, v**-0.5, partner)
-    assert p.z1 == pytest.approx(math.sqrt(v) * full[0], rel=1e-12)
-    assert p.zp1 == pytest.approx(math.sqrt(v) * skew[0], rel=1e-11)
-    assert p.z2 == pytest.approx(v * full[1], rel=5e-9)
+    assert p["z1"] == pytest.approx(math.sqrt(v) * full[0], rel=1e-12)
+    assert p["zp1"] == pytest.approx(math.sqrt(v) * skew[0], rel=1e-11)
+    assert p["z2"] == pytest.approx(v * full[1], rel=5e-9)
     ratio0 = d0.log_abs_full - 0.5 * math.log(2.0)
-    assert abs(p.ratio0 - ratio0) <= 5e-11 * max(1.0, abs(ratio0))
+    assert abs(p["ratio0"] - ratio0) <= 5e-11 * max(1.0, abs(ratio0))
     skew_ratio0 = d0.log_abs_skew - harmonic_det(1.0, 0.0).log_abs_skew
-    assert p.skew_ratio0 == pytest.approx(skew_ratio0, abs=1e-13)
+    assert p["skew_ratio0"] == pytest.approx(skew_ratio0, abs=1e-13)
 
 
 @pytest.mark.parametrize("s", (1, 2))

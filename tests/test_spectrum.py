@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -33,6 +34,9 @@ def test_package_resolves_the_solver_on_first_use():
     assert oscdet.eigenvalues is spectrum.eigenvalues
     assert oscdet.SpectrumResult is spectrum.SpectrumResult
     assert "SpectrumResult" in oscdet.__all__ and "eigenvalues" in oscdet.__all__
+    # every export resolves, and none is a submodule bound by the package's imports
+    assert not [name for name in oscdet.__all__
+                if isinstance(getattr(oscdet, name), types.ModuleType)]
     with pytest.raises(AttributeError):
         oscdet.no_such_name
 
