@@ -228,7 +228,7 @@ def trinomial_action_asymptotic(N: int, M: int, v: float, lam: float) -> float:
     Coupled binomial action plus the uncoupled one, plus the level-1
     correction that survives only when the uncoupled problem is harmonic.
     """
-    if not (N > M >= 2):
+    if not (N > M >= 2) or N % 2 or M % 2:
         raise DomainError("need even N > M >= 2")
     total = binomial_action(1.0, v, N, M).value
     if lam == 0.0:

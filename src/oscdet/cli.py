@@ -1,7 +1,8 @@
 """Command-line surface: spectra, actions, poles, determinants, zetas,
 predictions, the verification harness, and the two figure datasets.
 
-All numeric output is emitted with repr round-tripping so repeated runs
+Every result goes through one writer, ``_emit``.  A float is written as
+its round-trip repr, by json and by the csv module alike, so repeated runs
 with the same arguments are byte-identical.  ``verify`` and ``fig2`` take
 a coupling grid and nothing else that changes what is measured.
 """
@@ -9,6 +10,7 @@ a coupling grid and nothing else that changes what is measured.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 # argparse translates its messages with gettext, which imports locale while
@@ -31,30 +33,20 @@ from .spectral import harmonic_det, shooting_det, zeta_full, zeta_skew
 _OUTDIR_ENV = "OSCDET_OUTDIR"
 
 
-def _out_path(args, default_name):
-    if args.out:
-        return args.out
-    outdir = os.environ.get(_OUTDIR_ENV)
-    if outdir:
-        return os.path.join(outdir, default_name)
-    return None   # stdout
-
-
-def _emit_rows(rows, path):
-    if path is None:
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
-    else:
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-        print(path)
-
-
-def _emit_text(text, path):
-    if path is None:
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+def _emit(args, payload, path=None):
+    """Write a command's result: rows as CSV, a dict as strict JSON.  It goes
+    to ``path``, else to --out, else to $OSCDET_OUTDIR/<command>.<csv|json>,
+    else to stdout; the path of a file written is printed."""
+    rows = not isinstance(payload, dict)
+    path = path or args.out
+    if not path and (outdir := os.environ.get(_OUTDIR_ENV)):
+        path = os.path.join(outdir, f"{args.command}.{'csv' if rows else 'json'}")
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+        if rows:
+            csv.writer(fh, lineterminator="\n").writerows(payload)
+        else:
+            fh.write(_json_text(payload) + "\n")
+    if path:
         print(path)
 
 
@@ -80,9 +72,8 @@ def cmd_spectrum(args):
     from .spectrum import eigenvalues    # loads LAPACK, which no other command needs
     result = eigenvalues(spec, args.count, args.tol)
     rows = [["k", "parity", "value", "err_est"]]
-    rows += [[str(e.k), e.parity, repr(e.value), repr(e.err_est)]
-             for e in result.entries]
-    _emit_rows(rows, _out_path(args, "spectrum.csv"))
+    rows += [[e.k, e.parity, e.value, e.err_est] for e in result.entries]
+    _emit(args, rows)
     return 0
 
 
@@ -102,7 +93,7 @@ def cmd_action(args):
     else:
         a = improper_action(spec)
         out.update(value=a.value, method=a.method, residue=a.residue)
-    _emit_text(_json_text(out), _out_path(args, "action.json"))
+    _emit(args, out)
     return 0
 
 
@@ -131,7 +122,7 @@ def cmd_poles(args):
         "poles": [encode(p) for p in poles],
         "contributing": {"leading": encode(lead), "subleading": encode(sub)},
     }
-    _emit_text(_json_text(out), _out_path(args, "poles.json"))
+    _emit(args, out)
     return 0
 
 
@@ -151,7 +142,7 @@ def cmd_det(args):
         "sign": {"even": d.sign_even, "odd": d.sign_odd},
         "value": {"even": d.even, "odd": d.odd, "full": d.full, "skew": d.skew},
     }
-    _emit_text(_json_text(out), _out_path(args, "det.json"))
+    _emit(args, out)
     return 0
 
 
@@ -161,7 +152,7 @@ def cmd_zeta(args):
     z = zeta(spec, args.s, args.E, count=args.count, tol=args.tol)
     out = {"spec": spec.to_text(), "s": z.s, "E": args.E, "skew": args.skew,
            "value": z.value, "tail_fraction": z.tail_fraction}
-    _emit_text(_json_text(out), _out_path(args, "zeta.json"))
+    _emit(args, out)
     return 0
 
 
@@ -174,7 +165,7 @@ def cmd_predict(args):
         "Z1": predict_Z1(args.N, args.g, args.E),
         "log_det_ratio": predict_det_ratio_g(args.N, 2, args.g, args.E),
     }
-    _emit_text(_json_text(out), _out_path(args, "predict.json"))
+    _emit(args, out)
     return 0
 
 
@@ -189,10 +180,7 @@ def _grid_from_args(args) -> tuple[float, ...]:
 
 def cmd_verify(args):
     report = verify(args.N, _grid_from_args(args))
-    if args.format == "csv":
-        _emit_rows(report.to_csv_rows(), _out_path(args, "verify.csv"))
-    else:
-        _emit_text(_json_text(report.payload()), _out_path(args, "verify.json"))
+    _emit(args, report.to_csv_rows() if args.format == "csv" else report.payload())
     return 0 if report.passed else 1
 
 
@@ -205,7 +193,7 @@ def cmd_fig2(args):
     except ValueError as exc:
         raise DomainError(f"bad --families value: {exc}") from exc
     for name, rows in zip(("fig2_left.csv", "fig2_right.csv"), fig2_rows(families, grid)):
-        _emit_rows(rows, os.path.join(outdir, name))
+        _emit(args, rows, os.path.join(outdir, name))
     return 0
 
 

@@ -63,7 +63,7 @@ def predict_det_ratio_g(N: int, M: int, g: float, E: float) -> float:
     branch where the family is anomalous), plus the E-linear term
     (log g - N log 2)/(N - 2) E when M = 2, where E must lie below 1.
     """
-    if not (N > M >= 2):
+    if not (N > M >= 2) or N % 2 or M % 2:
         raise DomainError("need even N > M >= 2")
     if g <= 0.0:
         raise DomainError("coupling g must be positive")
@@ -157,11 +157,8 @@ class PredictionReport:
         yield ["g"] + [f"{n}_{kind}" for n in names
                        for kind in ("predicted", "measured", "residual")]
         for i, g in enumerate(self.grid):
-            row = [repr(g)]
-            for n in names:
-                row += [repr(self.predicted[n][i]), repr(self.measured[n][i]),
-                        repr(self.residuals[n][i])]
-            yield row
+            yield [g] + [table[n][i] for n in names
+                         for table in (self.predicted, self.measured, self.residuals)]
 
 
 def verify(N: int, grid=GRID) -> PredictionReport:
@@ -210,8 +207,6 @@ def fig2_rows(families=(4, 6), grid=GRID):
     for N in families:
         for g in grid:
             p = measure_point(N, g)
-            left.append([f"q2+gq{N}", str(N), repr(g), repr(p["v"]), repr(1.0 / p["v"]),
-                         repr(p["zp1"]), repr(p["z2"]), repr(p["zp2"])])
-            right.append([f"q2+gq{N}", str(N), repr(g), repr(math.log(g)),
-                          repr(p["z1"]), repr(predict_Z1(N, g))])
+            left.append([f"q2+gq{N}", N, g, p["v"], 1.0 / p["v"], p["zp1"], p["z2"], p["zp2"]])
+            right.append([f"q2+gq{N}", N, g, math.log(g), p["z1"], predict_Z1(N, g)])
     return left, right

@@ -26,7 +26,8 @@ those ``scipy.linalg.eig_banded`` makes for ``eigvals_only=True``, so the
 levels are the same to the bit.  The wrapper links scipy's own OpenBLAS,
 whose worker threads start with it and spin for about 0.1 s, so only an eigen
 solve imports this module: ``spectral`` and ``cli`` import it on the line of
-the solve, and the package resolves ``eigenvalues`` on first use.
+the solve, and the package resolves every public name, ``eigenvalues``
+included, on first use from one table of names by defining module.
 """
 
 from __future__ import annotations

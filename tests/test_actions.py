@@ -350,6 +350,10 @@ def test_improper_action_rejects_negative_momentum():
     (lambda: predict_det_ratio_g(4, 4, 1e-2, 0.0), "need even N > M >= 2"),
     (lambda: predict_det_ratio_g(4, 2, 0.0, 0.0), "coupling g must be positive"),
     (lambda: eigenvalues(PotentialSpec.trinomial(4, 2, 1.0), 0), "count must be positive"),
+    (lambda: trinomial_action_asymptotic(5, 2, 10.0, 0.0), "need even N > M >= 2"),
+    (lambda: trinomial_action_asymptotic(6, 3, 10.0, 0.0), "need even N > M >= 2"),
+    (lambda: predict_det_ratio_g(5, 2, 1e-3, 0.0), "need even N > M >= 2"),
+    (lambda: predict_det_ratio_g(6, 3, 1e-3, 0.0), "need even N > M >= 2"),
 ])
 def test_public_calls_refuse_their_documented_domain(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):

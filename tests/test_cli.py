@@ -520,6 +520,34 @@ def test_spectrum_into_the_output_directory(tmp_path, capsys, monkeypatch):
     assert path.read_text() == csv_text
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum", "--spec", "4 0 1 0 0", "--count", "4"], "spectrum.csv"),
+    (["action", "--spec", "4 2 1 1 0"], "action.json"),
+    (["poles", "--N", "4", "--M", "2"], "poles.json"),
+    (["det", "--spec", "4 0 1.0 0.0 0.0", "--shift", "0.5"], "det.json"),
+    (["zeta", "--spec", "2 0 1 0 0", "--s", "2"], "zeta.json"),
+    (["predict", "--N", "4", "--g", "1e-3"], "predict.json"),
+    (["verify", "--N", "4", "--grid", "1e-1,3e-2"], "verify.json"),
+    (["verify", "--N", "4", "--grid", "1e-1,3e-2", "--format", "csv"], "verify.csv"),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_every_command_writes_one_result_to_each_destination(tmp_path, capsys, monkeypatch,
+                                                              argv, name):
+    # --out, then $OSCDET_OUTDIR/<command>.<csv|json>, then stdout, each
+    # with the same bytes; a file written has its path printed
+    code, text = run_cli(capsys, *argv)
+    out = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--out", str(out)) == (code, f"{out}\n")
+    assert out.read_bytes() == text.encode()
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    monkeypatch.setenv("OSCDET_OUTDIR", str(outdir))
+    assert run_cli(capsys, *argv) == (code, f"{outdir / name}\n")
+    assert (outdir / name).read_bytes() == text.encode()
+    (outdir / name).unlink()
+    assert run_cli(capsys, *argv, "--out", str(out)) == (code, f"{out}\n")
+    assert out.read_bytes() == text.encode() and not any(outdir.iterdir())
+
+
 def test_fig2_emission_small_grid(tmp_path, capsys):
     code, out = run_cli(capsys, "fig2", "--families", "4",
                         "--grid", "1e-1,3e-2", "--outdir", str(tmp_path))
@@ -596,6 +624,39 @@ for runs in (shots, solves):
         "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0] [] []",
         "[0, 0] ['scipy.linalg._flapack'] ['oscdet.spectrum', 'scipy.linalg._flapack']"], \
         done.stdout
+
+
+def test_package_resolves_each_name_from_its_home_module():
+    # importing the package, or one module, runs no other module's body; each
+    # exported name is the object its defining module binds, resolved on first
+    # use; in a fresh interpreter, since this one has imported every module
+    script = """
+import importlib, pkgutil, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "oscdet")
+import oscdet
+print(loaded())
+import oscdet.potential
+print(loaded())
+modules = [importlib.import_module(f"oscdet.{m.name}")
+           for m in pkgutil.iter_modules(oscdet.__path__)]
+for name in oscdet.__all__:
+    obj = getattr(oscdet, name)
+    binders = [m for m in modules if name in vars(m)]
+    assert binders and all(vars(m)[name] is obj for m in binders), name
+    home = getattr(obj, "__module__", None)   # None for a constant
+    assert home is None or vars(sys.modules[home])[name] is obj, name
+print(len(oscdet.__all__), set(oscdet.__all__) <= set(dir(oscdet)), "__version__" in dir(oscdet))
+"""
+    src = str(Path(oscdet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "['oscdet']",
+        "['oscdet', 'oscdet.errors', 'oscdet.potential', 'oscdet.special_functions']",
+        "39 True True"], done.stdout
 
 
 def test_spectrum_of_a_non_finite_band_exit_three(capsys, monkeypatch):
@@ -847,3 +908,24 @@ def test_readme_cli_examples_run(tmp_path, capsys):
     assert json.loads(outputs['oscdet zeta     --spec "2 0 1 0 0" --s 2'])["value"] == \
         pytest.approx(math.pi**2 / 8.0, rel=1e-12)
     assert (tmp_path / "fig2_left.csv").exists() and (tmp_path / "fig2_right.csv").exists()
+
+
+def test_readme_library_tour_runs():
+    # README's library block, through the package's names; each bare
+    # expression is evaluated and kept under its source text
+    import ast
+    import re
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme, re.S).group(1)
+    namespace, values = {}, {}
+    for stmt in ast.parse(block).body:
+        source = ast.get_source_segment(block, stmt)
+        if isinstance(stmt, ast.Expr):
+            values[source] = eval(source, namespace)
+        else:
+            exec(source, namespace)
+    assert len(values) == 5
+    assert values["improper_action(spec).value"] == pytest.approx(-1.0 / 3.0, rel=1e-12)
+    assert values["harmonic_det(1.0, 1.0).full"] == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    assert values["report.passed"] is True

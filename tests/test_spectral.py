@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -1027,3 +1029,81 @@ def test_zeta_full_of_a_dilated_quartic(s):
 def test_dilate_rejects_bad_factor():
     with pytest.raises(DomainError):
         dilate_det(harmonic_det(1.0, 0.0), -1.0, uncoupled(2, 1.0))
+
+
+# --------------------------------------------------------------------------
+# the route matrix: the shot's zetas against the spectrum's over a seeded box
+# --------------------------------------------------------------------------
+
+_ERRORS = (AccuracyError, DivergenceError, DomainError)
+
+
+def _route_box():
+    """220 potentials (seed 7): N in {4, 6, 8, 10}, M in {0, 2, N - 2}, and
+    20 draws each of u = 10^U(-4, 4), v = 10^U(-3, 6) and lam = 0,
+    10^U(-2, 3) or -10^U(-2, 1)."""
+    rng = random.Random(7)
+    for N in (4, 6, 8, 10):
+        for M in sorted({0, 2, N - 2}):
+            for _ in range(20):
+                u = 10.0 ** rng.uniform(-4, 4)
+                v = 10.0 ** rng.uniform(-3, 6)
+                kind = rng.randrange(3)
+                lam = (0.0 if kind == 0 else 10.0 ** rng.uniform(-2, 3) if kind == 1
+                       else -10.0 ** rng.uniform(-2, 1))
+                yield PotentialSpec(N, M, u, v, lam)
+
+
+def _zeta_or_refusal(zeta, *args, **kwargs):
+    try:
+        return zeta(*args, **kwargs).value
+    except _ERRORS as exc:
+        return exc
+
+
+def _route_matrix(specs):
+    """(faults, agreed): the (spec, s, skew, shot, spectrum) pairs where
+    ``zeta_from_det`` and ``zeta_full``/``zeta_skew`` at their defaults
+    neither agree within 1e-9 relative nor both refuse, each with one of the
+    library's errors and a one-line message; and the number that agree."""
+    faults, agreed = [], 0
+    for spec, s, skew in itertools.product(specs, (1, 2), (False, True)):
+        pair = (_zeta_or_refusal(zeta_from_det, spec, s, skew=skew),
+                _zeta_or_refusal(zeta_skew if skew else zeta_full, spec, s))
+        if all(isinstance(x, float) for x in pair):
+            ok = abs(pair[0] - pair[1]) <= 1e-9 * abs(pair[1])
+            agreed += ok
+        else:
+            ok = all(isinstance(x, _ERRORS) and str(x) and "\n" not in str(x) for x in pair)
+        if not ok:
+            faults.append((spec, s, skew, *pair))
+    return faults, agreed
+
+
+def test_route_matrix_agrees_or_refuses_on_every_pair():
+    # 844 of the 880 pairs agree (within 4.1e-11); the other 36, on 9
+    # potentials whose negative lam puts the ground state below E = 0, are
+    # refused by both routes
+    specs = list(_route_box())
+    assert len(specs) == 220
+    faults, agreed = _route_matrix(specs)
+    assert faults == []
+    assert agreed >= 844
+
+
+def test_route_matrix_flags_a_planted_fault(monkeypatch):
+    # 1e-8 added to the first lam-derivative of the shot's tail series moves
+    # Z(1) of the shot alone; it is flagged on every one of the first 40
+    # potentials but the one that both routes refuse
+    tail = spectral.adaptive_tail
+
+    def planted(spec, q, lam_deriv=0):
+        return tail(spec, q, lam_deriv) + (1e-8 if lam_deriv == 1 else 0.0)
+
+    monkeypatch.setattr(spectral, "adaptive_tail", planted)
+    spectral.det_jet.cache_clear()
+    try:
+        faults, _ = _route_matrix(list(itertools.islice(_route_box(), 40)))
+    finally:
+        spectral.det_jet.cache_clear()
+    assert len({fault[0] for fault in faults}) == 39
